@@ -501,13 +501,13 @@ class ExperimentRunner:
                     self.decision_counter += 1
                     decisions += 1
 
-                sim.step()
+                queue = sim.step()
                 assert sim.conservation_ok(), "vehicle conservation violated"
                 steps.row(
                     {
                         "time": sim.time,
                         "phase": sim.active_phase,
-                        "queue": sim.queue_length(),
+                        "queue": queue,
                         "injected": sim.injected_count,
                         "completed": len(sim.completed),
                     }

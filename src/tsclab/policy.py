@@ -6,9 +6,9 @@ genuine token-level process with position-dependent distributions. All
 gradients are computed by hand-derived reverse-mode passes; the finite-
 difference suite in the tests pins them to the analytic contract.
 
-Sampling runs through the kernel backend (compiled if available); the
-teacher-forced batch paths here are plain NumPy since updates touch far
-fewer tokens than rollouts.
+Sampling and the teacher-forced batch paths share one trunk; the
+sampler batches all responses of a decision, and the random streams come
+from the counter-based keys in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _uniform_init(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int)
 
 
 def _leaky(x):
-    return np.where(x >= 0.0, x, 0.01 * x)
+    return np.maximum(x, 0.01 * x)
 
 
 def _dleaky(x):
@@ -95,6 +95,22 @@ class TokenPolicy:
             "b_out": np.zeros(V),
         }
 
+    # -- the trunk, shared by sampling and teacher forcing ---------------
+
+    def _trunk(self, z0: np.ndarray):
+        """Hidden layers from the first pre-activation ``z0`` up to the logits.
+
+        Returns (logits, (h0, z1, h1, z2, h2)); the intermediates feed
+        :meth:`backward_from_dlogits`.
+        """
+        p = self.params
+        h0 = _leaky(z0)
+        z1 = h0 @ p["w_h1"] + p["b_h1"]
+        h1 = _leaky(z1)
+        z2 = h1 @ p["w_h2"] + p["b_h2"]
+        h2 = _leaky(z2)
+        return h2 @ p["w_out"] + p["b_out"], (h0, z1, h1, z2, h2)
+
     # -- sampling --------------------------------------------------------
 
     def sample(
@@ -103,35 +119,67 @@ class TokenPolicy:
         keys: Sequence[int],
         temperature: float = 1.0,
         max_len: Optional[int] = None,
-        backend=None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample ``len(keys)`` responses, one independent stream each.
 
-        Returns (tokens, lengths, logps); log-probs are those of the
-        temperature-1 distribution for the sampled tokens, so they agree
-        with :meth:`logprobs` on the same tokens.
+        Token ``t`` of a response is drawn from softmax(logits / temperature)
+        by inverse CDF with uniform ``t + 1`` of its key's stream, so a
+        response depends only on its key. Returns (tokens, lengths, logps):
+        tokens is (g, max_len) padded with -1, logps is (g, max_len) padded
+        with 0 and holds the log-probs of the temperature-1 distribution, so
+        they agree with :meth:`logprobs` on the same tokens. Raises
+        ``ValueError`` if a sampled log-prob is not finite, which non-finite
+        parameters or features cause.
         """
-        impl = backend if backend is not None else _kernels
+        if temperature <= 0:
+            raise ValueError("temperature must be > 0")
         p = self.params
-        return impl.sample_responses(
-            p["emb"],
-            p["w_ctx"],
-            p["b_ctx"],
-            p["w_hist"],
-            p["b_hist"],
-            p["w_h1"],
-            p["b_h1"],
-            p["w_h2"],
-            p["b_h2"],
-            p["w_out"],
-            p["b_out"],
-            np.ascontiguousarray(features, dtype=np.float64),
-            list(keys),
-            int(max_len if max_len is not None else self.max_len),
-            self.eos_id,
-            self.k_history,
-            float(temperature),
-        )
+        g = len(keys)
+        n_steps = int(max_len if max_len is not None else self.max_len)
+        k = self.k_history
+        uniforms = _kernels.uniforms_from_key(keys, n_steps)
+        # the projected mean embedding of the window is the mean of projected rows
+        hist_proj = p["emb"] @ p["w_hist"]
+        ctx_pre = np.asarray(features, dtype=np.float64) @ p["w_ctx"] + p["b_ctx"]
+
+        tokens = np.full((g, n_steps), -1, dtype=np.int64)
+        logps = np.zeros((g, n_steps), dtype=np.float64)
+        rows = slice(None)  # active rows; a plain slice until the first one ends
+        pick = np.arange(g)
+        for step in range(n_steps):
+            if step and k:
+                window = tokens[rows, max(0, step - k) : step]
+                hist = hist_proj[window].sum(axis=1) / window.shape[1]
+            else:
+                hist = np.zeros((pick.size, self.d_hidden))  # empty window
+            logits, _ = self._trunk(ctx_pre + hist + p["b_hist"])
+
+            mx = logits.max(axis=1, keepdims=True)
+            exp1 = np.exp(logits - mx)
+            total = exp1.sum(axis=1, keepdims=True)
+            lse = (mx + np.log(total))[:, 0]
+            if temperature == 1.0:
+                probs = exp1 / total
+            else:
+                scaled = logits / temperature
+                exp_s = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+                probs = exp_s / exp_s.sum(axis=1, keepdims=True)
+            cdf = np.cumsum(probs, axis=1)
+            drawn = (cdf <= uniforms[rows, step][:, None]).sum(axis=1)
+            drawn = np.minimum(drawn, self.vocab_size - 1)
+
+            tokens[rows, step] = drawn
+            logps[rows, step] = logits[pick, drawn] - lse
+            ended = drawn == self.eos_id
+            if ended.any():
+                rows = np.arange(g)[rows][~ended]
+                if not rows.size:
+                    break
+                pick = np.arange(rows.size)
+
+        if not np.isfinite(logps).all():
+            raise ValueError("sampler produced a non-finite log-prob; check parameters and features")
+        return tokens, (tokens >= 0).sum(axis=1), logps
 
     # -- teacher-forced evaluation ---------------------------------------
 
@@ -159,12 +207,7 @@ class TokenPolicy:
 
         ctx_pre = features @ p["w_ctx"] + p["b_ctx"]
         z0 = ctx_pre[:, None, :] + m @ p["w_hist"] + p["b_hist"]
-        h0 = _leaky(z0)
-        z1 = h0 @ p["w_h1"] + p["b_h1"]
-        h1 = _leaky(z1)
-        z2 = h1 @ p["w_h2"] + p["b_h2"]
-        h2 = _leaky(z2)
-        logits = h2 @ p["w_out"] + p["b_out"]
+        logits, (h0, z1, h1, z2, h2) = self._trunk(z0)
 
         cache = {
             "features": features,

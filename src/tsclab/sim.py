@@ -333,7 +333,8 @@ class Intersection:
 
     # -- dynamics --------------------------------------------------------
 
-    def step(self, dt: float = 1.0) -> None:
+    def step(self, dt: float = 1.0) -> float:
+        """Advance ``dt`` seconds; returns the queue length sampled after it."""
         if dt <= 0:
             raise ValueError("dt must be > 0")
         t_next = self.time + dt
@@ -354,7 +355,9 @@ class Intersection:
 
         self._spawn(dt, t_next)
         self.time = t_next
-        self._queue_samples.append(self.queue_length())
+        queue = self.queue_length()
+        self._queue_samples.append(queue)
+        return queue
 
     def _advance_lane(self, lane: Lane, served: bool, dt: float, t_next: float) -> None:
         queue = self.vehicles[lane.lane_id]

@@ -12,7 +12,9 @@ returns, no baseline, no value update) for ablations.
 from __future__ import annotations
 
 import json
+import math
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -370,7 +372,6 @@ class PPOTrainer:
 
         policy_grads = self.policy.backward_from_dlogits(cache, dlogits)
         norm_p = clip_by_global_norm(policy_grads, cfg.grad_clip_policy)
-        self.opt_policy.step(self.policy.params, policy_grads)
 
         v_loss = 0.0
         norm_v = 0.0
@@ -385,6 +386,12 @@ class PPOTrainer:
                 dv_rec[i] = part.sum()
             value_grads = self.value_head.backward(v_cache, cfg.alpha * dv_rec)
             norm_v = clip_by_global_norm(value_grads, cfg.grad_clip_value)
+
+        # a non-finite norm means non-finite gradients; a step would spread them
+        if not (math.isfinite(norm_p) and math.isfinite(norm_v)):
+            raise ValueError(f"non-finite gradient norm (policy {norm_p!r}, value {norm_v!r}); step not taken")
+        self.opt_policy.step(self.policy.params, policy_grads)
+        if cfg.use_critic:
             self.opt_value.step(self.value_head.params, value_grads)
 
         flat_ratio = ratio[mask]
@@ -494,7 +501,7 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
             meta = json.loads(str(data["meta"]))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
     version = meta.get("version")
     if version != CHECKPOINT_VERSION:

@@ -62,6 +62,17 @@ class TestValidationFailures:
         assert main(["reward-hist", str(tmp_path / "nope.jsonl")]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_eval_truncated_checkpoint(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == 0
+        data = (tmp_path / "train" / "ckpt_final.npz").read_bytes()
+        cut = tmp_path / "cut.npz"
+        cut.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        rc = main(["eval", "--config", cfg, "--out", str(tmp_path / "eval"), "--checkpoint", str(cut)])
+        assert rc == 2
+        assert "error: unreadable checkpoint" in capsys.readouterr().err
+
 
 class TestHappyPaths:
     def test_baseline_run(self, tmp_path, capsys):

@@ -200,6 +200,12 @@ class TestSampling:
         assert checked.any()
         assert np.all(np.abs(freq - p)[checked] <= 3.0 * se[checked] + 1e-9)
 
+    def test_non_finite_weight_raises(self, small_policy):
+        small_policy.params["w_out"][0, 0] = np.nan
+        keys = [derive_key(3, i, 0) for i in range(4)]
+        with pytest.raises(ValueError, match="non-finite"):
+            small_policy.sample(np.full(small_policy.feature_len, 1.0), keys)
+
     def test_greedy_low_temperature(self, small_policy):
         features = np.full(small_policy.feature_len, 2.0)
         keys = [derive_key(1, i, 0) for i in range(8)]

@@ -299,6 +299,21 @@ class TestTrainerUpdate:
         for k in before:
             assert np.array_equal(trainer.policy.params[k], before[k])
 
+    def test_non_finite_gradient_raises_before_step(self, toy8, vocab8):
+        trainer = _make_trainer(toy8, vocab8, batch_size=4, batches_per_update=1)
+        for rec in _records_from_policy(trainer, 4):
+            trainer.buffer.add(rec)
+        trainer.policy.params["w_h2"][0, 0] = np.inf
+        before = {k: v.copy() for k, v in trainer.policy.params.items()}
+        value_before = {k: v.copy() for k, v in trainer.value_head.params.items()}
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite gradient"):
+            trainer.update(0.0)
+        for k in before:
+            assert np.array_equal(trainer.policy.params[k], before[k])
+        for k in value_before:
+            assert np.array_equal(trainer.value_head.params[k], value_before[k])
+        assert trainer.opt_policy.t == 0 and trainer.opt_value.t == 0
+
     def test_reference_never_moves(self, toy8, vocab8):
         trainer = _make_trainer(toy8, vocab8, actor_lr=1e-2, batch_size=4, batches_per_update=2)
         ref_before = {k: v.copy() for k, v in trainer.reference.params.items()}
