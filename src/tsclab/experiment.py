@@ -11,12 +11,14 @@ loop state so a restored run continues bit-identically.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +26,7 @@ import yaml
 
 from . import _kernels
 from .baselines import FixedTimeController, MaxPressureController, RandomController
-from .phases import PromptContext, Vocabulary, extract_phase, feature_length, phase_histogram, verbalize
+from .phases import Vocabulary, extract_phase, feature_length, phase_histogram, verbalize
 from .policy import TokenPolicy, ValueHead
 from .rewards import RewardConfig, assemble_token_rewards, decision_reward, env_reward
 from .sim import (
@@ -40,7 +42,18 @@ from .sim import (
 )
 from .trainer import DecisionRecord, PPOTrainer, TrainerConfig, load_checkpoint, save_checkpoint
 
-CONTROLLERS = ("policy", "fixed", "maxpressure", "random")
+
+def _rng(seed: int, *stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *stream])))
+
+
+# non-learning controllers by config name; each is built once per runner
+BASELINES = {
+    "fixed": lambda cfg: FixedTimeController(cfg.t_fixed),
+    "maxpressure": lambda cfg: MaxPressureController(),
+    "random": lambda cfg: RandomController(_rng(cfg.seed, STREAM_CONTROLLER)),
+}
+CONTROLLERS = ("policy", *BASELINES)
 
 STEP_COLUMNS = ("time", "phase", "queue", "injected", "completed")
 TRAIN_LOG_COLUMNS = (
@@ -102,26 +115,13 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
-        reward = RewardConfig(**raw.pop("reward", {}))
-        trainer = TrainerConfig(**raw.pop("trainer", {}))
-        policy = PolicyShape(**raw.pop("policy", {}))
-        known = {
-            "topology",
-            "topology_overrides",
-            "demand",
-            "controller",
-            "episodes",
-            "seed",
-            "out",
-            "t_fixed",
-            "default_phase",
-            "action_from_extra_sample",
-            "holdout_eval",
-        }
-        unknown = set(raw) - known
+        for f in fields(ExperimentConfig):  # sections that are dataclasses of their own
+            if is_dataclass(f.default_factory) and f.name in raw:
+                raw[f.name] = f.default_factory(**raw[f.name])
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return ExperimentConfig(reward=reward, trainer=trainer, policy=policy, **raw)
+        return ExperimentConfig(**raw)
 
     @staticmethod
     def from_yaml(path) -> "ExperimentConfig":
@@ -130,23 +130,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def to_dict(self) -> dict:
-        out = {
-            "topology": self.topology,
-            "topology_overrides": dict(self.topology_overrides),
-            "demand": dict(self.demand),
-            "controller": self.controller,
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "out": self.out,
-            "t_fixed": self.t_fixed,
-            "default_phase": self.default_phase,
-            "action_from_extra_sample": self.action_from_extra_sample,
-            "holdout_eval": self.holdout_eval,
-            "reward": vars(self.reward).copy(),
-            "trainer": vars(self.trainer).copy(),
-            "policy": vars(self.policy).copy(),
-        }
-        return out
+        return asdict(self)
 
     def config_hash(self) -> str:
         """Hash identifying the experiment definition.
@@ -193,7 +177,6 @@ class _Pending:
     global_time: float
     queue_before: float
     phase: int
-    decision_index: int
     features: Optional[np.ndarray] = None
     tokens: Optional[np.ndarray] = None
     logps: Optional[np.ndarray] = None
@@ -209,7 +192,6 @@ class EpisodeReport:
     decisions: int
     steps_csv: str
     decisions_jsonl: str
-    reward_histogram: dict
     wall_clock: float
 
 
@@ -255,6 +237,12 @@ class ExperimentRunner:
         self.topo: Topology = build_topology(cfg.topology, **cfg.topology_overrides)
         if not 0 <= cfg.default_phase < self.topo.n_phases:
             raise ValueError(f"default_phase {cfg.default_phase} out of range")
+        if cfg.trainer.decision_interval < self.topo.yellow_duration:
+            raise ValueError(
+                f"decision_interval {cfg.trainer.decision_interval} is shorter than the "
+                f"yellow interval {self.topo.yellow_duration:g}; a decision could not "
+                "take effect before the next one"
+            )
         self.demand_template = DemandProfile.from_dict(cfg.demand)
         self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,12 +252,10 @@ class ExperimentRunner:
         self.feature_len = feature_length(self.topo)
 
         self.trainer: Optional[PPOTrainer] = None
-        self._random_controller: Optional[RandomController] = None
+        self.baseline = None
         if cfg.controller == "policy":
             cfg.trainer.warn_if_few_responses(self.topo.n_phases)
-            init_rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([cfg.seed, STREAM_INIT]))
-            )
+            init_rng = _rng(cfg.seed, STREAM_INIT)
             policy = TokenPolicy(
                 vocab_size=self.vocab.size,
                 feature_len=self.feature_len,
@@ -281,20 +267,9 @@ class ExperimentRunner:
                 rng=init_rng,
             )
             value_head = ValueHead(self.feature_len, rng=init_rng)
-            shuffle_rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([cfg.seed, STREAM_SHUFFLE]))
-            )
-            self.trainer = PPOTrainer(policy, value_head, cfg.trainer, shuffle_rng)
-        elif cfg.controller == "random":
-            self._random_controller = RandomController(
-                np.random.Generator(
-                    np.random.PCG64(np.random.SeedSequence([cfg.seed, STREAM_CONTROLLER]))
-                )
-            )
-        elif cfg.controller == "fixed":
-            self._fixed = FixedTimeController(cfg.t_fixed)
-        elif cfg.controller == "maxpressure":
-            self._maxpressure = MaxPressureController()
+            self.trainer = PPOTrainer(policy, value_head, cfg.trainer, _rng(cfg.seed, STREAM_SHUFFLE))
+        else:
+            self.baseline = BASELINES[cfg.controller](cfg)
 
         self.episode_index = 0
         self.decision_counter = 0  # global across episodes, keys the sampling streams
@@ -320,54 +295,47 @@ class ExperimentRunner:
         with open(resolved, "w", encoding="utf-8") as fh:
             yaml.safe_dump(self.cfg.to_dict(), fh, sort_keys=True)
 
-    def _new_sim(self, episode: int) -> Intersection:
-        demand = DemandProfile(
-            rates=dict(self.demand_template.rates),
-            surges=list(self.demand_template.surges),
-            spawns=list(self.demand_template.spawns),
-            base_rate=self.demand_template.base_rate,
-        )
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.cfg.seed, STREAM_DEMAND, episode]))
-        )
-        return Intersection(self.topo, demand, rng)
+    def _new_sim(self, *stream: int) -> Intersection:
+        """A fresh intersection whose demand draws from ``stream`` under the seed."""
+        return Intersection(self.topo, copy.deepcopy(self.demand_template), _rng(self.cfg.seed, *stream))
 
-    def _decide_policy(self, ctx: PromptContext, learn: bool, temperature: Optional[float]):
-        """Sample responses for one decision; returns (action, pending fields)."""
+    def _decide(
+        self, sim: Intersection, t: int, learn: bool, temperature: Optional[float], space: int, state
+    ):
+        """One decision: the baseline's ``decide``, or verbalize -> sample -> extract.
+
+        Returns the phase and the fields a learning decision keeps for its
+        training record (none otherwise).
+        """
+        obs = sim.observe()
+        if self.baseline is not None:
+            return self.baseline.decide(obs, sim.active_phase, t, self.topo), {}
         cfg = self.cfg
-        temp = cfg.trainer.temperature if temperature is None else temperature
+        ctx = verbalize(obs, sim.active_phase, self.topo, state.history)
         g = cfg.trainer.g_responses
         n_samples = (g + 1 if cfg.action_from_extra_sample else g) if learn else 1
-        # leading 0 reserves the key space; holdout evaluation uses 1
-        keys = [
-            _kernels.derive_key(cfg.seed, 0, self.decision_counter, r)
-            for r in range(n_samples)
-        ]
+        keys = [_kernels.derive_key(cfg.seed, space, state.decision_counter, r) for r in range(n_samples)]
         tokens, lengths, logps = self.trainer.policy.sample(
-            ctx.features, keys, temperature=temp
+            ctx.features, keys, temperature=cfg.trainer.temperature if temperature is None else temperature
         )
         action_tokens = tokens[0, : lengths[0]]
-        action_logps = logps[0, : lengths[0]]
-        action_phase = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
+        action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
+        if not learn:
+            return action, {}
+        first_entropy = 1 if cfg.action_from_extra_sample else 0
+        responses = [tokens[r, : lengths[r]] for r in range(first_entropy, n_samples)]
+        return action, {
+            "counts": phase_histogram(responses, self.topo, cfg.default_phase, self.vocab),
+            "features": ctx.features,
+            "tokens": np.array(action_tokens),
+            "logps": np.array(logps[0, : lengths[0]]),
+            "ref_logps": np.asarray(self.trainer.reference.logprobs(ctx.features, action_tokens)),
+            "v_old": self.trainer.value_head.value(ctx.features) if cfg.trainer.use_critic else 0.0,
+        }
 
-        counts = None
-        if learn:
-            first_entropy = 1 if cfg.action_from_extra_sample else 0
-            responses = [tokens[r, : lengths[r]] for r in range(first_entropy, n_samples)]
-            counts = phase_histogram(responses, self.topo, cfg.default_phase, self.vocab)
-        return action_phase, action_tokens, action_logps, counts
-
-    def _close_pending(
-        self,
-        pending: _Pending,
-        queue_now: float,
-        learn: bool,
-        jsonl_fh,
-        env_rewards: List[float],
-    ) -> None:
+    def _close_pending(self, pending: _Pending, queue_now: float, learn: bool, jsonl_fh) -> None:
         cfg = self.cfg
         r_env = env_reward(pending.queue_before, queue_now, cfg.reward.env_mode)
-        env_rewards.append(r_env)
         counts = pending.counts
         bundle = decision_reward(counts, pending.phase, r_env, cfg.reward)
         row = {
@@ -380,7 +348,7 @@ class ExperimentRunner:
             "gate_open": bundle["gate_open"],
         }
         jsonl_fh.write(json.dumps(row, sort_keys=True) + "\n")
-        if learn and pending.tokens is not None:
+        if learn:
             rewards = assemble_token_rewards(
                 pending.logps, pending.ref_logps, bundle["r_total"], cfg.reward.beta
             )
@@ -398,111 +366,61 @@ class ExperimentRunner:
 
     # -- the episode loop ------------------------------------------------
 
-    def run_episode(
+    def _loop(
         self,
+        sim: Intersection,
+        start_t: int,
         learn: bool,
-        train_log: Optional[_CsvSink] = None,
+        state,
+        space: int = 0,
         temperature: Optional[float] = None,
-        checkpoints: bool = None,
-        tag: str = "",
-    ) -> EpisodeReport:
-        cfg = self.cfg
-        tcfg = cfg.trainer
-        episode = self.episode_index
-        if checkpoints is None:
-            checkpoints = learn
-        t0_wall = _time.perf_counter()
+        steps: Optional[_CsvSink] = None,
+        jsonl_fh=None,
+        train_log: Optional[_CsvSink] = None,
+    ) -> int:
+        """Drive ``sim`` from ``start_t`` to the episode end; returns the decision count.
 
-        if self._resume_sim_state is not None:
-            sim = self._new_sim(episode)
-            sim.load_state_dict(self._resume_sim_state)
-            start_t = int(self._resume_step)
-            self._resume_sim_state = None
-            self._resume_step = None
-        else:
-            sim = self._new_sim(episode)
-            start_t = 0
-            self.history = []
-
-        prefix = f"ep{episode:03d}{tag}"
-        steps_path = self.out_dir / f"{prefix}_steps.csv"
-        jsonl_path = self.out_dir / f"{prefix}_decisions.jsonl"
-        steps = _CsvSink(steps_path, STEP_COLUMNS)
-        jsonl_fh = open(jsonl_path, "w", encoding="utf-8")
-
-        pending: Optional[_Pending] = None
-        env_rewards: List[float] = []
-        decisions = 0
+        ``state`` holds ``decision_counter`` and ``history`` (the runner
+        itself for logged episodes); ``space`` is the key space of the
+        sampling streams. Without sinks nothing is written and decisions
+        are not scored. Updates and checkpoints run only when learning.
+        """
+        tcfg = self.cfg.trainer
         length = tcfg.episode_length
-
-        try:
-            for t in range(start_t, length):
-                if t % tcfg.decision_interval == 0:
-                    queue_now = sim.queue_length()
-                    obs = sim.observe()
-                    ctx = verbalize(obs, sim.active_phase, self.topo, self.history)
-
-                    if pending is not None:
-                        self._close_pending(pending, queue_now, learn, jsonl_fh, env_rewards)
-                        pending = None
-
-                    global_t = episode * length + t
-                    if learn and t > start_t:
-                        if t % tcfg.update_interval == 0:
-                            self.trainer.buffer.evict(global_t)
-                            if len(self.trainer.buffer):
-                                diag = self.trainer.update(global_t)
-                                if train_log is not None:
-                                    train_log.row(diag)
-                        if checkpoints and t % tcfg.checkpoint_interval == 0:
+        offset = self.episode_index * length
+        pending: Optional[_Pending] = None
+        decisions = 0
+        for t in range(start_t, length + 1):
+            if t % tcfg.decision_interval == 0 or t == length:
+                queue_now = sim.queue_length()
+                if pending is not None and jsonl_fh is not None:
+                    self._close_pending(pending, queue_now, learn, jsonl_fh)
+                if learn and t > start_t:
+                    if t % tcfg.update_interval == 0:
+                        self.trainer.buffer.evict(offset + t)
+                        if len(self.trainer.buffer):
+                            diag = self.trainer.update(offset + t)
+                            if train_log is not None:
+                                train_log.row(diag)
+                    if t % tcfg.checkpoint_interval == 0:
+                        if t < length:
                             self._save_checkpoint(t, sim=sim)
+                        else:  # the episode-end snapshot starts the next episode
+                            self.episode_index += 1
+                            self._save_checkpoint(0)
+                            self.episode_index -= 1
+                if t == length:
+                    return decisions
+                action, record = self._decide(sim, t, learn, temperature, space, state)
+                pending = _Pending(float(t), float(offset + t), queue_now, action, **record)
+                sim.set_phase(action)
+                state.history.append((f"queue {queue_now:.2f}", action))
+                del state.history[:-2]
+                state.decision_counter += 1
+                decisions += 1
 
-                    if cfg.controller == "policy":
-                        action, toks, lps, counts = self._decide_policy(ctx, learn, temperature)
-                        p = _Pending(
-                            time=float(t),
-                            global_time=float(global_t),
-                            queue_before=queue_now,
-                            phase=action,
-                            decision_index=self.decision_counter,
-                        )
-                        if learn:
-                            p.features = ctx.features
-                            p.tokens = np.array(toks)
-                            p.logps = np.array(lps)
-                            p.ref_logps = np.asarray(
-                                self.trainer.reference.logprobs(ctx.features, toks)
-                            )
-                            p.v_old = (
-                                self.trainer.value_head.value(ctx.features)
-                                if tcfg.use_critic
-                                else 0.0
-                            )
-                            p.counts = counts
-                        pending = p
-                    else:
-                        if cfg.controller == "fixed":
-                            action = self._fixed.decide(obs, sim.active_phase, t, self.topo)
-                        elif cfg.controller == "maxpressure":
-                            action = self._maxpressure.decide(obs, sim.active_phase, t, self.topo)
-                        else:
-                            action = self._random_controller.decide(obs, sim.active_phase, t, self.topo)
-                        pending = _Pending(
-                            time=float(t),
-                            global_time=float(episode * length + t),
-                            queue_before=queue_now,
-                            phase=action,
-                            decision_index=self.decision_counter,
-                        )
-
-                    sim.set_phase(action)
-                    self.history.append((f"queue {queue_now:.2f}", action))
-                    self.history = self.history[-2:]
-                    self.decision_counter += 1
-                    decisions += 1
-
-                queue = sim.step()
-                assert sim.conservation_ok(), "vehicle conservation violated"
+            queue = sim.step()
+            if steps is not None:
                 steps.row(
                     {
                         "time": sim.time,
@@ -513,48 +431,43 @@ class ExperimentRunner:
                     }
                 )
 
-            # episode end: close the final decision, then the final update
-            queue_now = sim.queue_length()
-            if pending is not None:
-                self._close_pending(pending, queue_now, learn, jsonl_fh, env_rewards)
-                pending = None
-            if learn:
-                global_t = episode * length + length
-                if length % tcfg.update_interval == 0:
-                    self.trainer.buffer.evict(global_t)
-                    if len(self.trainer.buffer):
-                        diag = self.trainer.update(global_t)
-                        if train_log is not None:
-                            train_log.row(diag)
-                if checkpoints and length % tcfg.checkpoint_interval == 0:
-                    self.episode_index += 1
-                    self._save_checkpoint(0)
-                    self.episode_index -= 1
+    def run_episode(
+        self,
+        learn: bool,
+        train_log: Optional[_CsvSink] = None,
+        temperature: Optional[float] = None,
+    ) -> EpisodeReport:
+        t0_wall = _time.perf_counter()
+        episode = self.episode_index
+        sim = self._new_sim(STREAM_DEMAND, episode)
+        start_t = 0
+        if self._resume_sim_state is not None:
+            sim.load_state_dict(self._resume_sim_state)
+            start_t = self._resume_step
+            self._resume_sim_state = self._resume_step = None
+        else:
+            self.history = []
+
+        steps_path = self.out_dir / f"ep{episode:03d}_steps.csv"
+        jsonl_path = self.out_dir / f"ep{episode:03d}_decisions.jsonl"
+        steps = _CsvSink(steps_path, STEP_COLUMNS)
+        jsonl_fh = open(jsonl_path, "w", encoding="utf-8")
+        try:
+            decisions = self._loop(
+                sim, start_t, learn, self,
+                temperature=temperature, steps=steps, jsonl_fh=jsonl_fh, train_log=train_log,
+            )
         finally:
             steps.close()
             jsonl_fh.close()
 
-        metrics = sim.finalize_metrics()
-        hist = {}
-        if env_rewards:
-            arr = np.asarray(env_rewards)
-            lo = math.floor(arr.min() / 0.5) * 0.5
-            hi = max(math.ceil(arr.max() / 0.5) * 0.5, lo + 0.5)
-            counts, edges = np.histogram(arr, bins=np.arange(lo, hi + 0.25, 0.5))
-            hist = {
-                "bin_edges": [float(e) for e in edges],
-                "counts": [int(c) for c in counts],
-                "fraction_above": float((arr > cfg.reward.h_r).mean()),
-            }
-
         self.episode_index += 1
         return EpisodeReport(
             episode=episode,
-            metrics=metrics.as_dict(),
+            metrics=sim.finalize_metrics().as_dict(),
             decisions=decisions,
             steps_csv=str(steps_path),
             decisions_jsonl=str(jsonl_path),
-            reward_histogram=hist,
             wall_clock=_time.perf_counter() - t0_wall,
         )
 
@@ -616,14 +529,7 @@ class ExperimentRunner:
         try:
             while self.episode_index < n:
                 report = self.run_episode(learn=True, train_log=train_log)
-                metrics_sink.row(
-                    {
-                        "episode": report.episode,
-                        "decisions": report.decisions,
-                        "wall_clock": report.wall_clock,
-                        **report.metrics,
-                    }
-                )
+                metrics_sink.row({"episode": report.episode, "decisions": report.decisions, **report.metrics})
                 reports.append(report)
                 if self.cfg.holdout_eval:
                     holdout_queue = self._holdout_queue()
@@ -639,43 +545,14 @@ class ExperimentRunner:
     def _holdout_queue(self) -> float:
         """Average queue of a held-out eval episode on its own demand seed.
 
-        The held-out demand and sampling keys are fixed across calls so
-        successive checkpoints are judged on the same episode.
+        The held-out demand and sampling keys (key space 1, decision index
+        from 0) are fixed across calls so successive checkpoints are judged
+        on the same episode. It writes nothing and leaves the runner's
+        episode index, decision counter and history alone.
         """
-        sim = self._new_sim_holdout()
-        tcfg = self.cfg.trainer
-        hist: List[Tuple[str, int]] = []
-        index = 0
-        for t in range(tcfg.episode_length):
-            if t % tcfg.decision_interval == 0:
-                q_now = sim.queue_length()
-                obs = sim.observe()
-                ctx = verbalize(obs, sim.active_phase, self.topo, hist)
-                keys = [_kernels.derive_key(self.cfg.seed, 1, index, 0)]
-                tokens, lengths, _ = self.trainer.policy.sample(
-                    ctx.features, keys, temperature=tcfg.temperature
-                )
-                action = extract_phase(
-                    tokens[0, : lengths[0]], self.topo, self.cfg.default_phase, self.vocab
-                )
-                sim.set_phase(action)
-                hist.append((f"queue {q_now:.2f}", action))
-                hist = hist[-2:]
-                index += 1
-            sim.step()
+        sim = self._new_sim(STREAM_HOLDOUT)
+        self._loop(sim, 0, False, SimpleNamespace(decision_counter=0, history=[]), space=1)
         return sim.finalize_metrics().queue_length
-
-    def _new_sim_holdout(self) -> Intersection:
-        demand = DemandProfile(
-            rates=dict(self.demand_template.rates),
-            surges=list(self.demand_template.surges),
-            spawns=list(self.demand_template.spawns),
-            base_rate=self.demand_template.base_rate,
-        )
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.cfg.seed, STREAM_HOLDOUT]))
-        )
-        return Intersection(self.topo, demand, rng)
 
     def evaluate(self, episodes: Optional[int] = None, temperature: Optional[float] = None) -> List[EpisodeReport]:
         n = episodes if episodes is not None else self.cfg.episodes
@@ -684,14 +561,7 @@ class ExperimentRunner:
         try:
             for _ in range(n):
                 report = self.run_episode(learn=False, temperature=temperature)
-                metrics_sink.row(
-                    {
-                        "episode": report.episode,
-                        "decisions": report.decisions,
-                        "wall_clock": report.wall_clock,
-                        **report.metrics,
-                    }
-                )
+                metrics_sink.row({"episode": report.episode, "decisions": report.decisions, **report.metrics})
                 reports.append(report)
         finally:
             metrics_sink.close()

@@ -328,6 +328,9 @@ class Intersection:
             raise ValueError(f"phase index {phase_idx} out of range [0, {self.topo.n_phases})")
         if phase_idx == self.active_phase:
             return
+        if self.topo.yellow_duration <= 0:  # no changeover interval: switch at once
+            self.active_phase = phase_idx
+            return
         self.pending_phase = phase_idx
         self.yellow_remaining = self.topo.yellow_duration
 
@@ -355,15 +358,19 @@ class Intersection:
 
         self._spawn(dt, t_next)
         self.time = t_next
+        if not self.conservation_ok():
+            raise RuntimeError(
+                f"vehicle conservation violated at t={t_next:g}: {self.injected_count} injected, "
+                f"{self.in_network()} in the network, {len(self.completed)} completed"
+            )
         queue = self.queue_length()
         self._queue_samples.append(queue)
         return queue
 
     def _advance_lane(self, lane: Lane, served: bool, dt: float, t_next: float) -> None:
-        queue = self.vehicles[lane.lane_id]
+        queue = self.vehicles[lane.lane_id]  # front first: vehicles join only at the back
         if not queue:
             return
-        queue.sort(key=lambda v: v.position)
         survivors: List[Vehicle] = []
         front_limit = 0.0  # closest position the next vehicle may occupy
         for veh in queue:

@@ -60,6 +60,9 @@ class TrainerConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
+        for name in ("episode_length", "decision_interval", "update_interval", "checkpoint_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.eps_low <= 0 or self.eps_high <= 0:
             raise ValueError("clipping bounds must be > 0")
         if self.eps_value <= 0:

@@ -73,6 +73,27 @@ class TestValidationFailures:
         assert rc == 2
         assert "error: unreadable checkpoint" in capsys.readouterr().err
 
+    def test_baseline_zero_decision_interval(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.yaml", controller="random", trainer={**TINY_TRAINER, "decision_interval": 0}
+        )
+        assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "error: decision_interval must be >= 1" in capsys.readouterr().err
+
+    def test_train_zero_update_interval(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", trainer={**TINY_TRAINER, "update_interval": 0})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "error: update_interval must be >= 1" in capsys.readouterr().err
+
+    def test_decision_interval_shorter_than_yellow(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.yaml", controller="random", trainer={**TINY_TRAINER, "decision_interval": 3}
+        )
+        assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: decision_interval 3 is shorter than the yellow interval 5")
+        assert not (tmp_path / "out").exists()
+
 
 class TestHappyPaths:
     def test_baseline_run(self, tmp_path, capsys):

@@ -1,9 +1,13 @@
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsclab.experiment import (
     ExperimentConfig,
@@ -11,6 +15,8 @@ from tsclab.experiment import (
     compare,
     reward_histogram,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_TRAINER = {
     "episode_length": 300,
@@ -173,6 +179,63 @@ class TestRunnerOutputs:
         runner = ExperimentRunner(tiny_config(controller="random"), out_dir=tmp_path / "r")
         with pytest.raises(ValueError):
             runner.train()
+
+
+class TestHoldout:
+    def test_holdout_queue_pinned(self, tmp_path):
+        """The held-out queue after each of three one-episode training
+        rounds on toy8; the held-out run writes nothing and leaves the
+        runner's episode, key and history state alone."""
+        raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
+        raw["trainer"].update(
+            {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
+        )
+        runner = ExperimentRunner(ExperimentConfig.from_dict(raw), out_dir=tmp_path / "run")
+        assert runner.cfg.holdout_eval
+        queues = []
+        for n in (1, 2, 3):
+            runner.train(episodes=n)
+            files = {p: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+            state = (runner.episode_index, runner.decision_counter, list(runner.history))
+            queues.append(runner._holdout_queue())
+            assert {p: p.read_bytes() for p in (tmp_path / "run").iterdir()} == files
+            assert (runner.episode_index, runner.decision_counter, list(runner.history)) == state
+        assert queues == [1.5170138888888889, 1.6940972222222221, 1.6590277777777778]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    yellow=st.floats(0.0, 12.0),
+    interval=st.integers(1, 15),
+    length=st.integers(1, 120),
+    seed=st.integers(0, 2**16),
+)
+@example(yellow=0.0, interval=1, length=40, seed=0)
+@example(yellow=5.0, interval=5, length=60, seed=1)
+def test_accepted_schedule_switches_by_next_decision(yellow, interval, length, seed):
+    """The runner accepts a schedule iff decision_interval covers the yellow
+    interval, and then every requested phase is active by the next decision."""
+    cfg = tiny_config(
+        controller="random",
+        seed=seed,
+        topology_overrides={"yellow_duration": yellow},
+        trainer={**TINY_TRAINER, "decision_interval": interval, "episode_length": length},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        if interval < yellow:
+            with pytest.raises(ValueError, match="yellow interval"):
+                ExperimentRunner(cfg, out_dir=Path(tmp) / "run")
+            return
+        rep = ExperimentRunner(cfg, out_dir=Path(tmp) / "run").evaluate()[0]
+        phase_at = {}
+        for line in Path(rep.steps_csv).read_text().splitlines()[1:]:
+            time, phase = line.split(",")[:2]
+            phase_at[float(time)] = int(phase)
+        rows = [json.loads(l) for l in Path(rep.decisions_jsonl).read_text().splitlines()]
+    assert len(rows) == math.ceil(length / interval)
+    for row in rows:
+        if row["time"] + interval <= length:
+            assert phase_at[row["time"] + interval] == row["chosen_phase"]
 
 
 class TestCompare:

@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tsclab
 from tsclab.sim import (
     JAM_SPACING,
     DemandProfile,
@@ -125,7 +133,7 @@ class TestDynamics:
         sim = schedule_sim(toy8, [])
         for i in range(4):
             sim._add_vehicle("E_T", 0.0)  # red lane under phase 0
-            sim.vehicles["E_T"][i].position = 300.0 - 12.0 * i
+            sim.vehicles["E_T"][i].position = 264.0 + 12.0 * i  # front first
         for _ in range(50):
             sim.step()
         pos = sorted(v.position for v in sim.vehicles["E_T"])
@@ -184,6 +192,68 @@ class TestDynamics:
             sim.step()
             assert sim.conservation_ok()
         assert sim.injected_count > 0
+
+    def test_zero_yellow_switches_at_once(self):
+        topo = build_topology("toy8", yellow_duration=0.0)
+        sim = schedule_sim(topo, [])
+        sim._add_vehicle("E_T", 0.0)
+        sim.vehicles["E_T"][0].position = 0.5
+        sim.vehicles["E_T"][0].speed = 0.0
+        sim.set_phase(4)  # ETWT serves E_T
+        assert sim.active_phase == 4 and sim.pending_phase is None
+        sim.step()
+        assert len(sim.completed) == 1
+
+    def test_conservation_violation_raises_under_optimize(self):
+        """The check is code, not an assert: it still raises under python -O."""
+        code = textwrap.dedent(
+            """
+            from tsclab.sim import DemandProfile, Intersection, build_topology, demand_rng
+            spawns = [{"time": 0.0, "lane": "E_T"}, {"time": 0.0, "lane": "E_T"}]
+            demand = DemandProfile.from_dict({"kind": "schedule", "spawns": spawns})
+            sim = Intersection(build_topology("toy8"), demand, demand_rng(0, 0))
+            sim.step()
+            del sim.vehicles["E_T"][0]
+            try:
+                sim.step()
+            except RuntimeError as exc:
+                print("raised:", exc)
+            """
+        )
+        src = str(Path(tsclab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.startswith("raised: vehicle conservation violated at t=2")
+
+
+LANES8 = [f"{a}_{m}" for a in "NSEW" for m in "TL"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rate=st.floats(0.0, 0.4),
+    seed=st.integers(0, 2**16),
+    yellow=st.sampled_from([0.0, 2.0, 5.0]),
+    switches=st.dictionaries(st.integers(0, 299), st.integers(0, 7), max_size=30),
+    spawns=st.lists(st.tuples(st.integers(0, 299), st.sampled_from(LANES8)), max_size=40),
+)
+def test_lanes_stay_front_first(rate, seed, yellow, switches, spawns):
+    """Each lane lists its vehicles front first: positions never decrease
+    along the list after any step, so the step needs no sort."""
+    topo = build_topology("toy8", yellow_duration=yellow)
+    demand = DemandProfile(
+        rates={lid: rate for lid in LANES8},
+        spawns=sorted((float(t), lid) for t, lid in spawns),
+    )
+    sim = Intersection(topo, demand, demand_rng(seed, 0))
+    for t in range(300):
+        if t in switches:
+            sim.set_phase(switches[t])
+        sim.step()
+        for lane in sim.vehicles.values():
+            assert all(a.position <= b.position for a, b in zip(lane, lane[1:]))
 
 
 class TestObserve:
