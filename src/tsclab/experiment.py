@@ -11,11 +11,11 @@ loop state so a restored run continues bit-identically.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
 import time as _time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -85,6 +85,11 @@ class PolicyShape:
     k_history: int = 4
     max_len: int = 32
     n_filler: int = 16
+
+    def __post_init__(self):
+        for name, low in (("max_len", 1), ("k_history", 0), ("d_embed", 1), ("d_hidden", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"policy.{name} must be >= {low}")
 
 
 @dataclass
@@ -161,12 +166,14 @@ class _CsvSink:
         if not exists:
             self.fh.write(",".join(columns) + "\n")
 
+    def __enter__(self) -> "_CsvSink":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
     def row(self, values: dict) -> None:
         self.fh.write(",".join(_fmt(values[c]) for c in self.columns) + "\n")
-
-    def close(self) -> None:
-        self.fh.flush()
-        self.fh.close()
 
 
 @dataclass
@@ -243,7 +250,9 @@ class ExperimentRunner:
                 f"yellow interval {self.topo.yellow_duration:g}; a decision could not "
                 "take effect before the next one"
             )
-        self.demand_template = DemandProfile.from_dict(cfg.demand)
+        # resolved once, before any file is written; episodes share it read-only
+        self.demand = DemandProfile.from_dict(cfg.demand)
+        self.demand.resolve_lanes(self.topo)
         self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.hash = cfg.config_hash()
@@ -274,6 +283,7 @@ class ExperimentRunner:
         self.episode_index = 0
         self.decision_counter = 0  # global across episodes, keys the sampling streams
         self.history: List[Tuple[str, int]] = []
+        self.best_queue: Optional[float] = None  # lowest held-out queue so far
         self._resume_step: Optional[float] = None
         self._resume_sim_state: Optional[dict] = None
 
@@ -297,7 +307,7 @@ class ExperimentRunner:
 
     def _new_sim(self, *stream: int) -> Intersection:
         """A fresh intersection whose demand draws from ``stream`` under the seed."""
-        return Intersection(self.topo, copy.deepcopy(self.demand_template), _rng(self.cfg.seed, *stream))
+        return Intersection(self.topo, self.demand, _rng(self.cfg.seed, *stream))
 
     def _decide(
         self, sim: Intersection, t: int, learn: bool, temperature: Optional[float], space: int, state
@@ -383,7 +393,8 @@ class ExperimentRunner:
         ``state`` holds ``decision_counter`` and ``history`` (the runner
         itself for logged episodes); ``space`` is the key space of the
         sampling streams. Without sinks nothing is written and decisions
-        are not scored. Updates and checkpoints run only when learning.
+        are not scored. Updates and checkpoints run only when learning, which
+        needs ``train_log``.
         """
         tcfg = self.cfg.trainer
         length = tcfg.episode_length
@@ -399,9 +410,7 @@ class ExperimentRunner:
                     if t % tcfg.update_interval == 0:
                         self.trainer.buffer.evict(offset + t)
                         if len(self.trainer.buffer):
-                            diag = self.trainer.update(offset + t)
-                            if train_log is not None:
-                                train_log.row(diag)
+                            train_log.row(self.trainer.update(offset + t))
                     if t % tcfg.checkpoint_interval == 0:
                         if t < length:
                             self._save_checkpoint(t, sim=sim)
@@ -431,12 +440,9 @@ class ExperimentRunner:
                     }
                 )
 
-    def run_episode(
-        self,
-        learn: bool,
-        train_log: Optional[_CsvSink] = None,
-        temperature: Optional[float] = None,
-    ) -> EpisodeReport:
+    def run_episode(self, learn: bool, temperature: Optional[float] = None) -> EpisodeReport:
+        """One logged episode: its step CSV, its decision log and its row of
+        ``metrics.csv``, and when learning its rows of ``train_log.csv``."""
         t0_wall = _time.perf_counter()
         episode = self.episode_index
         sim = self._new_sim(STREAM_DEMAND, episode)
@@ -450,21 +456,22 @@ class ExperimentRunner:
 
         steps_path = self.out_dir / f"ep{episode:03d}_steps.csv"
         jsonl_path = self.out_dir / f"ep{episode:03d}_decisions.jsonl"
-        steps = _CsvSink(steps_path, STEP_COLUMNS)
-        jsonl_fh = open(jsonl_path, "w", encoding="utf-8")
-        try:
+        train_log_path = self.out_dir / "train_log.csv"
+        with _CsvSink(steps_path, STEP_COLUMNS) as steps, open(jsonl_path, "w", encoding="utf-8") as jsonl_fh, (
+            _CsvSink(train_log_path, TRAIN_LOG_COLUMNS, append=True) if learn else nullcontext()
+        ) as train_log:
             decisions = self._loop(
                 sim, start_t, learn, self,
                 temperature=temperature, steps=steps, jsonl_fh=jsonl_fh, train_log=train_log,
             )
-        finally:
-            steps.close()
-            jsonl_fh.close()
 
         self.episode_index += 1
+        metrics = asdict(sim.finalize_metrics())
+        with _CsvSink(self.out_dir / "metrics.csv", METRIC_COLUMNS, append=True) as sink:
+            sink.row({"episode": episode, "decisions": decisions, **metrics})
         return EpisodeReport(
             episode=episode,
-            metrics=sim.finalize_metrics().as_dict(),
+            metrics=metrics,
             decisions=decisions,
             steps_csv=str(steps_path),
             decisions_jsonl=str(jsonl_path),
@@ -487,6 +494,7 @@ class ExperimentRunner:
             "decision_counter": self.decision_counter,
             "history": [[s, int(a)] for s, a in self.history],
             "sim_state": None if sim is None else sim.state_dict(),
+            "best_queue": self.best_queue,
         }
         save_checkpoint(path, self.trainer, self.hash, runner_meta)
         return path
@@ -512,6 +520,7 @@ class ExperimentRunner:
         self.episode_index = int(rm["episode_index"])
         self.decision_counter = int(rm["decision_counter"])
         self.history = [(s, int(a)) for s, a in rm["history"]]
+        self.best_queue = rm.get("best_queue")  # absent from older snapshots
         if rm["sim_state"] is not None and not fresh_episodes:
             self._resume_sim_state = rm["sim_state"]
             self._resume_step = int(rm["step"])
@@ -522,23 +531,14 @@ class ExperimentRunner:
         if self.trainer is None:
             raise ValueError("train requires controller: policy")
         n = episodes if episodes is not None else self.cfg.episodes
-        metrics_sink = _CsvSink(self.out_dir / "metrics.csv", METRIC_COLUMNS, append=True)
-        train_log = _CsvSink(self.out_dir / "train_log.csv", TRAIN_LOG_COLUMNS, append=True)
-        best_queue = math.inf
         reports = []
-        try:
-            while self.episode_index < n:
-                report = self.run_episode(learn=True, train_log=train_log)
-                metrics_sink.row({"episode": report.episode, "decisions": report.decisions, **report.metrics})
-                reports.append(report)
-                if self.cfg.holdout_eval:
-                    holdout_queue = self._holdout_queue()
-                    if holdout_queue < best_queue:
-                        best_queue = holdout_queue
-                        self._save_checkpoint(0, path=self.out_dir / "ckpt_best.npz")
-        finally:
-            metrics_sink.close()
-            train_log.close()
+        while self.episode_index < n:
+            reports.append(self.run_episode(learn=True))
+            if self.cfg.holdout_eval:
+                holdout_queue = self._holdout_queue()
+                if self.best_queue is None or holdout_queue < self.best_queue:
+                    self.best_queue = holdout_queue
+                    self._save_checkpoint(0, path=self.out_dir / "ckpt_best.npz")
         self._save_checkpoint(0, path=self.out_dir / "ckpt_final.npz")
         return reports
 
@@ -556,16 +556,7 @@ class ExperimentRunner:
 
     def evaluate(self, episodes: Optional[int] = None, temperature: Optional[float] = None) -> List[EpisodeReport]:
         n = episodes if episodes is not None else self.cfg.episodes
-        metrics_sink = _CsvSink(self.out_dir / "metrics.csv", METRIC_COLUMNS, append=True)
-        reports = []
-        try:
-            for _ in range(n):
-                report = self.run_episode(learn=False, temperature=temperature)
-                metrics_sink.row({"episode": report.episode, "decisions": report.decisions, **report.metrics})
-                reports.append(report)
-        finally:
-            metrics_sink.close()
-        return reports
+        return [self.run_episode(learn=False, temperature=temperature) for _ in range(n)]
 
 
 def run_config(cfg: ExperimentConfig, out_dir=None) -> List[EpisodeReport]:
@@ -579,17 +570,19 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> List[EpisodeReport]:
 def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, labels=None) -> List[dict]:
     """Run each config over the seeds; one median-aggregated row per config.
 
-    All configs must share a topology and demand description. Learned
+    All configs must share a topology (overrides included) and a demand
+    description; this is checked before any run starts. Learned
     configs are trained and judged on their final episode; baselines are
     evaluated the same way.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least 2 configs")
-    ref = (json.dumps(configs[0].topology, sort_keys=True), json.dumps(configs[0].demand, sort_keys=True))
-    for cfg in configs[1:]:
-        key = (json.dumps(cfg.topology, sort_keys=True), json.dumps(cfg.demand, sort_keys=True))
-        if key != ref:
-            raise ValueError("compare requires configs sharing topology and demand")
+    settings = [
+        (build_topology(cfg.topology, **cfg.topology_overrides), json.dumps(cfg.demand, sort_keys=True))
+        for cfg in configs
+    ]
+    if any(setting != settings[0] for setting in settings[1:]):
+        raise ValueError("compare requires configs sharing topology and demand")
     if labels is None:
         labels = [f"config{i}" for i in range(len(configs))]
     out_dir = Path(out_dir)
@@ -610,8 +603,7 @@ def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, 
         rows.append(row)
 
     columns = ["label", "travel_time", "queue_length", "delay_seconds", "delay_ratio", "throughput"]
-    sink = _CsvSink(out_dir / "comparison.csv", columns)
-    for row in rows:
-        sink.row(row)
-    sink.close()
+    with _CsvSink(out_dir / "comparison.csv", columns) as sink:
+        for row in rows:
+            sink.row(row)
     return rows

@@ -225,11 +225,15 @@ class TokenPolicy:
         return logits, cache
 
     def logprobs_batch(self, features: np.ndarray, tokens: np.ndarray, lengths: np.ndarray):
-        """Per-token log-probs of the given tokens; zeros past each length."""
+        """Per-token log-probs of the given tokens; zeros past each length.
+
+        Returns (logps, logits, cache); the cache of :meth:`forward_batch`
+        also holds ``lse``, the log-normaliser of every position's logits.
+        """
         if tokens.min() < -1 or tokens.max() >= self.vocab_size:
             raise ValueError("token id outside vocabulary")
         logits, cache = self.forward_batch(features, tokens, lengths)
-        lse = _logsumexp(logits)
+        lse = cache["lse"] = _logsumexp(logits)
         B, L = tokens.shape
         rows = np.arange(B)[:, None]
         cols = np.arange(L)[None, :]
@@ -292,17 +296,7 @@ class TokenPolicy:
 
     def snapshot(self) -> "TokenPolicy":
         """Deep-copied frozen reference; later updates never leak into it."""
-        clone = TokenPolicy(
-            vocab_size=self.vocab_size,
-            feature_len=self.feature_len,
-            eos_id=self.eos_id,
-            d_embed=self.d_embed,
-            d_hidden=self.d_hidden,
-            k_history=self.k_history,
-            max_len=self.max_len,
-            params=copy.deepcopy(self.params),
-        )
-        return clone
+        return TokenPolicy.from_meta(self.meta(), copy.deepcopy(self.params))
 
     @property
     def n_params(self) -> int:

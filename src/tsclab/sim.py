@@ -7,7 +7,7 @@ once per saturation headway per lane while the lane's phase is green.
 Phase changes insert a fixed all-red yellow interval during which no lane
 is served.
 
-All dynamics are integer-stepped (dt = 1 s by default) and fully
+All dynamics advance in whole 1 s steps and are fully
 deterministic given the demand seed, which makes episode outputs
 bit-reproducible.
 """
@@ -148,81 +148,72 @@ def _validate_topology(topo: Topology) -> Topology:
     return topo
 
 
+# preset name -> inline spec; build_topology builds both kinds the same way
+PRESETS = {
+    name: {
+        "name": name,
+        "lanes": [
+            {"lane_id": f"{a}_{m}", "approach": a, "movement": {"T": "through", "L": "left", "R": "right"}[m]}
+            for a in "NSEW"
+            for m in movements
+        ],
+        "phases": [{"mnemonic": m, "description": d, "allowed_lanes": al} for m, d, al in table],
+    }
+    for name, movements, table in (("toy8", "TL", TOY8_PHASES), ("toy4", "TR", TOY4_PHASES))
+}
+_GEOMETRY = ("road_length", "free_flow_speed", "saturation_headway")
+_OVERRIDES = (*_GEOMETRY, "yellow_duration")
+
+
+def _floats(keys: Sequence[str], *layers: dict) -> dict:
+    """The ``keys`` set in any layer, as floats; later layers win."""
+    return {k: float(v) for layer in layers for k, v in layer.items() if k in keys}
+
+
 def build_topology(preset="toy8", **overrides) -> Topology:
     """Build a validated topology from a preset name or an explicit dict.
 
     ``preset`` may be "toy8" (8 two-movement phases on 4 approaches),
     "toy4" (4 combined-movement phases), or a dict with keys ``lanes``
-    (list of dicts with lane_id/approach/movement and optional geometry)
-    and ``phases`` (list of dicts with mnemonic/description/allowed_lanes).
-    Keyword overrides (road_length, free_flow_speed, saturation_headway,
-    yellow_duration) apply uniformly to preset lanes.
+    (list of dicts with lane_id/approach/movement and optional geometry),
+    ``phases`` (list of dicts with mnemonic/description/allowed_lanes and
+    an optional ``index`` that must equal the phase's position) and
+    optional ``name`` and ``yellow_duration``. Keyword overrides
+    (road_length, free_flow_speed, saturation_headway, yellow_duration)
+    apply uniformly to every lane of any topology; other keys raise
+    :class:`TopologyError`. Unset geometry takes the :class:`Lane` and
+    :class:`Topology` defaults.
     """
-    if isinstance(preset, dict):
-        lane_defaults = {
-            "road_length": 300.0,
-            "free_flow_speed": 10.0,
-            "saturation_headway": 2.0,
-        }
-        lanes = []
-        for entry in preset.get("lanes", []):
-            kw = dict(lane_defaults)
-            kw.update({k: v for k, v in entry.items() if k in lane_defaults})
-            lanes.append(
-                Lane(
-                    lane_id=str(entry["lane_id"]),
-                    approach=str(entry.get("approach", "?")),
-                    movement=str(entry.get("movement", "through")),
-                    **kw,
-                )
-            )
-        phases = []
-        for i, entry in enumerate(preset.get("phases", [])):
-            phases.append(
-                PhaseSpec(
-                    index=i,
-                    mnemonic=str(entry["mnemonic"]),
-                    description=str(entry.get("description", entry["mnemonic"])),
-                    allowed_lanes=tuple(entry.get("allowed_lanes", ())),
-                )
-            )
-        topo = Topology(
-            name=str(preset.get("name", "custom")),
-            lanes=tuple(lanes),
-            phases=tuple(phases),
-            yellow_duration=float(preset.get("yellow_duration", 5.0)),
-        )
-        return _validate_topology(topo)
-
-    if preset == "toy8":
-        movement = {"T": "through", "L": "left"}
-        lane_ids = [f"{a}_{m}" for a in "NSEW" for m in ("T", "L")]
-        table = TOY8_PHASES
-    elif preset == "toy4":
-        movement = {"T": "through", "R": "right"}
-        lane_ids = [f"{a}_{m}" for a in "NSEW" for m in ("T", "R")]
-        table = TOY4_PHASES
-    else:
-        raise TopologyError(f"unknown topology preset {preset!r}")
-
-    lane_kw = {
-        k: float(overrides[k])
-        for k in ("road_length", "free_flow_speed", "saturation_headway")
-        if k in overrides
-    }
+    unknown = set(overrides) - set(_OVERRIDES)
+    if unknown:
+        raise TopologyError(f"unknown topology overrides {sorted(unknown)}; allowed: {list(_OVERRIDES)}")
+    if not isinstance(preset, dict):
+        if preset not in PRESETS:
+            raise TopologyError(f"unknown topology preset {preset!r}")
+        preset = PRESETS[preset]
     lanes = tuple(
-        Lane(lane_id=lid, approach=lid.split("_")[0], movement=movement[lid.split("_")[1]], **lane_kw)
-        for lid in lane_ids
+        Lane(
+            lane_id=str(entry["lane_id"]),
+            approach=str(entry.get("approach", "?")),
+            movement=str(entry.get("movement", "through")),
+            **_floats(_GEOMETRY, entry, overrides),
+        )
+        for entry in preset.get("lanes", [])
     )
     phases = tuple(
-        PhaseSpec(index=i, mnemonic=m, description=d, allowed_lanes=al)
-        for i, (m, d, al) in enumerate(table)
+        PhaseSpec(
+            index=int(entry.get("index", i)),
+            mnemonic=str(entry["mnemonic"]),
+            description=str(entry.get("description", entry["mnemonic"])),
+            allowed_lanes=tuple(entry.get("allowed_lanes", ())),
+        )
+        for i, entry in enumerate(preset.get("phases", []))
     )
     topo = Topology(
-        name=preset,
+        name=str(preset.get("name", "custom")),
         lanes=lanes,
         phases=phases,
-        yellow_duration=float(overrides.get("yellow_duration", 5.0)),
+        **_floats(("yellow_duration",), preset, overrides),
     )
     return _validate_topology(topo)
 
@@ -336,15 +327,13 @@ class Intersection:
 
     # -- dynamics --------------------------------------------------------
 
-    def step(self, dt: float = 1.0) -> float:
-        """Advance ``dt`` seconds; returns the queue length sampled after it."""
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
-        t_next = self.time + dt
+    def step(self) -> float:
+        """Advance one second; returns the queue length sampled after it."""
+        t_next = self.time + 1.0
 
         if self.yellow_remaining > 0:
             served_lanes = frozenset()
-            self.yellow_remaining -= dt
+            self.yellow_remaining -= 1.0
             if self.yellow_remaining <= 1e-9:
                 self.yellow_remaining = 0.0
                 if self.pending_phase is not None:
@@ -354,9 +343,9 @@ class Intersection:
             served_lanes = frozenset(self.topo.phases[self.active_phase].allowed_lanes)
 
         for lane in self.topo.lanes:
-            self._advance_lane(lane, lane.lane_id in served_lanes, dt, t_next)
+            self._advance_lane(lane, lane.lane_id in served_lanes, t_next)
 
-        self._spawn(dt, t_next)
+        self._spawn(t_next)
         self.time = t_next
         if not self.conservation_ok():
             raise RuntimeError(
@@ -367,14 +356,14 @@ class Intersection:
         self._queue_samples.append(queue)
         return queue
 
-    def _advance_lane(self, lane: Lane, served: bool, dt: float, t_next: float) -> None:
+    def _advance_lane(self, lane: Lane, served: bool, t_next: float) -> None:
         queue = self.vehicles[lane.lane_id]  # front first: vehicles join only at the back
         if not queue:
             return
         survivors: List[Vehicle] = []
         front_limit = 0.0  # closest position the next vehicle may occupy
         for veh in queue:
-            candidate = veh.position - lane.free_flow_speed * dt
+            candidate = veh.position - lane.free_flow_speed
             if not survivors and candidate <= 0.0 and served:
                 if t_next - self._last_departure[lane.lane_id] >= lane.saturation_headway:
                     veh.completion_time = t_next
@@ -385,14 +374,14 @@ class Intersection:
                     continue
             new_pos = max(candidate, front_limit)
             new_pos = min(new_pos, veh.position)  # never move backwards
-            veh.speed = (veh.position - new_pos) / dt
+            veh.speed = veh.position - new_pos  # per 1 s step
             veh.position = new_pos
             survivors.append(veh)
             front_limit = new_pos + JAM_SPACING
         queue[:] = survivors
 
-    def _spawn(self, dt: float, t_next: float) -> None:
-        # Explicit schedule entries falling in (t, t+dt].
+    def _spawn(self, t_next: float) -> None:
+        # Explicit schedule entries falling in (t, t + 1].
         spawns = self.demand.spawns
         while self._spawn_cursor < len(spawns):
             when, lane_id = spawns[self._spawn_cursor]
@@ -407,7 +396,7 @@ class Intersection:
                 rate = self.demand.rate_at(lane.lane_id, self.time)
                 if rate <= 0:
                     continue
-                for _ in range(int(self.rng.poisson(rate * dt))):
+                for _ in range(int(self.rng.poisson(rate))):
                     self._add_vehicle(lane.lane_id, t_next)
 
     def _add_vehicle(self, lane_id: str, when: float) -> None:
@@ -556,12 +545,3 @@ class Metrics:
     delay_seconds: float
     delay_ratio: float
     throughput: int
-
-    def as_dict(self) -> dict:
-        return {
-            "travel_time": self.travel_time,
-            "queue_length": self.queue_length,
-            "delay_seconds": self.delay_seconds,
-            "delay_ratio": self.delay_ratio,
-            "throughput": self.throughput,
-        }

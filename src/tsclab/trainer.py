@@ -109,7 +109,11 @@ def gae(rewards: Sequence[float], values: Sequence[float], gamma: float, lam: fl
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
-    """Raw discounted reward-to-go (the no-critic, no-baseline path)."""
+    """Raw discounted reward-to-go.
+
+    The trainer's no-critic path gets it from :func:`gae` with values 0 and
+    lam = 1; the tests keep this recursion as the reference for that identity.
+    """
     r = np.asarray(rewards, dtype=np.float64)
     out = np.empty_like(r)
     acc = 0.0
@@ -289,23 +293,19 @@ class PPOTrainer:
         return features, tokens, logps_old, rewards, lengths, v_old
 
     def _advantages(self, rewards, lengths, v_old):
-        """Per-token advantages and lambda-returns, padded like the batch."""
+        """Per-token advantages and lambda-returns, padded like the batch.
+
+        Without a critic the values are 0 and lambda is 1, which makes both
+        the raw discounted return-to-go (plain REINFORCE).
+        """
         cfg = self.config
-        B, lmax = rewards.shape
-        adv = np.zeros((B, lmax))
-        rets = np.zeros((B, lmax))
-        for i in range(B):
-            n = int(lengths[i])
-            r = rewards[i, :n]
-            if cfg.use_critic:
-                values = np.full(n, v_old[i])
-                a = gae(r, values, cfg.gamma, cfg.lam)
-                adv[i, :n] = a
-                rets[i, :n] = a + v_old[i]
-            else:
-                g = discounted_returns(r, cfg.gamma)
-                adv[i, :n] = g
-                rets[i, :n] = g
+        lam = cfg.lam if cfg.use_critic else 1.0
+        values = v_old if cfg.use_critic else np.zeros_like(v_old)
+        adv = np.zeros_like(rewards)
+        rets = np.zeros_like(rewards)
+        for i, n in enumerate(lengths):
+            adv[i, :n] = gae(rewards[i, :n], np.full(n, values[i]), cfg.gamma, lam)
+            rets[i, :n] = adv[i, :n] + values[i]
         return adv, rets
 
     # -- the update ------------------------------------------------------
@@ -366,7 +366,7 @@ class PPOTrainer:
         # loss = -J: each valid token contributes -dobj / n_tok through its log-prob
         dlogp_loss = np.where(mask, -dlogp / n_tok, 0.0)
 
-        probs = np.exp(logits - _lse(logits)[..., None])
+        probs = np.exp(logits - cache["lse"][..., None])
         dlogits = -probs * dlogp_loss[:, :, None]
         rows = np.arange(B)[:, None]
         cols = np.arange(lmax)[None, :]
@@ -474,20 +474,12 @@ class PPOTrainer:
         ]
 
 
-def _lse(logits: np.ndarray) -> np.ndarray:
-    mx = logits.max(axis=-1, keepdims=True)
-    return (mx + np.log(np.exp(logits - mx).sum(axis=-1, keepdims=True)))[..., 0]
-
-
-def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: dict, runner_arrays=None) -> None:
+def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: dict) -> None:
     """Write a fully resumable training snapshot.
 
-    ``runner_meta``/``runner_arrays`` carry episode-loop state (sim state,
-    counters, demand RNG) owned by the caller; they round-trip unchanged.
+    ``runner_meta`` carries the episode-loop state (sim state, counters)
+    owned by the caller; it round-trips unchanged.
     """
-    arrays = trainer.state_arrays()
-    if runner_arrays:
-        arrays.update({f"runner.{k}": v for k, v in runner_arrays.items()})
     meta = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
@@ -495,7 +487,7 @@ def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: di
         "trainer_meta": trainer.state_meta(),
         "runner_meta": runner_meta,
     }
-    np.savez(path, meta=json.dumps(meta), **arrays)
+    np.savez(path, meta=json.dumps(meta), **trainer.state_arrays())
 
 
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:

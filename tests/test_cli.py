@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 
 from tsclab.cli import main
@@ -92,6 +93,16 @@ class TestValidationFailures:
         assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: decision_interval 3 is shorter than the yellow interval 5")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, low", [("max_len", 0, 1), ("k_history", -1, 0), ("d_embed", 0, 1), ("d_hidden", 0, 1)]
+    )
+    def test_policy_shape_out_of_range(self, tmp_path, capsys, field, value, low):
+        policy = {"d_embed": 4, "d_hidden": 8, "max_len": 8, field: value}
+        cfg = write_config(tmp_path / "c.yaml", policy=policy)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: policy.{field} must be >= {low}")
         assert not (tmp_path / "out").exists()
 
 

@@ -9,12 +9,16 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsclab._kernels import derive_key
 from tsclab.experiment import (
     ExperimentConfig,
     ExperimentRunner,
     compare,
     reward_histogram,
 )
+from tsclab.phases import extract_phase
+from tsclab.policy import TokenPolicy
+from tsclab.trainer import load_checkpoint
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -202,6 +206,67 @@ class TestHoldout:
             assert (runner.episode_index, runner.decision_counter, list(runner.history)) == state
         assert queues == [1.5170138888888889, 1.6940972222222221, 1.6590277777777778]
 
+    def test_best_checkpoint_survives_calls_and_resume(self, tmp_path):
+        """Same runs as above: the first held-out queue stays the lowest, so
+        ckpt_best.npz keeps episode index 1 after later train() calls and
+        after a restore from ckpt_final.npz."""
+        raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
+        raw["trainer"].update(
+            {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
+        )
+        cfg = ExperimentConfig.from_dict(raw)
+        out = tmp_path / "run"
+
+        def runner_meta(name):
+            return load_checkpoint(out / name)[0]["runner_meta"]
+
+        runner = ExperimentRunner(cfg, out_dir=out)
+        for n in (1, 2):
+            runner.train(episodes=n)
+            assert runner_meta("ckpt_best.npz")["episode_index"] == 1
+        assert runner_meta("ckpt_ep000_t00360.npz")["best_queue"] is None  # before any held-out run
+        assert runner_meta("ckpt_final.npz")["best_queue"] == 1.5170138888888889
+        resumed = ExperimentRunner(cfg, out_dir=out)
+        resumed.restore(out / "ckpt_final.npz")
+        assert resumed.best_queue == 1.5170138888888889
+        resumed.train(episodes=3)
+        assert runner_meta("ckpt_best.npz")["episode_index"] == 1
+        assert runner_meta("ckpt_final.npz")["episode_index"] == 3
+
+
+class TestExtraSample:
+    def test_action_from_extra_sample(self, tmp_path, monkeypatch):
+        """With action_from_extra_sample a learning decision samples G + 1
+        responses, acts on the one with key index 0 and logs the phase
+        counts of responses 1..G."""
+        calls = []
+        sample = TokenPolicy.sample
+
+        def recording_sample(policy, features, keys, **kwargs):
+            result = sample(policy, features, keys, **kwargs)
+            calls.append((list(keys), result))
+            return result
+
+        monkeypatch.setattr(TokenPolicy, "sample", recording_sample)
+        cfg = tiny_config(action_from_extra_sample=True, policy={"d_embed": 4, "d_hidden": 8, "max_len": 32})
+        runner = ExperimentRunner(cfg, out_dir=tmp_path / "run")
+        report = runner.train()[0]
+        rows = [json.loads(line) for line in Path(report.decisions_jsonl).read_text().splitlines()]
+        g = cfg.trainer.g_responses
+        assert len(rows) == len(calls) == report.decisions == 30
+        chosen = set()
+        for i, (row, (keys, (tokens, lengths, _))) in enumerate(zip(rows, calls)):
+            assert keys == [derive_key(cfg.seed, 0, i, r) for r in range(g + 1)]
+            phases = [
+                extract_phase(tokens[r, : lengths[r]], runner.topo, cfg.default_phase, runner.vocab)
+                for r in range(g + 1)
+            ]
+            assert row["chosen_phase"] == phases[0]
+            assert row["counts"] == np.bincount(phases[1:], minlength=runner.topo.n_phases).tolist()
+            assert sum(row["counts"]) == g
+            chosen.add(row["chosen_phase"])
+        assert len(chosen) > 1  # the responses name more than the default phase
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -262,6 +327,20 @@ class TestCompare:
         b = tiny_config(controller="fixed", topology="toy4")
         with pytest.raises(ValueError, match="topology"):
             compare([a, b], seeds=[0], out_dir=tmp_path / "cmp")
+
+    def test_rejects_different_topology_overrides(self, tmp_path):
+        a = tiny_config(controller="fixed", topology_overrides={"yellow_duration": 5.0})
+        b = tiny_config(controller="maxpressure", topology_overrides={"yellow_duration": 0.0})
+        with pytest.raises(ValueError, match="topology"):
+            compare([a, b], seeds=[0], out_dir=tmp_path / "cmp")
+        assert not (tmp_path / "cmp").exists()
+
+
+def test_unknown_demand_lane_rejected_before_writing(tmp_path):
+    cfg = tiny_config(controller="fixed", demand={"kind": "poisson", "rates": {"X_T": 0.1}})
+    with pytest.raises(ValueError, match="unknown lanes"):
+        ExperimentRunner(cfg, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 class TestRewardHistogram:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,38 @@ class TestTopology:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             build_topology("motorway")
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(TopologyError, match="unknown topology overrides"):
+            build_topology("toy8", road_lenght=150.0)
+
+    def test_overrides_apply_to_inline_topology(self):
+        spec = {
+            "lanes": [
+                {"lane_id": "A", "approach": "N", "movement": "through", "road_length": 200},
+                {"lane_id": "B", "approach": "S", "movement": "left"},
+            ],
+            "phases": [{"mnemonic": "AA", "allowed_lanes": ["A"]}, {"mnemonic": "BB", "allowed_lanes": ["B"]}],
+            "yellow_duration": 4.0,
+        }
+        assert [lane.road_length for lane in build_topology(spec).lanes] == [200.0, 300.0]
+        topo = build_topology(spec, road_length=150.0, yellow_duration=3.0)
+        assert [lane.road_length for lane in topo.lanes] == [150.0, 150.0]
+        assert topo.yellow_duration == 3.0
+
+    def test_phase_index_out_of_order_rejected(self):
+        spec = {
+            "lanes": [
+                {"lane_id": "A", "approach": "N", "movement": "through"},
+                {"lane_id": "B", "approach": "S", "movement": "through"},
+            ],
+            "phases": [
+                {"index": 1, "mnemonic": "AA", "allowed_lanes": ["A"]},
+                {"index": 0, "mnemonic": "BB", "allowed_lanes": ["B"]},
+            ],
+        }
+        with pytest.raises(TopologyError, match="out of order"):
+            build_topology(spec)
 
     def test_duplicate_lane_rejected(self, toy8):
         spec = {
@@ -370,7 +403,7 @@ class TestMetrics:
     def test_as_dict_keys(self, toy8):
         sim = empty_sim(toy8)
         sim.step()
-        d = sim.finalize_metrics().as_dict()
+        d = asdict(sim.finalize_metrics())
         assert set(d) == {"travel_time", "queue_length", "delay_seconds", "delay_ratio", "throughput"}
 
 
@@ -399,7 +432,7 @@ class TestStateDict:
             simB.step()
             assert simA.queue_length() == simB.queue_length()
             assert simA.injected_count == simB.injected_count
-        assert simA.finalize_metrics().as_dict() == simB.finalize_metrics().as_dict()
+        assert asdict(simA.finalize_metrics()) == asdict(simB.finalize_metrics())
 
     def test_state_is_json_serializable(self, toy8):
         import json

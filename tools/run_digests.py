@@ -1,0 +1,70 @@
+"""Record sha256 digests of every file of a fixed set of short tsclab runs.
+
+Usage: python3 tools/run_digests.py SRC OUT
+
+SRC is the ``src`` directory of the checkout to run and OUT a new directory.
+The runs go under OUT, and OUT/digests.txt gets one ``sha256  path`` line
+per file, sorted by path. Every run has 2 episodes of 720 steps, update and
+checkpoint intervals of 360 and the held-out episode on, and reads the
+configs next to this tool, so two checkouts get the same inputs. Diff the
+digests.txt of a parent checkout against a change's: a change that keeps
+same-config, same-seed runs byte-identical shows no difference.
+"""
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def main(src: Path, out: Path) -> int:
+    sys.path.insert(0, str(src))
+    import tsclab
+    from tsclab.experiment import ExperimentConfig, ExperimentRunner, compare, run_config
+
+    if not Path(tsclab.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"tsclab imported from {tsclab.__file__}, not from {src}")
+
+    def config(name, out_name, **changes):
+        cfg = ExperimentConfig.from_yaml(CONFIGS / f"{name}.yaml")
+        cfg.episodes, cfg.holdout_eval, cfg.out = 2, True, out_name
+        tcfg = cfg.trainer
+        tcfg.episode_length, tcfg.update_interval, tcfg.checkpoint_interval = 720, 360, 360
+        for key, value in changes.items():
+            setattr(cfg, key, value)
+        return cfg
+
+    out.mkdir(parents=True)
+    os.chdir(out)  # run directories are relative, so config_resolved.yaml names no absolute path
+    for name in ("toy8", "toy4", "toy8_fixed", "toy8_maxpressure"):
+        run_config(config(name, name))
+    run_config(config("toy8", "toy8_random", controller="random"))
+
+    reinforce = config("toy8", "toy8_reinforce")
+    reinforce.trainer.use_critic, reinforce.trainer.gamma, reinforce.trainer.lam = False, 1.0, 1.0
+    reinforce.reward.entropy_mode, reinforce.reward.h_r, reinforce.reward.beta = "off", 0.5, 0.1
+    run_config(reinforce)
+
+    runner = ExperimentRunner(config("toy8", "toy8_eval_restored"))
+    runner.restore("toy8/ckpt_final.npz", fresh_episodes=True)
+    runner.evaluate()
+    ExperimentRunner(config("toy8", "toy8_eval_t05")).evaluate(temperature=0.5)
+    runner = ExperimentRunner(config("toy8", "toy8_resumed"))
+    runner.restore("toy8/ckpt_ep001_t00360.npz")
+    runner.train()
+    baselines = [config("toy8_fixed", "compare"), config("toy8_maxpressure", "compare")]
+    compare(baselines, [3, 4], "compare", labels=["fixed", "maxpressure"])
+
+    files = sorted(p for p in Path(".").rglob("*") if p.is_file())
+    lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}" for p in files]
+    Path("digests.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(lines)} files digested into {out / 'digests.txt'}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        raise SystemExit(__doc__)
+    sys.exit(main(Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()))
