@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shutil
 import time as _time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -429,15 +430,9 @@ class ExperimentRunner:
                 decisions += 1
 
             queue = sim.step()
-            if steps is not None:
-                steps.row(
-                    {
-                        "time": sim.time,
-                        "phase": sim.active_phase,
-                        "queue": queue,
-                        "injected": sim.injected_count,
-                        "completed": len(sim.completed),
-                    }
+            if steps is not None:  # the STEP_COLUMNS row, floats by repr as in _fmt
+                steps.fh.write(
+                    f"{sim.time!r},{sim.active_phase},{queue!r},{sim.injected_count},{len(sim.completed)}\n"
                 )
 
     def run_episode(self, learn: bool, temperature: Optional[float] = None) -> EpisodeReport:
@@ -487,7 +482,7 @@ class ExperimentRunner:
         *next* episode index with t = 0 so resume starts it fresh.
         """
         if path is None:
-            path = self.out_dir / f"ckpt_ep{self.episode_index:03d}_t{t:05d}.npz"
+            path = self._checkpoint_path(t)
         runner_meta = {
             "episode_index": self.episode_index,
             "step": t,
@@ -498,6 +493,9 @@ class ExperimentRunner:
         }
         save_checkpoint(path, self.trainer, self.hash, runner_meta)
         return path
+
+    def _checkpoint_path(self, t: int) -> Path:
+        return self.out_dir / f"ckpt_ep{self.episode_index:03d}_t{t:05d}.npz"
 
     def restore(self, path, fresh_episodes: bool = False) -> None:
         """Load a snapshot produced by :meth:`_save_checkpoint`.
@@ -531,6 +529,9 @@ class ExperimentRunner:
         if self.trainer is None:
             raise ValueError("train requires controller: policy")
         n = episodes if episodes is not None else self.cfg.episodes
+        tcfg = self.cfg.trainer
+        # whether run_episode writes an episode-end snapshot; it does so before the held-out run
+        end_snapshot = tcfg.episode_length % tcfg.checkpoint_interval == 0
         reports = []
         while self.episode_index < n:
             reports.append(self.run_episode(learn=True))
@@ -538,7 +539,9 @@ class ExperimentRunner:
                 holdout_queue = self._holdout_queue()
                 if self.best_queue is None or holdout_queue < self.best_queue:
                     self.best_queue = holdout_queue
-                    self._save_checkpoint(0, path=self.out_dir / "ckpt_best.npz")
+                    best = self._save_checkpoint(0, path=self.out_dir / "ckpt_best.npz")
+                    if end_snapshot:  # the same state, so a copy brings its best_queue up to date
+                        shutil.copyfile(best, self._checkpoint_path(0))
         self._save_checkpoint(0, path=self.out_dir / "ckpt_final.npz")
         return reports
 

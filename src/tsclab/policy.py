@@ -375,9 +375,6 @@ class ValueHead:
         grads["b1"] = dz1.sum(axis=0)
         return grads
 
-    def snapshot(self) -> "ValueHead":
-        return ValueHead(self.feature_len, params=copy.deepcopy(self.params))
-
     @property
     def n_params(self) -> int:
         return sum(v.size for v in self.params.values())

@@ -68,12 +68,6 @@ class Topology:
     def lane_ids(self) -> Tuple[str, ...]:
         return tuple(lane.lane_id for lane in self.lanes)
 
-    def lane(self, lane_id: str) -> Lane:
-        for lane in self.lanes:
-            if lane.lane_id == lane_id:
-                return lane
-        raise KeyError(lane_id)
-
 
 _MOVEMENTS = ("through", "left", "right", "u-turn")
 
@@ -311,6 +305,11 @@ class Intersection:
         self._last_departure: Dict[str, float] = {lid: -math.inf for lid in topo.lane_ids}
         self._spawn_cursor = 0
         self._queue_samples: List[float] = []
+        self._lanes: Dict[str, Lane] = {lane.lane_id: lane for lane in topo.lanes}
+        self._served = [frozenset(phase.allowed_lanes) for phase in topo.phases]
+        # (lane id, rate) of the lanes with a positive arrival rate for t in _arrivals_span
+        self._arrivals: List[Tuple[str, float]] = []
+        self._arrivals_span = (math.inf, -math.inf)  # empty, so the first step fills it
 
     # -- control ---------------------------------------------------------
 
@@ -328,7 +327,11 @@ class Intersection:
     # -- dynamics --------------------------------------------------------
 
     def step(self) -> float:
-        """Advance one second; returns the queue length sampled after it."""
+        """Advance one second; returns the queue length sampled after it.
+
+        One pass over the vehicles moves them and counts the stopped ones,
+        so the sample equals :meth:`queue_length` without a second pass.
+        """
         t_next = self.time + 1.0
 
         if self.yellow_remaining > 0:
@@ -340,47 +343,60 @@ class Intersection:
                     self.active_phase = self.pending_phase
                     self.pending_phase = None
         else:
-            served_lanes = frozenset(self.topo.phases[self.active_phase].allowed_lanes)
+            served_lanes = self._served[self.active_phase]
 
+        stopped = 0
         for lane in self.topo.lanes:
-            self._advance_lane(lane, lane.lane_id in served_lanes, t_next)
+            stopped += self._advance_lane(lane, lane.lane_id in served_lanes, t_next)
 
-        self._spawn(t_next)
+        stopped += self._spawn(t_next)
         self.time = t_next
         if not self.conservation_ok():
             raise RuntimeError(
                 f"vehicle conservation violated at t={t_next:g}: {self.injected_count} injected, "
                 f"{self.in_network()} in the network, {len(self.completed)} completed"
             )
-        queue = self.queue_length()
+        queue = stopped / len(self.topo.lanes)
         self._queue_samples.append(queue)
         return queue
 
-    def _advance_lane(self, lane: Lane, served: bool, t_next: float) -> None:
+    def _advance_lane(self, lane: Lane, served: bool, t_next: float) -> int:
+        """Move one lane's vehicles; returns how many end the step stopped."""
         queue = self.vehicles[lane.lane_id]  # front first: vehicles join only at the back
         if not queue:
-            return
+            return 0
+        speed = lane.free_flow_speed
         survivors: List[Vehicle] = []
+        stopped = 0
         front_limit = 0.0  # closest position the next vehicle may occupy
         for veh in queue:
-            candidate = veh.position - lane.free_flow_speed
+            position = veh.position
+            candidate = position - speed
             if not survivors and candidate <= 0.0 and served:
                 if t_next - self._last_departure[lane.lane_id] >= lane.saturation_headway:
                     veh.completion_time = t_next
                     veh.position = 0.0
-                    veh.speed = lane.free_flow_speed
+                    veh.speed = speed
                     self._last_departure[lane.lane_id] = t_next
                     self.completed.append(veh)
                     continue
-            new_pos = max(candidate, front_limit)
-            new_pos = min(new_pos, veh.position)  # never move backwards
-            veh.speed = veh.position - new_pos  # per 1 s step
+            # max(candidate, front_limit), then min(., position): on a tie the
+            # two picks are equal floats, and no -0.0 can arise here
+            new_pos = candidate if candidate > front_limit else front_limit
+            if new_pos > position:  # never move backwards
+                new_pos = position
+            veh.speed = moved = position - new_pos  # per 1 s step
             veh.position = new_pos
             survivors.append(veh)
+            if moved < SPEED_STOPPED:
+                stopped += 1
             front_limit = new_pos + JAM_SPACING
         queue[:] = survivors
+        return stopped
 
-    def _spawn(self, t_next: float) -> None:
+    def _spawn(self, t_next: float) -> int:
+        """Add the arrivals of (t, t + 1]; returns how many of them count as stopped."""
+        stopped = 0
         # Explicit schedule entries falling in (t, t + 1].
         spawns = self.demand.spawns
         while self._spawn_cursor < len(spawns):
@@ -388,19 +404,36 @@ class Intersection:
             if when > t_next:
                 break
             if when > self.time or (self.time == 0.0 and when == 0.0):
-                self._add_vehicle(lane_id, when)
+                stopped += self._add_vehicle(lane_id, when)
             self._spawn_cursor += 1
-        # Poisson arrivals, one draw per lane per step in lane order.
-        if self.demand.rates:
-            for lane in self.topo.lanes:
-                rate = self.demand.rate_at(lane.lane_id, self.time)
-                if rate <= 0:
-                    continue
-                for _ in range(int(self.rng.poisson(rate))):
-                    self._add_vehicle(lane.lane_id, t_next)
+        # Poisson arrivals, one draw per lane with a positive rate, in lane order.
+        lo, hi = self._arrivals_span
+        if not lo <= self.time < hi:
+            self._cache_arrivals(self.time)
+        poisson = self.rng.poisson
+        for lane_id, rate in self._arrivals:
+            for _ in range(int(poisson(rate))):
+                stopped += self._add_vehicle(lane_id, t_next)
+        return stopped
 
-    def _add_vehicle(self, lane_id: str, when: float) -> None:
-        lane = self.topo.lane(lane_id)
+    def _cache_arrivals(self, t: float) -> None:
+        """Cache the lanes whose ``rate_at(lane, t)`` is positive, with their rates.
+
+        Rates change only at surge edges, so the cache holds on the span
+        between the edges around ``t``; nothing else writes to the demand.
+        """
+        edges = [edge for start, end, _ in self.demand.surges for edge in (start, end)]
+        self._arrivals_span = (
+            max((e for e in edges if e <= t), default=-math.inf),
+            min((e for e in edges if e > t), default=math.inf),
+        )
+        rates = [(lid, self.demand.rate_at(lid, t)) for lid in self.topo.lane_ids]
+        # without base rates there are no draws, surges or not; a NaN rate reaches poisson
+        self._arrivals = [(lid, r) for lid, r in rates if not r <= 0] if self.demand.rates else []
+
+    def _add_vehicle(self, lane_id: str, when: float) -> bool:
+        """Put a vehicle at the back of ``lane_id``; returns whether it counts as stopped."""
+        lane = self._lanes[lane_id]
         veh = Vehicle(
             vid=self._next_vid,
             lane=lane_id,
@@ -411,6 +444,7 @@ class Intersection:
         self._next_vid += 1
         self.injected_count += 1
         self.vehicles[lane_id].append(veh)
+        return veh.speed < SPEED_STOPPED
 
     # -- observation -----------------------------------------------------
 
@@ -442,7 +476,7 @@ class Intersection:
         return stopped / len(self.topo.lanes)
 
     def in_network(self) -> int:
-        return sum(len(v) for v in self.vehicles.values())
+        return sum(map(len, self.vehicles.values()))
 
     def conservation_ok(self) -> bool:
         return self.injected_count == self.in_network() + len(self.completed)
@@ -462,7 +496,7 @@ class Intersection:
         delays = []
         ratios = []
         for veh in self.completed:
-            lane = self.topo.lane(veh.lane)
+            lane = self._lanes[veh.lane]
             actual = veh.completion_time - veh.spawn_time
             free = lane.road_length / lane.free_flow_speed
             travel.append(actual)

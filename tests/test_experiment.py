@@ -233,6 +233,29 @@ class TestHoldout:
         assert runner_meta("ckpt_best.npz")["episode_index"] == 1
         assert runner_meta("ckpt_final.npz")["episode_index"] == 3
 
+    def test_episode_end_snapshot_keeps_latest_holdout(self, tmp_path):
+        """run_episode writes the snapshot that starts episode 1 before episode
+        0's held-out run. It still ends up with that run's best queue, so a
+        resume from it does not put the worse episode 2 in ckpt_best.npz."""
+        raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
+        raw["trainer"].update(
+            {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
+        )
+        cfg = ExperimentConfig.from_dict(raw)
+        out = tmp_path / "run"
+
+        def runner_meta(name):
+            return load_checkpoint(out / name)[0]["runner_meta"]
+
+        ExperimentRunner(cfg, out_dir=out).train(episodes=1)
+        assert runner_meta("ckpt_ep001_t00000.npz")["best_queue"] == 1.5170138888888889
+        assert (out / "ckpt_ep001_t00000.npz").read_bytes() == (out / "ckpt_best.npz").read_bytes()
+        resumed = ExperimentRunner(cfg, out_dir=out)
+        resumed.restore(out / "ckpt_ep001_t00000.npz")
+        resumed.train(episodes=2)
+        assert runner_meta("ckpt_best.npz")["episode_index"] == 1
+        assert runner_meta("ckpt_ep002_t00000.npz")["best_queue"] == 1.5170138888888889
+
 
 class TestExtraSample:
     def test_action_from_extra_sample(self, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import tsclab
 from tsclab.sim import (
     JAM_SPACING,
+    SPEED_STOPPED,
     DemandProfile,
     Intersection,
     TopologyError,
@@ -287,6 +288,116 @@ def test_lanes_stay_front_first(rate, seed, yellow, switches, spawns):
         sim.step()
         for lane in sim.vehicles.values():
             assert all(a.position <= b.position for a, b in zip(lane, lane[1:]))
+
+
+def reference_step(sim):
+    """One step as two plain passes: move every lane with ``max``/``min``,
+    draw arrivals lane by lane through ``rate_at``, then count the queue."""
+    t_next = sim.time + 1.0
+    served = ()
+    if sim.yellow_remaining > 0:
+        sim.yellow_remaining -= 1.0
+        if sim.yellow_remaining <= 1e-9:
+            sim.yellow_remaining = 0.0
+            if sim.pending_phase is not None:
+                sim.active_phase, sim.pending_phase = sim.pending_phase, None
+    else:
+        served = sim.topo.phases[sim.active_phase].allowed_lanes
+    for lane in sim.topo.lanes:
+        survivors, front_limit = [], 0.0
+        for veh in sim.vehicles[lane.lane_id]:
+            candidate = veh.position - lane.free_flow_speed
+            if (
+                not survivors
+                and candidate <= 0.0
+                and lane.lane_id in served
+                and t_next - sim._last_departure[lane.lane_id] >= lane.saturation_headway
+            ):
+                veh.completion_time, veh.position, veh.speed = t_next, 0.0, lane.free_flow_speed
+                sim._last_departure[lane.lane_id] = t_next
+                sim.completed.append(veh)
+                continue
+            new_pos = min(max(candidate, front_limit), veh.position)
+            veh.speed, veh.position = veh.position - new_pos, new_pos
+            survivors.append(veh)
+            front_limit = new_pos + JAM_SPACING
+        sim.vehicles[lane.lane_id] = survivors
+    spawns = sim.demand.spawns
+    while sim._spawn_cursor < len(spawns) and spawns[sim._spawn_cursor][0] <= t_next:
+        when, lane_id = spawns[sim._spawn_cursor]
+        if when > sim.time or sim.time == when == 0.0:
+            sim._add_vehicle(lane_id, when)
+        sim._spawn_cursor += 1
+    if sim.demand.rates:
+        for lid in sim.topo.lane_ids:
+            rate = sim.demand.rate_at(lid, sim.time)
+            if rate > 0:
+                for _ in range(int(sim.rng.poisson(rate))):
+                    sim._add_vehicle(lid, t_next)
+    sim.time = t_next
+    stopped = sum(v.speed < SPEED_STOPPED for vs in sim.vehicles.values() for v in vs)
+    return stopped / len(sim.topo.lanes)
+
+
+def _vehicles(sim):
+    return [(v.vid, v.lane, v.position, v.speed) for vs in sim.vehicles.values() for v in vs]
+
+
+_EDGE = st.one_of(st.integers(0, 300).map(float), st.floats(0.0, 300.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rates=st.lists(st.sampled_from([0.0, 0.4]) | st.floats(0.0, 0.4), min_size=8, max_size=8),
+    surges=st.lists(
+        st.tuples(_EDGE, _EDGE, st.dictionaries(st.sampled_from(LANES8), st.floats(0.0, 0.4))),
+        min_size=1,
+        max_size=3,
+    ),
+    seed=st.integers(0, 2**16),
+    yellow=st.sampled_from([0.0, 2.0, 5.0]),
+    free_flow_speed=st.sampled_from([0.05, 10.0]),
+    switches=st.dictionaries(st.integers(0, 299), st.integers(0, 7), max_size=30),
+    spawns=st.lists(st.tuples(st.integers(0, 299), st.sampled_from(LANES8)), max_size=40),
+)
+def test_fused_step_matches_two_pass_reference(rates, surges, seed, yellow, free_flow_speed, switches, spawns):
+    """The step's own queue count, its cached arrival rates and its lean lane
+    update match a two-pass reference: the same queue, vehicles and demand
+    generator state after every step, also after a mid-surge state_dict
+    is loaded into a fresh intersection."""
+    topo = build_topology("toy8", yellow_duration=yellow, free_flow_speed=free_flow_speed)
+    surges = [(min(a, b), max(a, b), lane_rates) for a, b, lane_rates in surges]
+
+    def new_sim(rng_seed):
+        demand = DemandProfile(
+            rates=dict(zip(LANES8, rates)),
+            surges=surges,
+            spawns=sorted([(0.0, "N_T")] + [(float(t), lid) for t, lid in spawns]),
+        )
+        return Intersection(topo, demand, demand_rng(rng_seed, 0))
+
+    sim, ref = new_sim(seed), new_sim(seed)
+    start, end, _ = surges[0]
+    snapshot_at = min(max(int((start + end) / 2), 1), 299)
+    resumed = None
+    for t in range(300):
+        if t == snapshot_at:
+            resumed = new_sim(seed + 1)
+            resumed.load_state_dict(sim.state_dict())
+        for s in (sim, ref, resumed):
+            if s is not None and t in switches:
+                s.set_phase(switches[t])
+        queue = sim.step()
+        assert queue == sim.queue_length()
+        assert queue == reference_step(ref)
+        assert _vehicles(sim) == _vehicles(ref)
+        assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+        if resumed is not None:
+            assert resumed.step() == queue
+            assert _vehicles(resumed) == _vehicles(sim)
+            assert resumed.rng.bit_generator.state == sim.rng.bit_generator.state
+    assert sim.injected_count == ref.injected_count
+    assert asdict(resumed.finalize_metrics()) == asdict(sim.finalize_metrics())
 
 
 class TestObserve:
