@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -283,7 +283,6 @@ class ExperimentRunner:
 
         self.episode_index = 0
         self.decision_counter = 0  # global across episodes, keys the sampling streams
-        self.history: List[Tuple[str, int]] = []
         self.best_queue: Optional[float] = None  # lowest held-out queue so far
         self._resume_step: Optional[float] = None
         self._resume_sim_state: Optional[dict] = None
@@ -322,12 +321,12 @@ class ExperimentRunner:
         if self.baseline is not None:
             return self.baseline.decide(obs, sim.active_phase, t, self.topo), {}
         cfg = self.cfg
-        ctx = verbalize(obs, sim.active_phase, self.topo, state.history)
+        features = verbalize(obs, sim.active_phase, self.topo)
         g = cfg.trainer.g_responses
         n_samples = (g + 1 if cfg.action_from_extra_sample else g) if learn else 1
         keys = [_kernels.derive_key(cfg.seed, space, state.decision_counter, r) for r in range(n_samples)]
         tokens, lengths, logps = self.trainer.policy.sample(
-            ctx.features, keys, temperature=cfg.trainer.temperature if temperature is None else temperature
+            features, keys, temperature=cfg.trainer.temperature if temperature is None else temperature
         )
         action_tokens = tokens[0, : lengths[0]]
         action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
@@ -337,11 +336,11 @@ class ExperimentRunner:
         responses = [tokens[r, : lengths[r]] for r in range(first_entropy, n_samples)]
         return action, {
             "counts": phase_histogram(responses, self.topo, cfg.default_phase, self.vocab),
-            "features": ctx.features,
+            "features": features,
             "tokens": np.array(action_tokens),
             "logps": np.array(logps[0, : lengths[0]]),
-            "ref_logps": np.asarray(self.trainer.reference.logprobs(ctx.features, action_tokens)),
-            "v_old": self.trainer.value_head.value(ctx.features) if cfg.trainer.use_critic else 0.0,
+            "ref_logps": np.asarray(self.trainer.reference.logprobs(features, action_tokens)),
+            "v_old": self.trainer.value_head.value(features) if cfg.trainer.use_critic else 0.0,
         }
 
     def _close_pending(self, pending: _Pending, queue_now: float, learn: bool, jsonl_fh) -> None:
@@ -391,11 +390,11 @@ class ExperimentRunner:
     ) -> int:
         """Drive ``sim`` from ``start_t`` to the episode end; returns the decision count.
 
-        ``state`` holds ``decision_counter`` and ``history`` (the runner
-        itself for logged episodes); ``space`` is the key space of the
-        sampling streams. Without sinks nothing is written and decisions
-        are not scored. Updates and checkpoints run only when learning, which
-        needs ``train_log``.
+        ``state`` holds ``decision_counter`` (the runner itself for logged
+        episodes); ``space`` is the key space of the sampling streams.
+        Without sinks nothing is written and decisions are not scored.
+        Updates and checkpoints run only when learning, which needs
+        ``train_log``.
         """
         tcfg = self.cfg.trainer
         length = tcfg.episode_length
@@ -424,8 +423,6 @@ class ExperimentRunner:
                 action, record = self._decide(sim, t, learn, temperature, space, state)
                 pending = _Pending(float(t), float(offset + t), queue_now, action, **record)
                 sim.set_phase(action)
-                state.history.append((f"queue {queue_now:.2f}", action))
-                del state.history[:-2]
                 state.decision_counter += 1
                 decisions += 1
 
@@ -446,8 +443,6 @@ class ExperimentRunner:
             sim.load_state_dict(self._resume_sim_state)
             start_t = self._resume_step
             self._resume_sim_state = self._resume_step = None
-        else:
-            self.history = []
 
         steps_path = self.out_dir / f"ep{episode:03d}_steps.csv"
         jsonl_path = self.out_dir / f"ep{episode:03d}_decisions.jsonl"
@@ -487,7 +482,6 @@ class ExperimentRunner:
             "episode_index": self.episode_index,
             "step": t,
             "decision_counter": self.decision_counter,
-            "history": [[s, int(a)] for s, a in self.history],
             "sim_state": None if sim is None else sim.state_dict(),
             "best_queue": self.best_queue,
         }
@@ -517,8 +511,8 @@ class ExperimentRunner:
         rm = meta["runner_meta"]
         self.episode_index = int(rm["episode_index"])
         self.decision_counter = int(rm["decision_counter"])
-        self.history = [(s, int(a)) for s, a in rm["history"]]
-        self.best_queue = rm.get("best_queue")  # absent from older snapshots
+        # older snapshots lack best_queue and hold a history that is no longer read
+        self.best_queue = rm.get("best_queue")
         if rm["sim_state"] is not None and not fresh_episodes:
             self._resume_sim_state = rm["sim_state"]
             self._resume_step = int(rm["step"])
@@ -551,10 +545,10 @@ class ExperimentRunner:
         The held-out demand and sampling keys (key space 1, decision index
         from 0) are fixed across calls so successive checkpoints are judged
         on the same episode. It writes nothing and leaves the runner's
-        episode index, decision counter and history alone.
+        episode index and decision counter alone.
         """
         sim = self._new_sim(STREAM_HOLDOUT)
-        self._loop(sim, 0, False, SimpleNamespace(decision_counter=0, history=[]), space=1)
+        self._loop(sim, 0, False, SimpleNamespace(decision_counter=0), space=1)
         return sim.finalize_metrics().queue_length
 
     def evaluate(self, episodes: Optional[int] = None, temperature: Optional[float] = None) -> List[EpisodeReport]:

@@ -1,4 +1,4 @@
-"""Token vocabulary, observation verbalization, and phase extraction.
+"""Token vocabulary, observation features, and phase extraction.
 
 The controller's interface to the signal plan is textual: the policy emits
 tokens, the decoded string is scanned for a ``<signal>MNEMONIC</signal>``
@@ -11,7 +11,6 @@ stays exercised at desk scale.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,43 +63,22 @@ class Vocabulary:
         return Vocabulary([p.mnemonic for p in topo.phases], n_filler=n_filler)
 
 
-@dataclass(frozen=True)
-class PromptContext:
-    """Observation rendered for the policy: features plus a prompt string."""
-
-    current_phase: int
-    features: np.ndarray  # length n_phases * 4 + n_phases, raw counts + one-hot
-    text: str
-    history: Tuple[Tuple[str, int], ...] = ()  # (summary, action) pairs, newest last
-
-
 def feature_length(topo: Topology) -> int:
     return topo.n_phases * 4 + topo.n_phases
 
 
-def verbalize(
-    observation: Dict[str, LaneObservation],
-    current_phase: int,
-    topo: Topology,
-    history: Sequence[Tuple[str, int]] = (),
-) -> PromptContext:
-    """Render an observation into features and a prompt string.
+def verbalize(observation: Dict[str, LaneObservation], current_phase: int, topo: Topology) -> np.ndarray:
+    """The feature vector the policy reads for an observation.
 
-    The feature vector lists, per phase in table order, the sums of
-    (early_queued, seg1, seg2, seg3) over the phase's allowed lanes,
-    followed by a one-hot of the current phase. Counts stay raw. History
-    holds at most the two most recent (summary, action) pairs and appears
-    only in the rendered text.
+    It lists, per phase in table order, the sums of (early_queued, seg1,
+    seg2, seg3) over the phase's allowed lanes, followed by a one-hot of
+    the current phase. Counts stay raw.
     """
     for lane in topo.lanes:
         if lane.lane_id not in observation:
             raise KeyError(f"observation missing lane {lane.lane_id!r}")
 
-    n_p = topo.n_phases
     features = np.zeros(feature_length(topo), dtype=np.float64)
-    lines: List[str] = []
-    lines.append(f"The traffic light has {n_p} signal phases.")
-    lines.append(f"Current phase: {topo.phases[current_phase].mnemonic}")
     for phase in topo.phases:
         early = s1 = s2 = s3 = 0
         for lid in phase.allowed_lanes:
@@ -111,23 +89,8 @@ def verbalize(
             s3 += obs.seg3
         base = phase.index * 4
         features[base : base + 4] = (early, s1, s2, s3)
-        lines.append(
-            f"{phase.mnemonic} ({phase.description}): "
-            f"early queued {early}, near {s1}, mid {s2}, far {s3}"
-        )
-    features[4 * n_p + current_phase] = 1.0
-
-    recent = tuple(history[-2:])
-    for i, (summary, action) in enumerate(recent, start=1):
-        lines.append(f"History {i}: {summary} -> chose {topo.phases[action].mnemonic}")
-    lines.append(f"Reply with your choice identified by the tag: {SIGNAL_OPEN}YOUR_CHOICE{SIGNAL_CLOSE}")
-
-    return PromptContext(
-        current_phase=current_phase,
-        features=features,
-        text="\n".join(lines),
-        history=recent,
-    )
+    features[4 * topo.n_phases + current_phase] = 1.0
+    return features
 
 
 def extract_phase(text_or_tokens, topo: Topology, default_code: int, vocab: Optional[Vocabulary] = None) -> int:

@@ -254,18 +254,23 @@ class DemandProfile:
             return DemandProfile(spawns=spawns)
         if kind != "poisson":
             raise ValueError(f"unknown demand kind {kind!r}")
-        rates = {str(k): float(v) for k, v in spec.get("rates", {}).items()}
+        rates = {str(k): _arrival_rate(v, f"rates[{str(k)!r}]") for k, v in spec.get("rates", {}).items()}
         base = spec.get("base_rate")
+        if base is not None:
+            base = _arrival_rate(base, "base_rate (every lane)")
         surges = []
-        for s in spec.get("surges", []):
-            lane_rates = {str(k): float(v) for k, v in s.get("rates", {}).items()}
+        for i, s in enumerate(spec.get("surges", [])):
+            lane_rates = {
+                str(k): _arrival_rate(v, f"surges[{i}].rates[{str(k)!r}]")
+                for k, v in s.get("rates", {}).items()
+            }
             if "rate" in s:
-                for lid in s.get("lanes", []):
-                    lane_rates[str(lid)] = float(s["rate"])
+                lanes = [str(lid) for lid in s.get("lanes", [])]
+                rate = _arrival_rate(s["rate"], f"surges[{i}].rate (lanes {lanes})")
+                for lid in lanes:
+                    lane_rates[lid] = rate
             surges.append((float(s["start"]), float(s["end"]), lane_rates))
-        return DemandProfile(
-            rates=rates, surges=surges, base_rate=None if base is None else float(base)
-        )
+        return DemandProfile(rates=rates, surges=surges, base_rate=base)
 
     def resolve_lanes(self, topo: Topology) -> None:
         """Validate lane references and fill in the base rate."""
@@ -280,6 +285,14 @@ class DemandProfile:
         if self.base_rate is not None:
             for lid in topo.lane_ids:
                 self.rates.setdefault(lid, self.base_rate)
+
+
+def _arrival_rate(value, key: str) -> float:
+    """``value`` as vehicles/s; ``key`` names it in the error for a negative or non-finite rate."""
+    rate = float(value)
+    if not 0.0 <= rate < math.inf:  # also rejects nan
+        raise ValueError(f"demand {key} must be a finite arrival rate >= 0, got {value!r}")
+    return rate
 
 
 def demand_rng(seed: int, episode: int) -> np.random.Generator:

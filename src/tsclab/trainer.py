@@ -108,21 +108,6 @@ def gae(rewards: Sequence[float], values: Sequence[float], gamma: float, lam: fl
     return adv
 
 
-def discounted_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
-    """Raw discounted reward-to-go.
-
-    The trainer's no-critic path gets it from :func:`gae` with values 0 and
-    lam = 1; the tests keep this recursion as the reference for that identity.
-    """
-    r = np.asarray(rewards, dtype=np.float64)
-    out = np.empty_like(r)
-    acc = 0.0
-    for l in range(r.size - 1, -1, -1):
-        acc = r[l] + gamma * acc
-        out[l] = acc
-    return out
-
-
 def policy_surrogate(
     ratio: np.ndarray, advantage: np.ndarray, eps_low: float, eps_high: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,10 +153,6 @@ def value_loss(
         raise ValueError(f"unknown value_clip_mode {mode!r}")
     n = per.size
     return 0.5 * float(per.mean()), dv / n
-
-
-def total_loss(policy_objective: float, value_term: float, alpha: float) -> float:
-    return -policy_objective + alpha * value_term
 
 
 def standardize(x: np.ndarray, floor: float = 1e-8) -> np.ndarray:

@@ -54,6 +54,15 @@ class TestValidationFailures:
         assert main(["baseline", "--config", cfg, "--episodes", "0"]) == 2
         assert "episodes" in capsys.readouterr().err
 
+    def test_negative_arrival_rate(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.yaml", controller="fixed", demand={"kind": "poisson", "base_rate": -0.5}
+        )
+        out = tmp_path / "out"
+        assert main(["baseline", "--config", cfg, "--out", str(out)]) == 2
+        assert "base_rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_needs_two_configs(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", controller="fixed")
         assert main(["compare", "--config", cfg, "--seed", "0"]) == 2

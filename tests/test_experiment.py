@@ -173,6 +173,27 @@ class TestRunnerOutputs:
         with pytest.raises(ValueError, match="hash"):
             twin.restore(tmp_path / "run" / "ckpt_final.npz")
 
+    def test_snapshot_with_history_still_resumes(self, tmp_path):
+        """Snapshots once kept the last (summary, action) pairs in
+        runner_meta["history"]; restore ignores them, so such a snapshot
+        finishes the run exactly as the same snapshot without them."""
+        cfg = tiny_config()
+        ExperimentRunner(cfg, out_dir=tmp_path / "run").train()
+        current = tmp_path / "run" / "ckpt_ep000_t00100.npz"
+        meta, arrays = load_checkpoint(current)
+        assert "history" not in meta["runner_meta"]
+        meta["runner_meta"]["history"] = [["queue 1.00", 3]]
+        legacy = tmp_path / "legacy.npz"
+        np.savez(legacy, meta=json.dumps(meta), **arrays)
+        outputs = []
+        for name, path in (("current", current), ("legacy", legacy)):
+            runner = ExperimentRunner(cfg, out_dir=tmp_path / name)
+            runner.restore(path)
+            runner.train()
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert "ckpt_final.npz" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_eval_uses_single_response(self, tmp_path):
         runner = ExperimentRunner(tiny_config(), out_dir=tmp_path / "run")
         rep = runner.evaluate(episodes=1)[0]
@@ -189,7 +210,7 @@ class TestHoldout:
     def test_holdout_queue_pinned(self, tmp_path):
         """The held-out queue after each of three one-episode training
         rounds on toy8; the held-out run writes nothing and leaves the
-        runner's episode, key and history state alone."""
+        runner's episode and key state alone."""
         raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
         raw["trainer"].update(
             {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
@@ -200,10 +221,10 @@ class TestHoldout:
         for n in (1, 2, 3):
             runner.train(episodes=n)
             files = {p: p.read_bytes() for p in (tmp_path / "run").iterdir()}
-            state = (runner.episode_index, runner.decision_counter, list(runner.history))
+            state = (runner.episode_index, runner.decision_counter)
             queues.append(runner._holdout_queue())
             assert {p: p.read_bytes() for p in (tmp_path / "run").iterdir()} == files
-            assert (runner.episode_index, runner.decision_counter, list(runner.history)) == state
+            assert (runner.episode_index, runner.decision_counter) == state
         assert queues == [1.5170138888888889, 1.6940972222222221, 1.6590277777777778]
 
     def test_best_checkpoint_survives_calls_and_resume(self, tmp_path):

@@ -112,32 +112,16 @@ class TestVerbalize:
 
     def test_feature_layout(self, toy8):
         obs, sim = self._observation(toy8)
-        ctx = verbalize(obs, 2, toy8)
+        features = verbalize(obs, 2, toy8)
         n = toy8.n_phases
-        assert ctx.features.shape == (feature_length(toy8),)
+        assert features.shape == (feature_length(toy8),)
         # one-hot block
-        onehot = ctx.features[4 * n :]
+        onehot = features[4 * n :]
         assert onehot[2] == 1.0 and onehot.sum() == 1.0
         # per-phase sums match the observation
         for ph in toy8.phases:
             early = sum(obs[lid].early_queued for lid in ph.allowed_lanes)
-            assert ctx.features[ph.index * 4] == early
-
-    def test_text_mentions_all_mnemonics_and_tag(self, toy8):
-        obs, _ = self._observation(toy8)
-        ctx = verbalize(obs, 0, toy8)
-        for ph in toy8.phases:
-            assert ph.mnemonic in ctx.text
-            assert ph.description in ctx.text
-        assert SIGNAL_OPEN in ctx.text and SIGNAL_CLOSE in ctx.text
-
-    def test_history_keeps_two_newest(self, toy8):
-        obs, _ = self._observation(toy8)
-        hist = [("a", 0), ("b", 1), ("c", 2)]
-        ctx = verbalize(obs, 0, toy8, hist)
-        assert ctx.history == (("b", 1), ("c", 2))
-        assert "History 1: b" in ctx.text
-        assert "a ->" not in ctx.text
+            assert features[ph.index * 4] == early
 
     def test_missing_lane_rejected(self, toy8):
         obs, _ = self._observation(toy8)
@@ -148,7 +132,6 @@ class TestVerbalize:
 
     def test_features_are_raw_counts(self, toy8):
         obs, _ = self._observation(toy8)
-        ctx = verbalize(obs, 0, toy8)
-        counts = ctx.features[: 4 * toy8.n_phases]
+        counts = verbalize(obs, 0, toy8)[: 4 * toy8.n_phases]
         assert np.all(counts == np.round(counts))
         assert np.all(counts >= 0)

@@ -490,6 +490,33 @@ class TestDemand:
         with pytest.raises(ValueError):
             DemandProfile.from_dict({"kind": "tidal"})
 
+    @staticmethod
+    def _demand_with(key, rate):
+        """A Poisson spec whose ``key`` rate is ``rate``; returns (spec, the names the error must give)."""
+        if key == "base_rate":
+            return {"base_rate": rate}, ["base_rate"]
+        if key == "rates":
+            return {"rates": {"N_T": rate}}, ["rates", "'N_T'"]
+        if key == "surge rate":
+            return {"surges": [{"start": 0, "end": 9, "rate": rate, "lanes": ["E_L"]}]}, ["surges[0].rate", "'E_L'"]
+        return {"surges": [{"start": 0, "end": 9, "rates": {"W_T": rate}}]}, ["surges[0].rates", "'W_T'"]
+
+    @pytest.mark.parametrize("rate", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["base_rate", "rates", "surge rate", "surge rates"])
+    def test_bad_rate_rejected(self, key, rate):
+        spec, names = self._demand_with(key, rate)
+        with pytest.raises(ValueError, match="finite arrival rate >= 0") as info:
+            DemandProfile.from_dict({"kind": "poisson", **spec})
+        for name in names:
+            assert name in str(info.value)
+
+    @pytest.mark.parametrize("key", ["base_rate", "rates", "surge rate", "surge rates"])
+    def test_zero_rate_accepted(self, toy8, key):
+        spec, _ = self._demand_with(key, 0)
+        demand = DemandProfile.from_dict({"kind": "poisson", **spec})
+        demand.resolve_lanes(toy8)
+        assert all(demand.rate_at(lid, 5.0) == 0.0 for lid in toy8.lane_ids)
+
 
 class TestMetrics:
     def test_exact_single_vehicle(self, toy8):

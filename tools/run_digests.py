@@ -4,7 +4,9 @@ Usage: python3 tools/run_digests.py SRC OUT
 
 SRC is the ``src`` directory of the checkout to run and OUT a new directory.
 The runs go under OUT, and OUT/digests.txt gets one ``sha256  path`` line
-per file, sorted by path. Every run has 2 episodes of 720 steps, update and
+per file, sorted by path, and each ``.npz`` also gets one
+``sha256  path::member`` line per zip member, so a change that alters only
+checkpoint meta shows as ``meta.npy`` lines alone. Every run has 2 episodes of 720 steps, update and
 checkpoint intervals of 360 and the held-out episode on, and reads the
 configs next to this tool, so two checkouts get the same inputs. Diff the
 digests.txt of a parent checkout against a change's: a change that keeps
@@ -14,6 +16,7 @@ same-config, same-seed runs byte-identical shows no difference.
 import hashlib
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -57,10 +60,19 @@ def main(src: Path, out: Path) -> int:
     baselines = [config("toy8_fixed", "compare"), config("toy8_maxpressure", "compare")]
     compare(baselines, [3, 4], "compare", labels=["fixed", "maxpressure"])
 
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
     files = sorted(p for p in Path(".").rglob("*") if p.is_file())
-    lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}" for p in files]
+    lines = []
+    for p in files:
+        lines.append(f"{sha(p.read_bytes())}  {p.as_posix()}")
+        if p.suffix == ".npz":
+            with zipfile.ZipFile(p) as archive:
+                for member in sorted(archive.namelist()):
+                    lines.append(f"{sha(archive.read(member))}  {p.as_posix()}::{member}")
     Path("digests.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(lines)} files digested into {out / 'digests.txt'}")
+    print(f"{len(files)} files ({len(lines)} digests) into {out / 'digests.txt'}")
     return 0
 
 
