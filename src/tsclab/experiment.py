@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -40,19 +40,16 @@ from .sim import (
     Intersection,
     Topology,
     build_topology,
+    stream_rng,
 )
 from .trainer import DecisionRecord, PPOTrainer, TrainerConfig, load_checkpoint, save_checkpoint
-
-
-def _rng(seed: int, *stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *stream])))
 
 
 # non-learning controllers by config name; each is built once per runner
 BASELINES = {
     "fixed": lambda cfg: FixedTimeController(cfg.t_fixed),
     "maxpressure": lambda cfg: MaxPressureController(),
-    "random": lambda cfg: RandomController(_rng(cfg.seed, STREAM_CONTROLLER)),
+    "random": lambda cfg: RandomController(stream_rng(cfg.seed, STREAM_CONTROLLER)),
 }
 CONTROLLERS = ("policy", *BASELINES)
 
@@ -237,23 +234,33 @@ def reward_histogram(jsonl_path, hurdle: float, bin_width: float = 0.5) -> dict:
     }
 
 
+def validate_config(cfg: ExperimentConfig) -> Tuple[Topology, DemandProfile]:
+    """The checks that need the built topology; returns it and the resolved demand.
+
+    Raises ValueError naming the check. It writes nothing, so callers run it
+    before they make an output directory.
+    """
+    topo = build_topology(cfg.topology, **cfg.topology_overrides)
+    if not 0 <= cfg.default_phase < topo.n_phases:
+        raise ValueError(f"default_phase {cfg.default_phase} out of range")
+    if cfg.trainer.decision_interval < topo.yellow_duration:
+        raise ValueError(
+            f"decision_interval {cfg.trainer.decision_interval} is shorter than the "
+            f"yellow interval {topo.yellow_duration:g}; a decision could not "
+            "take effect before the next one"
+        )
+    demand = DemandProfile.from_dict(cfg.demand)
+    demand.resolve_lanes(topo)
+    return topo, demand
+
+
 class ExperimentRunner:
     """Builds every component from a config and drives seeded episodes."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir=None):
         self.cfg = cfg
-        self.topo: Topology = build_topology(cfg.topology, **cfg.topology_overrides)
-        if not 0 <= cfg.default_phase < self.topo.n_phases:
-            raise ValueError(f"default_phase {cfg.default_phase} out of range")
-        if cfg.trainer.decision_interval < self.topo.yellow_duration:
-            raise ValueError(
-                f"decision_interval {cfg.trainer.decision_interval} is shorter than the "
-                f"yellow interval {self.topo.yellow_duration:g}; a decision could not "
-                "take effect before the next one"
-            )
-        # resolved once, before any file is written; episodes share it read-only
-        self.demand = DemandProfile.from_dict(cfg.demand)
-        self.demand.resolve_lanes(self.topo)
+        # resolved once, before any file is written; episodes share the demand read-only
+        self.topo, self.demand = validate_config(cfg)
         self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.hash = cfg.config_hash()
@@ -265,7 +272,7 @@ class ExperimentRunner:
         self.baseline = None
         if cfg.controller == "policy":
             cfg.trainer.warn_if_few_responses(self.topo.n_phases)
-            init_rng = _rng(cfg.seed, STREAM_INIT)
+            init_rng = stream_rng(cfg.seed, STREAM_INIT)
             policy = TokenPolicy(
                 vocab_size=self.vocab.size,
                 feature_len=self.feature_len,
@@ -277,7 +284,7 @@ class ExperimentRunner:
                 rng=init_rng,
             )
             value_head = ValueHead(self.feature_len, rng=init_rng)
-            self.trainer = PPOTrainer(policy, value_head, cfg.trainer, _rng(cfg.seed, STREAM_SHUFFLE))
+            self.trainer = PPOTrainer(policy, value_head, cfg.trainer, stream_rng(cfg.seed, STREAM_SHUFFLE))
         else:
             self.baseline = BASELINES[cfg.controller](cfg)
 
@@ -307,7 +314,7 @@ class ExperimentRunner:
 
     def _new_sim(self, *stream: int) -> Intersection:
         """A fresh intersection whose demand draws from ``stream`` under the seed."""
-        return Intersection(self.topo, self.demand, _rng(self.cfg.seed, *stream))
+        return Intersection(self.topo, self.demand, stream_rng(self.cfg.seed, *stream))
 
     def _decide(
         self, sim: Intersection, t: int, learn: bool, temperature: Optional[float], space: int, state
@@ -370,7 +377,6 @@ class ExperimentRunner:
                     logps_old=pending.logps,
                     rewards=rewards,
                     v_old=pending.v_old,
-                    phase=pending.phase,
                 )
             )
 
@@ -511,8 +517,7 @@ class ExperimentRunner:
         rm = meta["runner_meta"]
         self.episode_index = int(rm["episode_index"])
         self.decision_counter = int(rm["decision_counter"])
-        # older snapshots lack best_queue and hold a history that is no longer read
-        self.best_queue = rm.get("best_queue")
+        self.best_queue = rm["best_queue"]
         if rm["sim_state"] is not None and not fresh_episodes:
             self._resume_sim_state = rm["sim_state"]
             self._resume_step = int(rm["step"])
@@ -567,17 +572,14 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> List[EpisodeReport]:
 def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, labels=None) -> List[dict]:
     """Run each config over the seeds; one median-aggregated row per config.
 
-    All configs must share a topology (overrides included) and a demand
-    description; this is checked before any run starts. Learned
-    configs are trained and judged on their final episode; baselines are
-    evaluated the same way.
+    Every config is validated, and all must share a topology (overrides
+    included) and a demand description; this is checked before any run
+    starts or any directory is made. Learned configs are trained and judged
+    on their final episode; baselines are evaluated the same way.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least 2 configs")
-    settings = [
-        (build_topology(cfg.topology, **cfg.topology_overrides), json.dumps(cfg.demand, sort_keys=True))
-        for cfg in configs
-    ]
+    settings = [(validate_config(cfg)[0], json.dumps(cfg.demand, sort_keys=True)) for cfg in configs]
     if any(setting != settings[0] for setting in settings[1:]):
         raise ValueError("compare requires configs sharing topology and demand")
     if labels is None:

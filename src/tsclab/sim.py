@@ -31,6 +31,11 @@ STREAM_INIT = 3
 STREAM_HOLDOUT = 4
 
 
+def stream_rng(seed: int, *stream: int) -> np.random.Generator:
+    """The generator of stream ids ``stream`` under ``seed``, e.g. (STREAM_DEMAND, episode)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *stream])))
+
+
 class TopologyError(ValueError):
     """Raised when a topology description violates a structural invariant."""
 
@@ -293,10 +298,6 @@ def _arrival_rate(value, key: str) -> float:
     if not 0.0 <= rate < math.inf:  # also rejects nan
         raise ValueError(f"demand {key} must be a finite arrival rate >= 0, got {value!r}")
     return rate
-
-
-def demand_rng(seed: int, episode: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, STREAM_DEMAND, episode])))
 
 
 class Intersection:

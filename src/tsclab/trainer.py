@@ -15,8 +15,8 @@ import json
 import math
 import warnings
 import zipfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .policy import (
     clip_by_global_norm,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 VALUE_CLIP_MODES = ("standard", "literal")
 
@@ -164,25 +164,20 @@ def standardize(x: np.ndarray, floor: float = 1e-8) -> np.ndarray:
 class AdamW:
     """Adam with decoupled weight decay over a named-parameter dict."""
 
-    def __init__(self, fields, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
-        self.fields = tuple(fields)
+    def __init__(self, params: Dict[str, np.ndarray], lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m: Dict[str, np.ndarray] = {}
-        self.v: Dict[str, np.ndarray] = {}
+        self.m = {f: np.zeros_like(p) for f, p in params.items()}
+        self.v = {f: np.zeros_like(p) for f, p in params.items()}
 
     def step(self, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray]) -> None:
-        if not self.m:
-            for f in self.fields:
-                self.m[f] = np.zeros_like(params[f])
-                self.v[f] = np.zeros_like(params[f])
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for f in self.fields:
+        for f in self.m:
             g = grads[f]
             self.m[f] = self.beta1 * self.m[f] + (1.0 - self.beta1) * g
             self.v[f] = self.beta2 * self.v[f] + (1.0 - self.beta2) * g * g
@@ -190,18 +185,10 @@ class AdamW:
             v_hat = self.v[f] / bc2
             params[f] -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * params[f])
 
-    def state_dict(self) -> dict:
-        return {"t": self.t, "m": dict(self.m), "v": dict(self.v)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = {k: np.array(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.array(v, dtype=np.float64) for k, v in state["v"].items()}
-
 
 @dataclass
 class DecisionRecord:
-    """One buffered response trajectory with everything the update needs."""
+    """One response trajectory with everything the update needs."""
 
     time: float  # global simulation time of the decision
     features: np.ndarray
@@ -209,25 +196,67 @@ class DecisionRecord:
     logps_old: np.ndarray
     rewards: np.ndarray
     v_old: float
-    phase: int
+
+
+# the buffer's arrays, one row per record; also its checkpoint entries
+BUFFER_FIELDS = ("time", "features", "tokens", "logps_old", "rewards", "v_old")
 
 
 class ReplayBuffer:
-    """Trajectory store windowed by simulation time, oldest evicted first."""
+    """Trajectory store windowed by simulation time, oldest evicted first.
 
-    def __init__(self, window: float):
+    Records are rows of padded arrays: ``tokens`` (N, max_len) padded with
+    -1, ``logps_old`` and ``rewards`` (N, max_len) padded with 0, and
+    ``time``, ``features`` and ``v_old`` one entry or row each. A row's
+    response length is its count of tokens >= 0.
+    """
+
+    def __init__(self, window: float, n_features: int, max_len: int):
         self.window = window
-        self.records: List[DecisionRecord] = []
+        self.max_len = max_len
+        self.time = np.zeros(0)
+        self.features = np.zeros((0, n_features))
+        self.tokens = np.zeros((0, max_len), dtype=np.int64)
+        self.logps_old = np.zeros((0, max_len))
+        self.rewards = np.zeros((0, max_len))
+        self.v_old = np.zeros(0)
 
     def add(self, record: DecisionRecord) -> None:
-        self.records.append(record)
+        pad = self.max_len - record.tokens.size
+        if pad < 0:
+            raise ValueError(f"response of {record.tokens.size} tokens exceeds max_len {self.max_len}")
+        row = {
+            "time": record.time,
+            "features": record.features,
+            "tokens": np.pad(record.tokens, (0, pad), constant_values=-1),
+            "logps_old": np.pad(record.logps_old, (0, pad)),
+            "rewards": np.pad(record.rewards, (0, pad)),
+            "v_old": record.v_old,
+        }
+        for name, value in row.items():
+            setattr(self, name, np.concatenate([getattr(self, name), [value]]))
 
     def evict(self, now: float) -> None:
-        cutoff = now - self.window
-        self.records = [r for r in self.records if r.time > cutoff]
+        keep = self.time > now - self.window
+        for name in BUFFER_FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
+
+    def batch(self, rows: np.ndarray):
+        """(features, tokens, logps_old, rewards, lengths, v_old) of ``rows``,
+        cut to the longest response among them."""
+        lengths = (self.tokens[rows] >= 0).sum(1)
+        cut = slice(int(lengths.max()))
+        return (
+            self.features[rows],
+            self.tokens[rows, cut],
+            self.logps_old[rows, cut],
+            self.rewards[rows, cut],
+            lengths,
+            self.v_old[rows],
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.time.size
 
 
 class PPOTrainer:
@@ -239,39 +268,18 @@ class PPOTrainer:
         value_head: ValueHead,
         config: TrainerConfig,
         shuffle_rng: np.random.Generator,
-        reference: Optional[TokenPolicy] = None,
     ):
         self.policy = policy
         self.value_head = value_head
         self.config = config
-        self.reference = reference if reference is not None else policy.snapshot()
-        self.buffer = ReplayBuffer(config.buffer_window)
+        self.reference = policy.snapshot()
+        self.buffer = ReplayBuffer(config.buffer_window, policy.feature_len, policy.max_len)
         self.shuffle_rng = shuffle_rng
-        self.opt_policy = AdamW(POLICY_FIELDS, config.actor_lr, config.actor_weight_decay)
-        self.opt_value = AdamW(VALUE_FIELDS, config.value_lr, config.value_weight_decay)
+        self.opt_policy = AdamW(policy.params, config.actor_lr, config.actor_weight_decay)
+        self.opt_value = AdamW(value_head.params, config.value_lr, config.value_weight_decay)
         self.updates_done = 0
 
-    # -- batching --------------------------------------------------------
-
-    def _pad_batch(self, records: Sequence[DecisionRecord]):
-        B = len(records)
-        lmax = max(r.tokens.size for r in records)
-        F = records[0].features.size
-        features = np.zeros((B, F))
-        tokens = np.full((B, lmax), -1, dtype=np.int64)
-        logps_old = np.zeros((B, lmax))
-        rewards = np.zeros((B, lmax))
-        lengths = np.zeros(B, dtype=np.int64)
-        v_old = np.zeros(B)
-        for i, rec in enumerate(records):
-            n = rec.tokens.size
-            features[i] = rec.features
-            tokens[i, :n] = rec.tokens
-            logps_old[i, :n] = rec.logps_old
-            rewards[i, :n] = rec.rewards
-            lengths[i] = n
-            v_old[i] = rec.v_old
-        return features, tokens, logps_old, rewards, lengths, v_old
+    # -- the update ------------------------------------------------------
 
     def _advantages(self, rewards, lengths, v_old):
         """Per-token advantages and lambda-returns, padded like the batch.
@@ -289,8 +297,6 @@ class PPOTrainer:
             rets[i, :n] = adv[i, :n] + values[i]
         return adv, rets
 
-    # -- the update ------------------------------------------------------
-
     def update(self, step: float) -> dict:
         """One optimization pass: n_b shuffled batches, one step each.
 
@@ -298,11 +304,10 @@ class PPOTrainer:
         Raises on an empty buffer.
         """
         cfg = self.config
-        records = self.buffer.records
-        if not records:
+        n = len(self.buffer)
+        if not n:
             raise ValueError("update called with an empty buffer")
 
-        n = len(records)
         order = self.shuffle_rng.permutation(n)
         pos = 0
         diag = {k: 0.0 for k in (
@@ -315,9 +320,8 @@ class PPOTrainer:
             if pos + take > n:
                 order = self.shuffle_rng.permutation(n)
                 pos = 0
-            batch = [records[int(i)] for i in order[pos : pos + take]]
+            stats = self._update_batch(order[pos : pos + take])
             pos += take
-            stats = self._update_batch(batch)
             for k, v in stats.items():
                 diag[k] += v / cfg.batches_per_update
 
@@ -325,9 +329,9 @@ class PPOTrainer:
         diag["step"] = step
         return diag
 
-    def _update_batch(self, batch: Sequence[DecisionRecord]) -> dict:
+    def _update_batch(self, rows: np.ndarray) -> dict:
         cfg = self.config
-        features, tokens, logps_old, rewards, lengths, v_old = self._pad_batch(batch)
+        features, tokens, logps_old, rewards, lengths, v_old = self.buffer.batch(rows)
         B, lmax = tokens.shape
         mask = np.arange(lmax)[None, :] < lengths[:, None]
         n_tok = int(mask.sum())
@@ -405,11 +409,8 @@ class PPOTrainer:
                 out[f"{name}.m.{f}"] = arr
             for f, arr in opt.v.items():
                 out[f"{name}.v.{f}"] = arr
-        for i, rec in enumerate(self.buffer.records):
-            out[f"buf.{i}.features"] = rec.features
-            out[f"buf.{i}.tokens"] = rec.tokens
-            out[f"buf.{i}.logps"] = rec.logps_old
-            out[f"buf.{i}.rewards"] = rec.rewards
+        for name in BUFFER_FIELDS:
+            out[f"buf.{name}"] = getattr(self.buffer, name)
         return out
 
     def state_meta(self) -> dict:
@@ -418,10 +419,6 @@ class PPOTrainer:
             "opt_value_t": self.opt_value.t,
             "updates_done": self.updates_done,
             "shuffle_rng": self.shuffle_rng.bit_generator.state,
-            "buffer": [
-                {"time": rec.time, "v_old": rec.v_old, "phase": rec.phase}
-                for rec in self.buffer.records
-            ],
         }
 
     def load_state(self, arrays: Dict[str, np.ndarray], meta: dict) -> None:
@@ -430,29 +427,15 @@ class PPOTrainer:
             self.reference.params[f] = np.array(arrays[f"ref.{f}"])
         for f in VALUE_FIELDS:
             self.value_head.params[f] = np.array(arrays[f"value.{f}"])
-        for name, opt, fields in (
-            ("optp", self.opt_policy, POLICY_FIELDS),
-            ("optv", self.opt_value, VALUE_FIELDS),
-        ):
-            if f"{name}.m.{fields[0]}" in arrays:
-                opt.m = {f: np.array(arrays[f"{name}.m.{f}"]) for f in fields}
-                opt.v = {f: np.array(arrays[f"{name}.v.{f}"]) for f in fields}
+        for name, opt in (("optp", self.opt_policy), ("optv", self.opt_value)):
+            opt.m = {f: np.array(arrays[f"{name}.m.{f}"]) for f in opt.m}
+            opt.v = {f: np.array(arrays[f"{name}.v.{f}"]) for f in opt.v}
         self.opt_policy.t = int(meta["opt_policy_t"])
         self.opt_value.t = int(meta["opt_value_t"])
         self.updates_done = int(meta["updates_done"])
         self.shuffle_rng.bit_generator.state = meta["shuffle_rng"]
-        self.buffer.records = [
-            DecisionRecord(
-                time=float(entry["time"]),
-                features=np.array(arrays[f"buf.{i}.features"]),
-                tokens=np.array(arrays[f"buf.{i}.tokens"]),
-                logps_old=np.array(arrays[f"buf.{i}.logps"]),
-                rewards=np.array(arrays[f"buf.{i}.rewards"]),
-                v_old=float(entry["v_old"]),
-                phase=int(entry["phase"]),
-            )
-            for i, entry in enumerate(meta["buffer"])
-        ]
+        for name in BUFFER_FIELDS:
+            setattr(self.buffer, name, np.array(arrays[f"buf.{name}"]))
 
 
 def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: dict) -> None:

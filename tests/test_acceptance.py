@@ -432,7 +432,6 @@ def _flat_branch_trainer(toy8, ratio_shift: float):
                 logps_old=np.array([logp_now - shift]),
                 rewards=np.array([advantage_sign]),
                 v_old=0.0,
-                phase=0,
             )
         )
     return trainer

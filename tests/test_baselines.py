@@ -9,13 +9,13 @@ from tsclab.baselines import (
     max_pressure_phase,
     random_phase,
 )
-from tsclab.sim import DemandProfile, Intersection, demand_rng
+from tsclab.sim import STREAM_DEMAND, DemandProfile, Intersection, stream_rng
 
 
 def observation(toy8, loads):
     """Build an observation with given stopped counts per lane."""
     demand = DemandProfile.from_dict({"kind": "schedule", "spawns": []})
-    sim = Intersection(toy8, demand, demand_rng(0, 0))
+    sim = Intersection(toy8, demand, stream_rng(0, STREAM_DEMAND, 0))
     for lane_id, n in loads.items():
         for i in range(n):
             sim._add_vehicle(lane_id, 0.0)

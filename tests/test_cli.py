@@ -63,6 +63,15 @@ class TestValidationFailures:
         assert "base_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_rejects_a_config_before_making_its_output(self, tmp_path, capsys):
+        bad = {"kind": "poisson", "base_rate": -0.5}
+        a = write_config(tmp_path / "a.yaml", controller="fixed", demand=bad)
+        b = write_config(tmp_path / "b.yaml", controller="maxpressure", demand=bad)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", a, "--config", b, "--seed", "0", "--out", str(out)]) == 2
+        assert "base_rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_needs_two_configs(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", controller="fixed")
         assert main(["compare", "--config", cfg, "--seed", "0"]) == 2

@@ -15,7 +15,7 @@ from tsclab.phases import (
     phase_histogram,
     verbalize,
 )
-from tsclab.sim import DemandProfile, Intersection, demand_rng
+from tsclab.sim import STREAM_DEMAND, DemandProfile, Intersection, stream_rng
 
 CASES_PATH = Path(__file__).parent / "data" / "extraction_cases.tsv"
 
@@ -105,7 +105,7 @@ class TestExtraction:
 class TestVerbalize:
     def _observation(self, toy8, seed=0):
         demand = DemandProfile.from_dict({"kind": "poisson", "base_rate": 0.2})
-        sim = Intersection(toy8, demand, demand_rng(seed, 0))
+        sim = Intersection(toy8, demand, stream_rng(seed, STREAM_DEMAND, 0))
         for _ in range(120):
             sim.step()
         return sim.observe(), sim

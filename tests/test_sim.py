@@ -15,11 +15,12 @@ import tsclab
 from tsclab.sim import (
     JAM_SPACING,
     SPEED_STOPPED,
+    STREAM_DEMAND,
     DemandProfile,
     Intersection,
     TopologyError,
     build_topology,
-    demand_rng,
+    stream_rng,
 )
 
 
@@ -27,7 +28,7 @@ def schedule_sim(topo, spawns, seed=0):
     demand = DemandProfile.from_dict(
         {"kind": "schedule", "spawns": [{"time": t, "lane": lane} for t, lane in spawns]}
     )
-    return Intersection(topo, demand, demand_rng(seed, 0))
+    return Intersection(topo, demand, stream_rng(seed, STREAM_DEMAND, 0))
 
 
 def empty_sim(topo, seed=0):
@@ -219,7 +220,7 @@ class TestDynamics:
 
     def test_conservation_under_poisson_load(self, toy8):
         demand = DemandProfile.from_dict({"kind": "poisson", "base_rate": 0.1})
-        sim = Intersection(toy8, demand, demand_rng(3, 0))
+        sim = Intersection(toy8, demand, stream_rng(3, STREAM_DEMAND, 0))
         for t in range(600):
             if t % 40 == 0:
                 sim.set_phase((t // 40) % 8)
@@ -242,10 +243,10 @@ class TestDynamics:
         """The check is code, not an assert: it still raises under python -O."""
         code = textwrap.dedent(
             """
-            from tsclab.sim import DemandProfile, Intersection, build_topology, demand_rng
+            from tsclab.sim import STREAM_DEMAND, DemandProfile, Intersection, build_topology, stream_rng
             spawns = [{"time": 0.0, "lane": "E_T"}, {"time": 0.0, "lane": "E_T"}]
             demand = DemandProfile.from_dict({"kind": "schedule", "spawns": spawns})
-            sim = Intersection(build_topology("toy8"), demand, demand_rng(0, 0))
+            sim = Intersection(build_topology("toy8"), demand, stream_rng(0, STREAM_DEMAND, 0))
             sim.step()
             del sim.vehicles["E_T"][0]
             try:
@@ -281,7 +282,7 @@ def test_lanes_stay_front_first(rate, seed, yellow, switches, spawns):
         rates={lid: rate for lid in LANES8},
         spawns=sorted((float(t), lid) for t, lid in spawns),
     )
-    sim = Intersection(topo, demand, demand_rng(seed, 0))
+    sim = Intersection(topo, demand, stream_rng(seed, STREAM_DEMAND, 0))
     for t in range(300):
         if t in switches:
             sim.set_phase(switches[t])
@@ -374,7 +375,7 @@ def test_fused_step_matches_two_pass_reference(rates, surges, seed, yellow, free
             surges=surges,
             spawns=sorted([(0.0, "N_T")] + [(float(t), lid) for t, lid in spawns]),
         )
-        return Intersection(topo, demand, demand_rng(rng_seed, 0))
+        return Intersection(topo, demand, stream_rng(rng_seed, STREAM_DEMAND, 0))
 
     sim, ref = new_sim(seed), new_sim(seed)
     start, end, _ = surges[0]
@@ -437,7 +438,7 @@ class TestDemand:
         runs = []
         for _ in range(2):
             demand = DemandProfile.from_dict({"kind": "poisson", "base_rate": 0.2})
-            sim = Intersection(toy8, demand, demand_rng(5, 1))
+            sim = Intersection(toy8, demand, stream_rng(5, STREAM_DEMAND, 1))
             for _ in range(100):
                 sim.step()
             runs.append(sim.injected_count)
@@ -447,7 +448,7 @@ class TestDemand:
         counts = []
         for ep in (0, 1):
             demand = DemandProfile.from_dict({"kind": "poisson", "base_rate": 0.2})
-            sim = Intersection(toy8, demand, demand_rng(5, ep))
+            sim = Intersection(toy8, demand, stream_rng(5, STREAM_DEMAND, ep))
             for _ in range(100):
                 sim.step()
             counts.append(sim.injected_count)
@@ -484,7 +485,7 @@ class TestDemand:
             {"kind": "schedule", "spawns": [{"time": 1.0, "lane": "NOPE"}]}
         )
         with pytest.raises(ValueError):
-            Intersection(toy8, demand, demand_rng(0, 0))
+            Intersection(toy8, demand, stream_rng(0, STREAM_DEMAND, 0))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -552,14 +553,14 @@ class TestStateDict:
             "base_rate": 0.1,
             "surges": [{"start": 50.0, "end": 150.0, "rate": 0.5, "lanes": ["N_T", "S_T"]}],
         }
-        simA = Intersection(toy8, DemandProfile.from_dict(demand_dict), demand_rng(9, 0))
+        simA = Intersection(toy8, DemandProfile.from_dict(demand_dict), stream_rng(9, STREAM_DEMAND, 0))
         for t in range(200):
             if t % 30 == 0:
                 simA.set_phase((t // 30) % 8)
             simA.step()
         state = simA.state_dict()
 
-        simB = Intersection(toy8, DemandProfile.from_dict(demand_dict), demand_rng(9, 0))
+        simB = Intersection(toy8, DemandProfile.from_dict(demand_dict), stream_rng(9, STREAM_DEMAND, 0))
         simB.load_state_dict(state)
 
         for t in range(200, 320):

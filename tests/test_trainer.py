@@ -1,3 +1,6 @@
+import json
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +9,17 @@ from hypothesis import strategies as st
 from tsclab.phases import feature_length
 from tsclab.policy import TokenPolicy, ValueHead
 from tsclab.trainer import (
+    BUFFER_FIELDS,
+    CHECKPOINT_VERSION,
     AdamW,
     DecisionRecord,
     PPOTrainer,
     ReplayBuffer,
     TrainerConfig,
     gae,
+    load_checkpoint,
     policy_surrogate,
+    save_checkpoint,
     standardize,
     value_loss,
 )
@@ -196,7 +203,7 @@ class TestAdamW:
     def test_first_step_matches_hand_computation(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
-        opt = AdamW(["w"], lr=0.1, weight_decay=0.01)
+        opt = AdamW(params, lr=0.1, weight_decay=0.01)
         opt.step(params, grads)
         m_hat = 0.05 / (1 - 0.9)
         v_hat = (0.001 * 0.25) / (1 - 0.999)
@@ -206,34 +213,52 @@ class TestAdamW:
     def test_decay_is_decoupled(self):
         # zero gradient still shrinks weights, by lr * wd * theta exactly
         params = {"w": np.array([2.0])}
-        opt = AdamW(["w"], lr=0.5, weight_decay=0.1)
+        opt = AdamW(params, lr=0.5, weight_decay=0.1)
         opt.step(params, {"w": np.array([0.0])})
         assert params["w"][0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
 
-    def test_state_roundtrip(self):
-        params = {"w": np.array([1.0, -1.0])}
-        opt = AdamW(["w"], lr=0.01, weight_decay=0.0)
-        for i in range(3):
-            opt.step(params, {"w": np.array([0.3, -0.2])})
-        state = opt.state_dict()
-        twin = AdamW(["w"], lr=0.01, weight_decay=0.0)
-        twin.load_state_dict(state)
-        p1 = {"w": params["w"].copy()}
-        p2 = {"w": params["w"].copy()}
-        opt.step(p1, {"w": np.array([0.1, 0.1])})
-        twin.step(p2, {"w": np.array([0.1, 0.1])})
-        assert np.array_equal(p1["w"], p2["w"])
+
+def _record(t, n_tokens=1):
+    return DecisionRecord(
+        t, np.full(2, t), np.arange(n_tokens), np.full(n_tokens, -0.5), np.ones(n_tokens), t / 10
+    )
 
 
 class TestBuffer:
     def test_eviction_keeps_strictly_inside_window(self):
-        buf = ReplayBuffer(400.0)
-        rec = lambda t: DecisionRecord(t, np.zeros(1), np.zeros(1, int), np.zeros(1), np.zeros(1), 0.0, 0)
+        buf = ReplayBuffer(400.0, n_features=2, max_len=4)
         for t in (0.0, 100.0, 3200.0, 3210.0, 3590.0):
-            buf.add(rec(t))
+            buf.add(_record(t))
         buf.evict(3600.0)
-        kept = [r.time for r in buf.records]
-        assert kept == [3210.0, 3590.0]
+        assert buf.time.tolist() == [3210.0, 3590.0]
+        assert buf.features[:, 0].tolist() == [3210.0, 3590.0]
+        assert buf.v_old.tolist() == [321.0, 359.0]
+        assert len(buf) == 2
+
+    def test_rows_are_padded_to_max_len(self):
+        buf = ReplayBuffer(400.0, n_features=2, max_len=4)
+        buf.add(_record(0.0, n_tokens=2))
+        assert buf.tokens.tolist() == [[0, 1, -1, -1]]
+        assert buf.logps_old.tolist() == [[-0.5, -0.5, 0.0, 0.0]]
+        assert buf.rewards.tolist() == [[1.0, 1.0, 0.0, 0.0]]
+
+    def test_response_longer_than_max_len_raises(self):
+        buf = ReplayBuffer(400.0, n_features=2, max_len=4)
+        with pytest.raises(ValueError, match="max_len 4"):
+            buf.add(_record(0.0, n_tokens=5))
+        assert len(buf) == 0
+
+    def test_batch_cuts_to_longest_chosen_response(self):
+        buf = ReplayBuffer(400.0, n_features=2, max_len=6)
+        for i, n in enumerate((1, 4, 2)):
+            buf.add(_record(float(i), n_tokens=n))
+        features, tokens, logps_old, rewards, lengths, v_old = buf.batch(np.array([2, 0]))
+        assert lengths.tolist() == [2, 1]
+        assert tokens.tolist() == [[0, 1], [0, -1]]
+        assert logps_old.tolist() == [[-0.5, -0.5], [-0.5, 0.0]]
+        assert rewards.tolist() == [[1.0, 1.0], [1.0, 0.0]]
+        assert features[:, 0].tolist() == [2.0, 0.0]
+        assert v_old.tolist() == [0.2, 0.0]
 
 
 def _make_trainer(toy8, vocab8, **overrides):
@@ -266,7 +291,6 @@ def _records_from_policy(trainer, n, seed=0, r_final=1.0):
                 logps_old=logps[0, :L].copy(),
                 rewards=rewards,
                 v_old=trainer.value_head.value(features),
-                phase=0,
             )
         )
     return records
@@ -405,3 +429,44 @@ class TestTrainerConfigValidation:
         cfg = TrainerConfig(g_responses=4)
         with pytest.warns(UserWarning):
             cfg.warn_if_few_responses(8)
+
+
+class TestCheckpoint:
+    def _saved(self, toy8, vocab8, tmp_path, n_records, name="ckpt.npz"):
+        trainer = _make_trainer(toy8, vocab8, batch_size=3, batches_per_update=2)
+        for rec in _records_from_policy(trainer, n_records):
+            trainer.buffer.add(rec)
+        trainer.update(0.0)
+        path = tmp_path / name
+        save_checkpoint(path, trainer, "hash", {})
+        return trainer, path
+
+    def test_entry_count_does_not_grow_with_the_buffer(self, toy8, vocab8, tmp_path):
+        counts = []
+        for n in (3, 30):
+            _, path = self._saved(toy8, vocab8, tmp_path, n, name=f"ckpt{n}.npz")
+            with zipfile.ZipFile(path) as zf:
+                counts.append(len(zf.infolist()))
+        assert counts[0] == counts[1]
+
+    def test_buffer_and_optimizer_round_trip(self, toy8, vocab8, tmp_path):
+        trainer, path = self._saved(toy8, vocab8, tmp_path, 5)
+        meta, arrays = load_checkpoint(path)
+        twin = _make_trainer(toy8, vocab8)
+        twin.load_state(arrays, meta["trainer_meta"])
+        for name in BUFFER_FIELDS:
+            a, b = getattr(trainer.buffer, name), getattr(twin.buffer, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for opt, opt_twin in ((trainer.opt_policy, twin.opt_policy), (trainer.opt_value, twin.opt_value)):
+            assert opt.t == opt_twin.t == 2
+            for f in opt.m:
+                assert np.array_equal(opt.m[f], opt_twin.m[f]) and np.array_equal(opt.v[f], opt_twin.v[f])
+
+    def test_version_1_is_refused(self, toy8, vocab8, tmp_path):
+        _, path = self._saved(toy8, vocab8, tmp_path, 3)
+        meta, arrays = load_checkpoint(path)
+        old = tmp_path / "v1.npz"
+        np.savez(old, meta=json.dumps({**meta, "version": 1}), **arrays)
+        with pytest.raises(ValueError, match=f"file has 1, expected {CHECKPOINT_VERSION}"):
+            load_checkpoint(old)
+        assert CHECKPOINT_VERSION == 2
