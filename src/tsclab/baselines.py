@@ -7,11 +7,9 @@ runner can drive them through the same loop as the learned policy.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
-from .sim import LaneObservation, Topology
+from .sim import Topology
 
 
 def fixed_time_phase(t: float, t_fixed: float, n_phases: int) -> int:
@@ -21,24 +19,14 @@ def fixed_time_phase(t: float, t_fixed: float, n_phases: int) -> int:
     return int(t // t_fixed) % n_phases
 
 
-def max_pressure_phase(observation: Dict[str, LaneObservation], topo: Topology) -> int:
+def max_pressure_phase(observation: np.ndarray, topo: Topology) -> int:
     """Phase with the largest total stopped queue over its lanes.
 
-    Downstream lanes are outside the model, so pressure reduces to the
-    early-queued count. Ties go to the lowest phase index.
+    ``observation`` is :meth:`Intersection.observe`'s (n_lanes, 4) count
+    array. Downstream lanes are outside the model, so pressure reduces to
+    the stopped count. Ties go to the lowest phase index.
     """
-    best_phase = 0
-    best_pressure = -1.0
-    for phase in topo.phases:
-        pressure = 0.0
-        for lid in phase.allowed_lanes:
-            if lid not in observation:
-                raise KeyError(f"observation missing lane {lid!r}")
-            pressure += observation[lid].early_queued
-        if pressure > best_pressure:
-            best_pressure = pressure
-            best_phase = phase.index
-    return best_phase
+    return int(np.argmax(topo.phase_lanes @ observation[:, 0]))
 
 
 def random_phase(rng: np.random.Generator, n_phases: int) -> int:

@@ -42,7 +42,7 @@ from .sim import (
     build_topology,
     stream_rng,
 )
-from .trainer import DecisionRecord, PPOTrainer, TrainerConfig, load_checkpoint, save_checkpoint
+from .trainer import PPOTrainer, TrainerConfig, load_checkpoint, save_checkpoint
 
 
 # non-learning controllers by config name; each is built once per runner
@@ -120,7 +120,13 @@ class ExperimentConfig:
         raw = dict(raw)
         for f in fields(ExperimentConfig):  # sections that are dataclasses of their own
             if is_dataclass(f.default_factory) and f.name in raw:
-                raw[f.name] = f.default_factory(**raw[f.name])
+                section = raw[f.name]
+                if not isinstance(section, dict):
+                    raise ValueError(f"config section {f.name!r} must be a mapping, got {section!r}")
+                unknown = set(section) - {g.name for g in fields(f.default_factory)}
+                if unknown:
+                    raise ValueError(f"unknown config keys: {sorted(f'{f.name}.{k}' for k in unknown)}")
+                raw[f.name] = f.default_factory(**section)
         unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -179,7 +185,6 @@ class _Pending:
     """A decision awaiting its reward at the next decision boundary."""
 
     time: float  # episode-local
-    global_time: float
     queue_before: float
     phase: int
     features: Optional[np.ndarray] = None
@@ -370,14 +375,12 @@ class ExperimentRunner:
                 pending.logps, pending.ref_logps, bundle["r_total"], cfg.reward.beta
             )
             self.trainer.buffer.add(
-                DecisionRecord(
-                    time=pending.global_time,
-                    features=pending.features,
-                    tokens=pending.tokens,
-                    logps_old=pending.logps,
-                    rewards=rewards,
-                    v_old=pending.v_old,
-                )
+                time=self.episode_index * cfg.trainer.episode_length + pending.time,  # global time
+                features=pending.features,
+                tokens=pending.tokens,
+                logps_old=pending.logps,
+                rewards=rewards,
+                v_old=pending.v_old,
             )
 
     # -- the episode loop ------------------------------------------------
@@ -427,7 +430,7 @@ class ExperimentRunner:
                 if t == length:
                     return decisions
                 action, record = self._decide(sim, t, learn, temperature, space, state)
-                pending = _Pending(float(t), float(offset + t), queue_now, action, **record)
+                pending = _Pending(float(t), queue_now, action, **record)
                 sim.set_phase(action)
                 state.decision_counter += 1
                 decisions += 1
@@ -572,18 +575,23 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> List[EpisodeReport]:
 def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, labels=None) -> List[dict]:
     """Run each config over the seeds; one median-aggregated row per config.
 
-    Every config is validated, and all must share a topology (overrides
-    included) and a demand description; this is checked before any run
-    starts or any directory is made. Learned configs are trained and judged
+    There must be one unique label per config. Every config is validated,
+    and all must share a topology (overrides included) and a demand
+    description; all this is checked before any run starts or any
+    directory is made. Learned configs are trained and judged
     on their final episode; baselines are evaluated the same way.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least 2 configs")
+    if labels is None:
+        labels = [f"config{i}" for i in range(len(configs))]
+    if len(labels) != len(configs):
+        raise ValueError(f"compare got {len(labels)} labels for {len(configs)} configs")
+    if len(set(labels)) != len(labels):  # each label names its runs' directories
+        raise ValueError(f"compare labels must be unique, got {list(labels)}")
     settings = [(validate_config(cfg)[0], json.dumps(cfg.demand, sort_keys=True)) for cfg in configs]
     if any(setting != settings[0] for setting in settings[1:]):
         raise ValueError("compare requires configs sharing topology and demand")
-    if labels is None:
-        labels = [f"config{i}" for i in range(len(configs))]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

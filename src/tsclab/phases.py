@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sim import LaneObservation, Topology
+from .sim import Topology
 
 SIGNAL_OPEN = "<signal>"
 SIGNAL_CLOSE = "</signal>"
@@ -67,30 +67,13 @@ def feature_length(topo: Topology) -> int:
     return topo.n_phases * 4 + topo.n_phases
 
 
-def verbalize(observation: Dict[str, LaneObservation], current_phase: int, topo: Topology) -> np.ndarray:
+def verbalize(observation: np.ndarray, current_phase: int, topo: Topology) -> np.ndarray:
     """The feature vector the policy reads for an observation.
 
-    It lists, per phase in table order, the sums of (early_queued, seg1,
-    seg2, seg3) over the phase's allowed lanes, followed by a one-hot of
-    the current phase. Counts stay raw.
+    Per phase in table order, the four columns of the (n_lanes, 4)
+    observation summed over its lanes, then a one-hot of the current phase.
     """
-    for lane in topo.lanes:
-        if lane.lane_id not in observation:
-            raise KeyError(f"observation missing lane {lane.lane_id!r}")
-
-    features = np.zeros(feature_length(topo), dtype=np.float64)
-    for phase in topo.phases:
-        early = s1 = s2 = s3 = 0
-        for lid in phase.allowed_lanes:
-            obs = observation[lid]
-            early += obs.early_queued
-            s1 += obs.seg1
-            s2 += obs.seg2
-            s3 += obs.seg3
-        base = phase.index * 4
-        features[base : base + 4] = (early, s1, s2, s3)
-    features[4 * topo.n_phases + current_phase] = 1.0
-    return features
+    return np.concatenate([(topo.phase_lanes @ observation).ravel(), np.eye(topo.n_phases)[current_phase]])
 
 
 def extract_phase(text_or_tokens, topo: Topology, default_code: int, vocab: Optional[Vocabulary] = None) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,6 +73,14 @@ class Topology:
     @property
     def lane_ids(self) -> Tuple[str, ...]:
         return tuple(lane.lane_id for lane in self.lanes)
+
+    @cached_property
+    def phase_lanes(self) -> np.ndarray:
+        """(n_phases, n_lanes) 0/1 matrix of the lanes each phase serves, in ``lanes`` order;
+        ``phase_lanes @ observation`` sums an observation per phase."""
+        matrix = np.array([[lid in p.allowed_lanes for lid in self.lane_ids] for p in self.phases], dtype=np.int64)
+        matrix.flags.writeable = False  # one array serves every caller
+        return matrix
 
 
 _MOVEMENTS = ("through", "left", "right", "u-turn")
@@ -137,6 +146,8 @@ def _validate_topology(topo: Topology) -> Topology:
             raise TopologyError("phase mnemonic must be nonempty")
         if not phase.allowed_lanes:
             raise TopologyError(f"phase {phase.mnemonic}: allowed_lanes is empty")
+        if len(set(phase.allowed_lanes)) != len(phase.allowed_lanes):
+            raise TopologyError(f"phase {phase.mnemonic}: a lane is listed twice")
         for lid in phase.allowed_lanes:
             if lid not in lane_ids:
                 raise TopologyError(f"phase {phase.mnemonic}: unknown lane {lid!r}")
@@ -462,8 +473,10 @@ class Intersection:
 
     # -- observation -----------------------------------------------------
 
-    def observe(self) -> Dict[str, "LaneObservation"]:
-        out = {}
+    def observe(self) -> np.ndarray:
+        """Per-lane counts, int64 (n_lanes, 4) in ``topo.lanes`` order: stopped, then
+        moving within 10% of the road from the stop line, within 33%, and beyond."""
+        rows = []
         for lane in self.topo.lanes:
             early = seg1 = seg2 = seg3 = 0
             b1 = 0.10 * lane.road_length
@@ -477,8 +490,8 @@ class Intersection:
                     seg2 += 1
                 else:
                     seg3 += 1
-            out[lane.lane_id] = LaneObservation(early, seg1, seg2, seg3)
-        return out
+            rows.append((early, seg1, seg2, seg3))
+        return np.array(rows, dtype=np.int64)
 
     def queue_length(self) -> float:
         stopped = sum(
@@ -498,10 +511,11 @@ class Intersection:
     # -- metrics ---------------------------------------------------------
 
     def finalize_metrics(self) -> "Metrics":
+        queue = float(np.mean(self._queue_samples)) if self._queue_samples else 0.0
         if not self.completed:
             return Metrics(
                 travel_time=math.nan,
-                queue_length=float(np.mean(self._queue_samples)) if self._queue_samples else 0.0,
+                queue_length=queue,
                 delay_seconds=math.nan,
                 delay_ratio=math.nan,
                 throughput=0,
@@ -518,7 +532,7 @@ class Intersection:
             ratios.append((actual - free) / actual if actual > 0 else 0.0)
         return Metrics(
             travel_time=float(np.mean(travel)),
-            queue_length=float(np.mean(self._queue_samples)) if self._queue_samples else 0.0,
+            queue_length=queue,
             delay_seconds=float(np.mean(delays)),
             delay_ratio=float(np.mean(ratios)),
             throughput=len(self.completed),
@@ -572,18 +586,6 @@ class Intersection:
         self._spawn_cursor = int(state["spawn_cursor"])
         self._queue_samples = [float(q) for q in state["queue_samples"]]
         self.rng.bit_generator.state = state["rng_state"]
-
-
-@dataclass(frozen=True)
-class LaneObservation:
-    early_queued: int
-    seg1: int
-    seg2: int
-    seg3: int
-
-    @property
-    def total(self) -> int:
-        return self.early_queued + self.seg1 + self.seg2 + self.seg3
 
 
 @dataclass(frozen=True)

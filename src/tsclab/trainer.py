@@ -186,18 +186,6 @@ class AdamW:
             params[f] -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * params[f])
 
 
-@dataclass
-class DecisionRecord:
-    """One response trajectory with everything the update needs."""
-
-    time: float  # global simulation time of the decision
-    features: np.ndarray
-    tokens: np.ndarray
-    logps_old: np.ndarray
-    rewards: np.ndarray
-    v_old: float
-
-
 # the buffer's arrays, one row per record; also its checkpoint entries
 BUFFER_FIELDS = ("time", "features", "tokens", "logps_old", "rewards", "v_old")
 
@@ -221,17 +209,18 @@ class ReplayBuffer:
         self.rewards = np.zeros((0, max_len))
         self.v_old = np.zeros(0)
 
-    def add(self, record: DecisionRecord) -> None:
-        pad = self.max_len - record.tokens.size
+    def add(self, *, time, features, tokens, logps_old, rewards, v_old) -> None:
+        """Append one response trajectory; ``time`` is the decision's global simulation time."""
+        pad = self.max_len - tokens.size
         if pad < 0:
-            raise ValueError(f"response of {record.tokens.size} tokens exceeds max_len {self.max_len}")
+            raise ValueError(f"response of {tokens.size} tokens exceeds max_len {self.max_len}")
         row = {
-            "time": record.time,
-            "features": record.features,
-            "tokens": np.pad(record.tokens, (0, pad), constant_values=-1),
-            "logps_old": np.pad(record.logps_old, (0, pad)),
-            "rewards": np.pad(record.rewards, (0, pad)),
-            "v_old": record.v_old,
+            "time": time,
+            "features": features,
+            "tokens": np.pad(tokens, (0, pad), constant_values=-1),
+            "logps_old": np.pad(logps_old, (0, pad)),
+            "rewards": np.pad(rewards, (0, pad)),
+            "v_old": v_old,
         }
         for name, value in row.items():
             setattr(self, name, np.concatenate([getattr(self, name), [value]]))

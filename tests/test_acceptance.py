@@ -38,7 +38,7 @@ from tsclab.rewards import (
     total_reward,
 )
 from tsclab.sim import DemandProfile, Intersection
-from tsclab.trainer import DecisionRecord, PPOTrainer, TrainerConfig, gae
+from tsclab.trainer import PPOTrainer, TrainerConfig, gae
 
 # -- pinned tolerances and budgets --------------------------------------
 
@@ -425,14 +425,12 @@ def _flat_branch_trainer(toy8, ratio_shift: float):
         advantage_sign = 1.0 if i % 2 == 0 else -1.0
         shift = ratio_shift if advantage_sign > 0 else -ratio_shift
         trainer.buffer.add(
-            DecisionRecord(
-                time=float(i),
-                features=features,
-                tokens=np.array([token], dtype=np.int64),
-                logps_old=np.array([logp_now - shift]),
-                rewards=np.array([advantage_sign]),
-                v_old=0.0,
-            )
+            time=float(i),
+            features=features,
+            tokens=np.array([token], dtype=np.int64),
+            logps_old=np.array([logp_now - shift]),
+            rewards=np.array([advantage_sign]),
+            v_old=0.0,
         )
     return trainer
 

@@ -60,9 +60,8 @@ class TestMaxPressure:
         assert max_pressure_phase(obs, toy8) == 0
 
     def test_missing_lane_rejected(self, toy8):
-        obs = dict(observation(toy8, {}))
-        del obs["N_L"]
-        with pytest.raises(KeyError):
+        obs = np.delete(observation(toy8, {}), toy8.lane_ids.index("N_L"), axis=0)
+        with pytest.raises(ValueError):
             max_pressure_phase(obs, toy8)
 
     def test_controller_wrapper(self, toy8):

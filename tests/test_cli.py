@@ -72,6 +72,31 @@ class TestValidationFailures:
         assert "base_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_key_in_a_config_section(self, tmp_path, capsys):
+        trainer = {**TINY_TRAINER, "episode_lenght": 720}
+        cfg = write_config(tmp_path / "c.yaml", trainer=trainer)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert "trainer.episode_lenght" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_section_that_is_not_a_mapping(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", reward=3)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert "'reward' must be a mapping" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_rejects_configs_sharing_a_file_stem(self, tmp_path, capsys):
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        a = write_config(tmp_path / "x" / "c.yaml", controller="fixed")
+        b = write_config(tmp_path / "y" / "c.yaml", controller="maxpressure")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", a, "--config", b, "--seed", "0", "--out", str(out)]) == 2
+        assert "unique" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_needs_two_configs(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", controller="fixed")
         assert main(["compare", "--config", cfg, "--seed", "0"]) == 2

@@ -366,6 +366,13 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare([tiny_config()], seeds=[0], out_dir=tmp_path / "cmp")
 
+    @pytest.mark.parametrize("labels", [["only"], ["a", "b", "c"], ["same", "same"]])
+    def test_rejects_labels_that_do_not_name_each_config_once(self, tmp_path, labels):
+        configs = [tiny_config(controller="fixed"), tiny_config(controller="maxpressure")]
+        with pytest.raises(ValueError, match="labels"):
+            compare(configs, seeds=[0], out_dir=tmp_path / "cmp", labels=labels)
+        assert not (tmp_path / "cmp").exists()
+
     def test_rejects_mixed_topology(self, tmp_path):
         a = tiny_config(controller="fixed")
         b = tiny_config(controller="fixed", topology="toy4")

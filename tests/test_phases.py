@@ -103,31 +103,33 @@ class TestExtraction:
 
 
 class TestVerbalize:
-    def _observation(self, toy8, seed=0):
+    def _observation(self, topo, seed=0):
         demand = DemandProfile.from_dict({"kind": "poisson", "base_rate": 0.2})
-        sim = Intersection(toy8, demand, stream_rng(seed, STREAM_DEMAND, 0))
+        sim = Intersection(topo, demand, stream_rng(seed, STREAM_DEMAND, 0))
         for _ in range(120):
             sim.step()
         return sim.observe(), sim
 
-    def test_feature_layout(self, toy8):
-        obs, sim = self._observation(toy8)
-        features = verbalize(obs, 2, toy8)
-        n = toy8.n_phases
-        assert features.shape == (feature_length(toy8),)
-        # one-hot block
-        onehot = features[4 * n :]
-        assert onehot[2] == 1.0 and onehot.sum() == 1.0
-        # per-phase sums match the observation
-        for ph in toy8.phases:
-            early = sum(obs[lid].early_queued for lid in ph.allowed_lanes)
-            assert features[ph.index * 4] == early
+    def test_feature_layout(self, toy8, toy4):
+        # toy4's phases share lanes (N_T and S_T serve two phases each)
+        for topo in (toy8, toy4):
+            obs, sim = self._observation(topo)
+            features = verbalize(obs, 2, topo)
+            n = topo.n_phases
+            assert features.shape == (feature_length(topo),)
+            # one-hot block
+            onehot = features[4 * n :]
+            assert onehot[2] == 1.0 and onehot.sum() == 1.0
+            # per phase, each of the four columns summed over the phase's lanes
+            rows = {lid: obs[i] for i, lid in enumerate(topo.lane_ids)}
+            for ph in topo.phases:
+                sums = sum(rows[lid] for lid in ph.allowed_lanes)
+                assert features[ph.index * 4 : ph.index * 4 + 4].tolist() == sums.tolist()
 
     def test_missing_lane_rejected(self, toy8):
         obs, _ = self._observation(toy8)
-        obs = dict(obs)
-        del obs["N_T"]
-        with pytest.raises(KeyError):
+        obs = np.delete(obs, toy8.lane_ids.index("N_T"), axis=0)
+        with pytest.raises(ValueError):
             verbalize(obs, 0, toy8)
 
     def test_features_are_raw_counts(self, toy8):

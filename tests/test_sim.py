@@ -108,6 +108,29 @@ class TestTopology:
         with pytest.raises(TopologyError):
             build_topology(spec)
 
+    def test_lane_listed_twice_in_a_phase_rejected(self):
+        spec = {
+            "lanes": [{"lane_id": "A"}, {"lane_id": "B"}],
+            "phases": [{"mnemonic": "AA", "allowed_lanes": ["A", "B", "A"]}],
+        }
+        with pytest.raises(TopologyError, match="AA: a lane is listed twice"):
+            build_topology(spec)
+
+    def test_phase_lanes_matrix(self, toy4):
+        topo = build_topology("toy4")
+        matrix = topo.phase_lanes
+        assert matrix.shape == (topo.n_phases, len(topo.lanes)) and matrix.dtype == np.int64
+        for phase in topo.phases:
+            served = [topo.lane_ids[i] for i in np.flatnonzero(matrix[phase.index])]
+            assert sorted(served) == sorted(phase.allowed_lanes)
+        assert set(np.unique(matrix)) == {0, 1}
+        assert topo.phase_lanes is matrix  # built once
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1
+        # not a field: equality and hashing still compare the fields alone
+        assert topo == toy4 and hash(topo) == hash(toy4)
+        assert "phase_lanes" not in asdict(topo)
+
     def test_uncovered_lane_rejected(self):
         spec = {
             "name": "bad",
@@ -409,20 +432,19 @@ class TestObserve:
             sim._add_vehicle("W_T", 0.0)
             sim.vehicles["W_T"][-1].position = pos
             sim.vehicles["W_T"][-1].speed = 10.0
-        obs = sim.observe()["W_T"]
-        # road 300: seg1 is <= 30, seg2 <= 99, else seg3
-        assert (obs.seg1, obs.seg2, obs.seg3) == (1, 2, 2)
-        assert obs.early_queued == 0
-        assert obs.total == 5
+        obs = sim.observe()
+        assert obs.shape == (len(toy8.lanes), 4) and obs.dtype == np.int64
+        # road 300: columns stopped, moving <= 30, <= 99, beyond
+        assert obs[toy8.lane_ids.index("W_T")].tolist() == [0, 1, 2, 2]
+        assert obs.sum() == 5
 
     def test_stopped_dominates_position(self, toy8):
         sim = schedule_sim(toy8, [])
         sim._add_vehicle("W_T", 0.0)
         sim.vehicles["W_T"][0].position = 250.0
         sim.vehicles["W_T"][0].speed = 0.05
-        obs = sim.observe()["W_T"]
-        assert obs.early_queued == 1
-        assert obs.seg3 == 0
+        obs = sim.observe()
+        assert obs[toy8.lane_ids.index("W_T")].tolist() == [1, 0, 0, 0]
 
     def test_queue_length_is_stopped_per_lane(self, toy8):
         sim = schedule_sim(toy8, [])

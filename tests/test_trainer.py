@@ -12,7 +12,6 @@ from tsclab.trainer import (
     BUFFER_FIELDS,
     CHECKPOINT_VERSION,
     AdamW,
-    DecisionRecord,
     PPOTrainer,
     ReplayBuffer,
     TrainerConfig,
@@ -219,8 +218,14 @@ class TestAdamW:
 
 
 def _record(t, n_tokens=1):
-    return DecisionRecord(
-        t, np.full(2, t), np.arange(n_tokens), np.full(n_tokens, -0.5), np.ones(n_tokens), t / 10
+    """``ReplayBuffer.add`` keywords of a record at time ``t``."""
+    return dict(
+        time=t,
+        features=np.full(2, t),
+        tokens=np.arange(n_tokens),
+        logps_old=np.full(n_tokens, -0.5),
+        rewards=np.ones(n_tokens),
+        v_old=t / 10,
     )
 
 
@@ -228,7 +233,7 @@ class TestBuffer:
     def test_eviction_keeps_strictly_inside_window(self):
         buf = ReplayBuffer(400.0, n_features=2, max_len=4)
         for t in (0.0, 100.0, 3200.0, 3210.0, 3590.0):
-            buf.add(_record(t))
+            buf.add(**_record(t))
         buf.evict(3600.0)
         assert buf.time.tolist() == [3210.0, 3590.0]
         assert buf.features[:, 0].tolist() == [3210.0, 3590.0]
@@ -237,7 +242,7 @@ class TestBuffer:
 
     def test_rows_are_padded_to_max_len(self):
         buf = ReplayBuffer(400.0, n_features=2, max_len=4)
-        buf.add(_record(0.0, n_tokens=2))
+        buf.add(**_record(0.0, n_tokens=2))
         assert buf.tokens.tolist() == [[0, 1, -1, -1]]
         assert buf.logps_old.tolist() == [[-0.5, -0.5, 0.0, 0.0]]
         assert buf.rewards.tolist() == [[1.0, 1.0, 0.0, 0.0]]
@@ -245,13 +250,13 @@ class TestBuffer:
     def test_response_longer_than_max_len_raises(self):
         buf = ReplayBuffer(400.0, n_features=2, max_len=4)
         with pytest.raises(ValueError, match="max_len 4"):
-            buf.add(_record(0.0, n_tokens=5))
+            buf.add(**_record(0.0, n_tokens=5))
         assert len(buf) == 0
 
     def test_batch_cuts_to_longest_chosen_response(self):
         buf = ReplayBuffer(400.0, n_features=2, max_len=6)
         for i, n in enumerate((1, 4, 2)):
-            buf.add(_record(float(i), n_tokens=n))
+            buf.add(**_record(float(i), n_tokens=n))
         features, tokens, logps_old, rewards, lengths, v_old = buf.batch(np.array([2, 0]))
         assert lengths.tolist() == [2, 1]
         assert tokens.tolist() == [[0, 1], [0, -1]]
@@ -271,7 +276,8 @@ def _make_trainer(toy8, vocab8, **overrides):
 
 
 def _records_from_policy(trainer, n, seed=0, r_final=1.0):
-    """Sample on-policy records so stored log-probs match the current net."""
+    """Sample on-policy records, as ``ReplayBuffer.add`` keywords, so stored
+    log-probs match the current net."""
     from tsclab._kernels import derive_key
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -284,7 +290,7 @@ def _records_from_policy(trainer, n, seed=0, r_final=1.0):
         rewards = np.zeros(L)
         rewards[-1] = r_final if np.isscalar(r_final) else r_final[i]
         records.append(
-            DecisionRecord(
+            dict(
                 time=float(i * 10),
                 features=features,
                 tokens=tokens[0, :L].copy(),
@@ -305,7 +311,7 @@ class TestTrainerUpdate:
     def test_on_policy_ratio_one_and_diag_keys(self, toy8, vocab8):
         trainer = _make_trainer(toy8, vocab8, batch_size=6, batches_per_update=1)
         for rec in _records_from_policy(trainer, 6):
-            trainer.buffer.add(rec)
+            trainer.buffer.add(**rec)
         diag = trainer.update(360.0)
         assert set(diag) == {
             "step", "mean_ratio", "clip_fraction", "policy_loss", "value_loss",
@@ -322,7 +328,7 @@ class TestTrainerUpdate:
             batch_size=4, batches_per_update=1,
         )
         for rec in _records_from_policy(trainer, 4):
-            trainer.buffer.add(rec)
+            trainer.buffer.add(**rec)
         before = {k: v.copy() for k, v in trainer.policy.params.items()}
         trainer.update(0.0)
         for k in before:
@@ -331,7 +337,7 @@ class TestTrainerUpdate:
     def test_non_finite_gradient_raises_before_step(self, toy8, vocab8):
         trainer = _make_trainer(toy8, vocab8, batch_size=4, batches_per_update=1)
         for rec in _records_from_policy(trainer, 4):
-            trainer.buffer.add(rec)
+            trainer.buffer.add(**rec)
         trainer.policy.params["w_h2"][0, 0] = np.inf
         before = {k: v.copy() for k, v in trainer.policy.params.items()}
         value_before = {k: v.copy() for k, v in trainer.value_head.params.items()}
@@ -347,7 +353,7 @@ class TestTrainerUpdate:
         trainer = _make_trainer(toy8, vocab8, actor_lr=1e-2, batch_size=4, batches_per_update=2)
         ref_before = {k: v.copy() for k, v in trainer.reference.params.items()}
         for rec in _records_from_policy(trainer, 8):
-            trainer.buffer.add(rec)
+            trainer.buffer.add(**rec)
         for step in range(3):
             trainer.update(float(step))
         for k in ref_before:
@@ -372,9 +378,9 @@ class TestTrainerUpdate:
         rng = np.random.Generator(np.random.PCG64(44))
         finals = rng.normal(size=8)
         for rec in _records_from_policy(t1, 8, r_final=finals):
-            t1.buffer.add(rec)
+            t1.buffer.add(**rec)
         for rec in _records_from_policy(t2, 8, r_final=finals + 5.0):
-            t2.buffer.add(rec)
+            t2.buffer.add(**rec)
         t1.update(0.0)
         t2.update(0.0)
         for k in t1.policy.params:
@@ -388,12 +394,12 @@ class TestTrainerUpdate:
         )
         recs = _records_from_policy(trainer, 2, r_final=np.array([4.0, -4.0]))
         for rec in recs:
-            trainer.buffer.add(rec)
-        lp_hi_before = trainer.policy.logprobs(recs[0].features, recs[0].tokens).sum()
-        lp_lo_before = trainer.policy.logprobs(recs[1].features, recs[1].tokens).sum()
+            trainer.buffer.add(**rec)
+        lp_hi_before = trainer.policy.logprobs(recs[0]["features"], recs[0]["tokens"]).sum()
+        lp_lo_before = trainer.policy.logprobs(recs[1]["features"], recs[1]["tokens"]).sum()
         trainer.update(0.0)
-        lp_hi_after = trainer.policy.logprobs(recs[0].features, recs[0].tokens).sum()
-        lp_lo_after = trainer.policy.logprobs(recs[1].features, recs[1].tokens).sum()
+        lp_hi_after = trainer.policy.logprobs(recs[0]["features"], recs[0]["tokens"]).sum()
+        lp_lo_after = trainer.policy.logprobs(recs[1]["features"], recs[1]["tokens"]).sum()
         assert lp_hi_after > lp_hi_before
         assert lp_lo_after < lp_lo_before
 
@@ -401,7 +407,7 @@ class TestTrainerUpdate:
         trainer = _make_trainer(toy8, vocab8, use_critic=False, batch_size=4, batches_per_update=1)
         v_before = {k: v.copy() for k, v in trainer.value_head.params.items()}
         for rec in _records_from_policy(trainer, 4):
-            trainer.buffer.add(rec)
+            trainer.buffer.add(**rec)
         trainer.update(0.0)
         for k in v_before:
             assert np.array_equal(trainer.value_head.params[k], v_before[k])
@@ -410,7 +416,7 @@ class TestTrainerUpdate:
         trainer = _make_trainer(toy8, vocab8, batch_size=4, batches_per_update=1, value_lr=1e-2)
         v_before = {k: v.copy() for k, v in trainer.value_head.params.items()}
         for rec in _records_from_policy(trainer, 4, r_final=3.0):
-            trainer.buffer.add(rec)
+            trainer.buffer.add(**rec)
         trainer.update(0.0)
         changed = any(not np.array_equal(trainer.value_head.params[k], v_before[k]) for k in v_before)
         assert changed
@@ -435,7 +441,7 @@ class TestCheckpoint:
     def _saved(self, toy8, vocab8, tmp_path, n_records, name="ckpt.npz"):
         trainer = _make_trainer(toy8, vocab8, batch_size=3, batches_per_update=2)
         for rec in _records_from_policy(trainer, n_records):
-            trainer.buffer.add(rec)
+            trainer.buffer.add(**rec)
         trainer.update(0.0)
         path = tmp_path / name
         save_checkpoint(path, trainer, "hash", {})

@@ -50,6 +50,12 @@ def main(src: Path, out: Path) -> int:
     reinforce.reward.entropy_mode, reinforce.reward.h_r, reinforce.reward.beta = "off", 0.5, 0.1
     run_config(reinforce)
 
+    # the config values no other run sets, so their code paths are digested too
+    knobs = config("toy8", "toy8_knobs", action_from_extra_sample=True)
+    knobs.reward.entropy_mode, knobs.reward.env_mode = "naive_dse", "negative_queue"
+    knobs.trainer.value_clip_mode = "literal"
+    run_config(knobs)
+
     runner = ExperimentRunner(config("toy8", "toy8_eval_restored"))
     runner.restore("toy8/ckpt_final.npz", fresh_episodes=True)
     runner.evaluate()
