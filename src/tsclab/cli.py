@@ -65,6 +65,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
+    if args.temperature is not None and not args.temperature > 0:
+        raise ValueError("validation failed: --temperature must be > 0")
     runner = ExperimentRunner(cfg)
     if args.checkpoint is not None:
         if cfg.controller != "policy":

@@ -4,9 +4,10 @@ One runner owns the simulator, the token pipeline, the trainer, and all
 output sinks. The episode loop takes a decision every ``decision_interval``
 steps; each decision's reward closes at the next decision point (queue
 difference over the interval), so records enter the buffer one decision
-late and the final one closes at episode end. Updates and checkpoints
-fire on fixed timestep boundaries, and checkpoints capture the complete
-loop state so a restored run continues bit-identically.
+late and the final one closes at episode end. Updates and mid-episode
+checkpoints fire on fixed timestep boundaries, and checkpoints capture the
+complete loop state so a restored run continues bit-identically. ``train``
+writes the snapshot that starts the next episode, after the held-out run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import shutil
 import time as _time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -27,7 +27,7 @@ import yaml
 
 from . import _kernels
 from .baselines import FixedTimeController, MaxPressureController, RandomController
-from .phases import Vocabulary, extract_phase, feature_length, phase_histogram, verbalize
+from .phases import FILLER_WORDS, Vocabulary, extract_phase, feature_length, phase_histogram, verbalize
 from .policy import TokenPolicy, ValueHead
 from .rewards import RewardConfig, assemble_token_rewards, decision_reward, env_reward
 from .sim import (
@@ -88,6 +88,8 @@ class PolicyShape:
         for name, low in (("max_len", 1), ("k_history", 0), ("d_embed", 1), ("d_hidden", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"policy.{name} must be >= {low}")
+        if not 0 <= self.n_filler <= len(FILLER_WORDS):
+            raise ValueError(f"policy.n_filler must lie in [0, {len(FILLER_WORDS)}]")
 
 
 @dataclass
@@ -114,6 +116,8 @@ class ExperimentConfig:
             raise ValueError("episodes must be >= 1")
         if self.seed is None:
             raise ValueError("seed must be set; unseeded runs are not supported")
+        if not self.t_fixed > 0:
+            raise ValueError("t_fixed must be > 0")
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -211,6 +215,8 @@ def reward_histogram(jsonl_path, hurdle: float, bin_width: float = 0.5) -> dict:
     Returns bin edges/counts plus the fraction of decisions whose reward
     strictly exceeds the hurdle (invariant to the bin width).
     """
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be finite and > 0, got {bin_width!r}")
     rewards = []
     with open(jsonl_path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -296,8 +302,7 @@ class ExperimentRunner:
         self.episode_index = 0
         self.decision_counter = 0  # global across episodes, keys the sampling streams
         self.best_queue: Optional[float] = None  # lowest held-out queue so far
-        self._resume_step: Optional[float] = None
-        self._resume_sim_state: Optional[dict] = None
+        self._resume: Optional[Tuple[int, dict]] = None  # (step, sim state) of a mid-episode snapshot
 
         self._write_run_info()
 
@@ -402,35 +407,30 @@ class ExperimentRunner:
         ``state`` holds ``decision_counter`` (the runner itself for logged
         episodes); ``space`` is the key space of the sampling streams.
         Without sinks nothing is written and decisions are not scored.
-        Updates and checkpoints run only when learning, which needs
-        ``train_log``.
+        Updates and mid-episode checkpoints run only when learning, which
+        needs ``train_log``.
         """
         tcfg = self.cfg.trainer
         length = tcfg.episode_length
         offset = self.episode_index * length
         pending: Optional[_Pending] = None
         decisions = 0
+        queue = sim.queue_length()  # afterwards each step returns the queue it leaves
         for t in range(start_t, length + 1):
             if t % tcfg.decision_interval == 0 or t == length:
-                queue_now = sim.queue_length()
                 if pending is not None and jsonl_fh is not None:
-                    self._close_pending(pending, queue_now, learn, jsonl_fh)
+                    self._close_pending(pending, queue, learn, jsonl_fh)
                 if learn and t > start_t:
                     if t % tcfg.update_interval == 0:
                         self.trainer.buffer.evict(offset + t)
                         if len(self.trainer.buffer):
                             train_log.row(self.trainer.update(offset + t))
-                    if t % tcfg.checkpoint_interval == 0:
-                        if t < length:
-                            self._save_checkpoint(t, sim=sim)
-                        else:  # the episode-end snapshot starts the next episode
-                            self.episode_index += 1
-                            self._save_checkpoint(0)
-                            self.episode_index -= 1
+                    if t % tcfg.checkpoint_interval == 0 and t < length:
+                        self._save_checkpoint(t, sim=sim)
                 if t == length:
                     return decisions
                 action, record = self._decide(sim, t, learn, temperature, space, state)
-                pending = _Pending(float(t), queue_now, action, **record)
+                pending = _Pending(float(t), queue, action, **record)
                 sim.set_phase(action)
                 state.decision_counter += 1
                 decisions += 1
@@ -448,10 +448,10 @@ class ExperimentRunner:
         episode = self.episode_index
         sim = self._new_sim(STREAM_DEMAND, episode)
         start_t = 0
-        if self._resume_sim_state is not None:
-            sim.load_state_dict(self._resume_sim_state)
-            start_t = self._resume_step
-            self._resume_sim_state = self._resume_step = None
+        if self._resume is not None:
+            start_t, sim_state = self._resume
+            sim.load_state_dict(sim_state)
+            self._resume = None
 
         steps_path = self.out_dir / f"ep{episode:03d}_steps.csv"
         jsonl_path = self.out_dir / f"ep{episode:03d}_decisions.jsonl"
@@ -479,14 +479,14 @@ class ExperimentRunner:
 
     # -- checkpointing ---------------------------------------------------
 
-    def _save_checkpoint(self, t: int, sim: "Intersection" = None, path=None) -> Path:
+    def _save_checkpoint(self, t: int, sim: "Intersection" = None, path=None) -> None:
         """Snapshot at a decision boundary with no pending decision.
 
-        ``t`` is the episode-local step; episode-end snapshots store the
-        *next* episode index with t = 0 so resume starts it fresh.
+        ``t`` is the episode-local step. ``train`` takes the episode-end
+        snapshot at t = 0 of the next episode, so a resume starts it fresh.
         """
         if path is None:
-            path = self._checkpoint_path(t)
+            path = self.out_dir / f"ckpt_ep{self.episode_index:03d}_t{t:05d}.npz"
         runner_meta = {
             "episode_index": self.episode_index,
             "step": t,
@@ -495,10 +495,6 @@ class ExperimentRunner:
             "best_queue": self.best_queue,
         }
         save_checkpoint(path, self.trainer, self.hash, runner_meta)
-        return path
-
-    def _checkpoint_path(self, t: int) -> Path:
-        return self.out_dir / f"ckpt_ep{self.episode_index:03d}_t{t:05d}.npz"
 
     def restore(self, path, fresh_episodes: bool = False) -> None:
         """Load a snapshot produced by :meth:`_save_checkpoint`.
@@ -522,8 +518,7 @@ class ExperimentRunner:
         self.decision_counter = int(rm["decision_counter"])
         self.best_queue = rm["best_queue"]
         if rm["sim_state"] is not None and not fresh_episodes:
-            self._resume_sim_state = rm["sim_state"]
-            self._resume_step = int(rm["step"])
+            self._resume = (int(rm["step"]), rm["sim_state"])
 
     # -- drivers ---------------------------------------------------------
 
@@ -532,8 +527,6 @@ class ExperimentRunner:
             raise ValueError("train requires controller: policy")
         n = episodes if episodes is not None else self.cfg.episodes
         tcfg = self.cfg.trainer
-        # whether run_episode writes an episode-end snapshot; it does so before the held-out run
-        end_snapshot = tcfg.episode_length % tcfg.checkpoint_interval == 0
         reports = []
         while self.episode_index < n:
             reports.append(self.run_episode(learn=True))
@@ -541,9 +534,9 @@ class ExperimentRunner:
                 holdout_queue = self._holdout_queue()
                 if self.best_queue is None or holdout_queue < self.best_queue:
                     self.best_queue = holdout_queue
-                    best = self._save_checkpoint(0, path=self.out_dir / "ckpt_best.npz")
-                    if end_snapshot:  # the same state, so a copy brings its best_queue up to date
-                        shutil.copyfile(best, self._checkpoint_path(0))
+                    self._save_checkpoint(0, path=self.out_dir / "ckpt_best.npz")
+            if tcfg.episode_length % tcfg.checkpoint_interval == 0:  # the episode-end snapshot
+                self._save_checkpoint(0)
         self._save_checkpoint(0, path=self.out_dir / "ckpt_final.npz")
         return reports
 
@@ -575,11 +568,11 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> List[EpisodeReport]:
 def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, labels=None) -> List[dict]:
     """Run each config over the seeds; one median-aggregated row per config.
 
-    There must be one unique label per config. Every config is validated,
-    and all must share a topology (overrides included) and a demand
-    description; all this is checked before any run starts or any
-    directory is made. Learned configs are trained and judged
-    on their final episode; baselines are evaluated the same way.
+    There must be one unique label per config and no repeated seed. Every
+    config is validated, and all must share a topology (overrides included)
+    and a demand description; all this is checked before any run starts or
+    any directory is made. Learned configs are trained and judged on their
+    final episode; baselines are evaluated the same way.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least 2 configs")
@@ -589,6 +582,8 @@ def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, 
         raise ValueError(f"compare got {len(labels)} labels for {len(configs)} configs")
     if len(set(labels)) != len(labels):  # each label names its runs' directories
         raise ValueError(f"compare labels must be unique, got {list(labels)}")
+    if len(set(seeds)) != len(seeds):  # and so does each seed
+        raise ValueError(f"compare seeds must be unique, got {list(seeds)}")
     settings = [(validate_config(cfg)[0], json.dumps(cfg.demand, sort_keys=True)) for cfg in configs]
     if any(setting != settings[0] for setting in settings[1:]):
         raise ValueError("compare requires configs sharing topology and demand")

@@ -453,8 +453,7 @@ class Intersection:
             min((e for e in edges if e > t), default=math.inf),
         )
         rates = [(lid, self.demand.rate_at(lid, t)) for lid in self.topo.lane_ids]
-        # without base rates there are no draws, surges or not; a NaN rate reaches poisson
-        self._arrivals = [(lid, r) for lid, r in rates if not r <= 0] if self.demand.rates else []
+        self._arrivals = [(lid, r) for lid, r in rates if not r <= 0]  # a NaN rate reaches poisson
 
     def _add_vehicle(self, lane_id: str, when: float) -> bool:
         """Put a vehicle at the back of ``lane_id``; returns whether it counts as stopped."""

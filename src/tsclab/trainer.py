@@ -60,9 +60,13 @@ class TrainerConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        for name in ("episode_length", "decision_interval", "update_interval", "checkpoint_interval"):
+        for name in ("episode_length", "decision_interval", "update_interval", "checkpoint_interval",
+                     "batch_size", "batches_per_update"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # the newest record at an update was decided one decision interval before it
+        if not self.buffer_window > self.decision_interval:
+            raise ValueError("buffer_window must exceed decision_interval, or no record is left to train on")
         if self.eps_low <= 0 or self.eps_high <= 0:
             raise ValueError("clipping bounds must be > 0")
         if self.eps_value <= 0:
@@ -86,25 +90,26 @@ class TrainerConfig:
 
 
 def gae(rewards: Sequence[float], values: Sequence[float], gamma: float, lam: float) -> np.ndarray:
-    """Generalized advantage estimates by reverse recursion.
+    """Generalized advantage estimates by reverse recursion over the last axis.
 
-    ``values[l]`` approximates V(s_l); the terminal value V(s_n) is 0 by
-    convention. delta_l = r_l + gamma * V(s_{l+1}) - V(s_l), and
-    A_l = delta_l + gamma * lam * A_{l+1}.
+    ``values[..., l]`` approximates V(s_l); the terminal value V(s_n) is 0
+    by convention. delta_l = r_l + gamma * V(s_{l+1}) - V(s_l), and
+    A_l = delta_l + gamma * lam * A_{l+1}. Rows of a 2-D batch padded with
+    zero rewards and zero values after their length come out as if each
+    were run alone, with zero advantages in the padding.
     """
     r = np.asarray(rewards, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if r.shape != v.shape:
         raise ValueError(f"length mismatch: {r.shape} rewards vs {v.shape} values")
-    n = r.size
-    adv = np.empty(n, dtype=np.float64)
-    nxt = 0.0
-    acc = 0.0
-    for l in range(n - 1, -1, -1):
-        delta = r[l] + gamma * nxt - v[l]
+    adv = np.empty_like(r)
+    nxt = np.zeros(r.shape[:-1])
+    acc = np.zeros(r.shape[:-1])
+    for l in range(r.shape[-1] - 1, -1, -1):
+        delta = r[..., l] + gamma * nxt - v[..., l]
         acc = delta + gamma * lam * acc
-        adv[l] = acc
-        nxt = v[l]
+        adv[..., l] = acc
+        nxt = v[..., l]
     return adv
 
 
@@ -270,7 +275,7 @@ class PPOTrainer:
 
     # -- the update ------------------------------------------------------
 
-    def _advantages(self, rewards, lengths, v_old):
+    def _advantages(self, rewards, mask, v_old):
         """Per-token advantages and lambda-returns, padded like the batch.
 
         Without a critic the values are 0 and lambda is 1, which makes both
@@ -278,13 +283,9 @@ class PPOTrainer:
         """
         cfg = self.config
         lam = cfg.lam if cfg.use_critic else 1.0
-        values = v_old if cfg.use_critic else np.zeros_like(v_old)
-        adv = np.zeros_like(rewards)
-        rets = np.zeros_like(rewards)
-        for i, n in enumerate(lengths):
-            adv[i, :n] = gae(rewards[i, :n], np.full(n, values[i]), cfg.gamma, lam)
-            rets[i, :n] = adv[i, :n] + values[i]
-        return adv, rets
+        values = np.where(mask, v_old[:, None], 0.0) if cfg.use_critic else np.zeros_like(rewards)
+        adv = gae(rewards, values, cfg.gamma, lam)
+        return adv, adv + values
 
     def update(self, step: float) -> dict:
         """One optimization pass: n_b shuffled batches, one step each.
@@ -325,7 +326,7 @@ class PPOTrainer:
         mask = np.arange(lmax)[None, :] < lengths[:, None]
         n_tok = int(mask.sum())
 
-        adv, rets = self._advantages(rewards, lengths, v_old)
+        adv, rets = self._advantages(rewards, mask, v_old)
         flat_adv = adv[mask]
         raw_adv_mean = float(flat_adv.mean())
         adv_std = standardize(flat_adv)

@@ -97,6 +97,28 @@ class TestValidationFailures:
         assert "unique" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, over, extra, key",
+        [
+            ("baseline", {"controller": "fixed", "t_fixed": 0}, [], "t_fixed"),
+            ("train", {"policy": {"max_len": 8, "n_filler": 17}}, [], "policy.n_filler"),
+            ("train", {"policy": {"max_len": 8, "n_filler": -3}}, [], "policy.n_filler"),
+            ("train", {"trainer": {**TINY_TRAINER, "batch_size": 0}}, [], "batch_size"),
+            ("train", {"trainer": {**TINY_TRAINER, "batches_per_update": 0}}, [], "batches_per_update"),
+            ("train", {"trainer": {**TINY_TRAINER, "buffer_window": 0}}, [], "buffer_window"),
+            ("train", {"trainer": {**TINY_TRAINER, "buffer_window": -5}}, [], "buffer_window"),
+            ("eval", {}, ["--temperature", "0"], "--temperature"),
+        ],
+        ids=["t_fixed", "n_filler_17", "n_filler_-3", "batch_size", "batches_per_update",
+             "buffer_window_0", "buffer_window_-5", "temperature"],
+    )
+    def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, command, over, extra, key):
+        cfg = write_config(tmp_path / "c.yaml", **over)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_needs_two_configs(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", controller="fixed")
         assert main(["compare", "--config", cfg, "--seed", "0"]) == 2

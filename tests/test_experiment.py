@@ -373,6 +373,12 @@ class TestCompare:
             compare(configs, seeds=[0], out_dir=tmp_path / "cmp", labels=labels)
         assert not (tmp_path / "cmp").exists()
 
+    def test_rejects_a_repeated_seed(self, tmp_path):
+        configs = [tiny_config(controller="fixed"), tiny_config(controller="maxpressure")]
+        with pytest.raises(ValueError, match=r"seeds must be unique, got \[3, 3\]"):
+            compare(configs, seeds=[3, 3], out_dir=tmp_path / "cmp", labels=["fixed", "mp"])
+        assert not (tmp_path / "cmp").exists()
+
     def test_rejects_mixed_topology(self, tmp_path):
         a = tiny_config(controller="fixed")
         b = tiny_config(controller="fixed", topology="toy4")
@@ -408,6 +414,13 @@ class TestRewardHistogram:
         edges = hist["bin_edges"]
         assert edges[0] == -1.0 and edges[-1] == 2.0
         assert all(b - a == pytest.approx(0.5) for a, b in zip(edges, edges[1:]))
+
+    @pytest.mark.parametrize("width", [0.0, -0.5, math.nan, math.inf])
+    def test_bin_width_must_be_finite_and_positive(self, tmp_path, width):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"R_env": 1.0}) + "\n")
+        with pytest.raises(ValueError, match="bin width must be finite and > 0"):
+            reward_histogram(path, 0.5, bin_width=width)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -352,12 +352,11 @@ def reference_step(sim):
         if when > sim.time or sim.time == when == 0.0:
             sim._add_vehicle(lane_id, when)
         sim._spawn_cursor += 1
-    if sim.demand.rates:
-        for lid in sim.topo.lane_ids:
-            rate = sim.demand.rate_at(lid, sim.time)
-            if rate > 0:
-                for _ in range(int(sim.rng.poisson(rate))):
-                    sim._add_vehicle(lid, t_next)
+    for lid in sim.topo.lane_ids:
+        rate = sim.demand.rate_at(lid, sim.time)
+        if rate > 0:
+            for _ in range(int(sim.rng.poisson(rate))):
+                sim._add_vehicle(lid, t_next)
     sim.time = t_next
     stopped = sum(v.speed < SPEED_STOPPED for vs in sim.vehicles.values() for v in vs)
     return stopped / len(sim.topo.lanes)
@@ -372,7 +371,7 @@ _EDGE = st.one_of(st.integers(0, 300).map(float), st.floats(0.0, 300.0))
 
 @settings(max_examples=40, deadline=None)
 @given(
-    rates=st.lists(st.sampled_from([0.0, 0.4]) | st.floats(0.0, 0.4), min_size=8, max_size=8),
+    rates=st.just([]) | st.lists(st.sampled_from([0.0, 0.4]) | st.floats(0.0, 0.4), min_size=8, max_size=8),
     surges=st.lists(
         st.tuples(_EDGE, _EDGE, st.dictionaries(st.sampled_from(LANES8), st.floats(0.0, 0.4))),
         min_size=1,
@@ -489,6 +488,19 @@ class TestDemand:
         assert demand.rate_at("N_T", 19.9) == 5.0
         assert demand.rate_at("N_T", 20.0) == 0.0
         assert demand.rate_at("S_T", 15.0) == 0.0
+
+    def test_surges_alone_spawn_inside_their_window(self, toy8):
+        demand = DemandProfile.from_dict(
+            {"kind": "poisson", "surges": [{"start": 20, "end": 60, "rate": 0.5, "lanes": ["N_T", "S_T"]}]}
+        )
+        sim = Intersection(toy8, demand, stream_rng(3, STREAM_DEMAND, 0))
+        for _ in range(100):
+            sim.step()
+        spawned = sim.completed + [v for vs in sim.vehicles.values() for v in vs]
+        assert sim.injected_count == len(spawned) > 0
+        assert {v.lane for v in spawned} == {"N_T", "S_T"}
+        # a step from t draws with rate_at(t) and spawns at t + 1
+        assert all(20 < v.spawn_time <= 60 for v in spawned)
 
     def test_schedule_spawn_window(self, toy8):
         # spawn at t=3.5 lands in the step ending at t=4

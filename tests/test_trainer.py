@@ -87,6 +87,21 @@ class TestGaeOracle:
         with pytest.raises(ValueError):
             gae([1.0], [1.0, 2.0], 0.9, 0.9)
 
+    def test_padded_batch_equals_rows_alone(self):
+        """A batch padded with zero rewards and values gives each row's own
+        advantages bit for bit, and zeros in the padding."""
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(200):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 6)))
+            mask = np.arange(lengths.max())[None, :] < lengths[:, None]
+            rewards = np.where(mask, rng.normal(size=mask.shape), 0.0)
+            values = np.where(mask, rng.normal(size=(mask.shape[0], 1)), 0.0)
+            gamma, lam = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+            rows = np.zeros_like(rewards)
+            for i, n in enumerate(lengths):
+                rows[i, :n] = gae(rewards[i, :n], values[i, :n], gamma, lam)
+            assert np.array_equal(gae(rewards, values, gamma, lam), rows)
+
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=10),
         st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0]),
