@@ -21,6 +21,7 @@ from .experiment import (
     compare,
     reward_histogram,
 )
+from .rewards import check_float
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -65,8 +66,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    if args.temperature is not None and not args.temperature > 0:
-        raise ValueError("validation failed: --temperature must be > 0")
+    if args.temperature is not None:
+        check_float("validation failed: --temperature", args.temperature, 0.0, strict=True)
     runner = ExperimentRunner(cfg)
     if args.checkpoint is not None:
         if cfg.controller != "policy":

@@ -29,7 +29,7 @@ from . import _kernels
 from .baselines import FixedTimeController, MaxPressureController, RandomController
 from .phases import FILLER_WORDS, Vocabulary, extract_phase, feature_length, phase_histogram, verbalize
 from .policy import TokenPolicy, ValueHead
-from .rewards import RewardConfig, assemble_token_rewards, decision_reward, env_reward
+from .rewards import RewardConfig, assemble_token_rewards, check_float, decision_reward, env_reward
 from .sim import (
     STREAM_CONTROLLER,
     STREAM_DEMAND,
@@ -116,8 +116,7 @@ class ExperimentConfig:
             raise ValueError("episodes must be >= 1")
         if self.seed is None:
             raise ValueError("seed must be set; unseeded runs are not supported")
-        if not self.t_fixed > 0:
-            raise ValueError("t_fixed must be > 0")
+        check_float("t_fixed", self.t_fixed, 0.0, strict=True)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -215,8 +214,7 @@ def reward_histogram(jsonl_path, hurdle: float, bin_width: float = 0.5) -> dict:
     Returns bin edges/counts plus the fraction of decisions whose reward
     strictly exceeds the hurdle (invariant to the bin width).
     """
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin width must be finite and > 0, got {bin_width!r}")
+    check_float("bin width", bin_width, 0.0, strict=True)
     rewards = []
     with open(jsonl_path, "r", encoding="utf-8") as fh:
         for line in fh:

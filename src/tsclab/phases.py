@@ -11,7 +11,7 @@ stays exercised at desk scale.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    def encode(self, token: str) -> int:
-        return self.index[token]
 
     def decode(self, token_ids: Sequence[int]) -> str:
         return " ".join(self.tokens[int(t)] for t in token_ids)
@@ -119,21 +116,3 @@ def phase_histogram(
     for response in responses:
         counts[extract_phase(response, topo, default_code, vocab)] += 1
     return counts
-
-
-def load_extraction_cases(path) -> List[Tuple[str, str]]:
-    """Read extraction fixtures: one ``input_text TAB expected_mnemonic`` per line.
-
-    Literal ``\\n`` sequences in the input text are unescaped to real
-    newlines so multi-line cases fit the one-line format. Blank lines and
-    ``#`` comments are skipped.
-    """
-    cases = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            text, expected = line.split("\t")
-            cases.append((text.replace("\\n", "\n"), expected))
-    return cases

@@ -385,20 +385,6 @@ def _logsumexp(logits: np.ndarray) -> np.ndarray:
     return (mx + np.log(np.exp(logits - mx).sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def flatten_params(params: Dict[str, np.ndarray], fields: Sequence[str]) -> np.ndarray:
-    return np.concatenate([params[f].ravel() for f in fields])
-
-
-def assign_flat(params: Dict[str, np.ndarray], fields: Sequence[str], vec: np.ndarray) -> None:
-    pos = 0
-    for f in fields:
-        size = params[f].size
-        params[f][...] = vec[pos : pos + size].reshape(params[f].shape)
-        pos += size
-    if pos != vec.size:
-        raise ValueError("flat vector length mismatch")
-
-
 def global_norm(grads: Dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
 

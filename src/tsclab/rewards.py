@@ -8,6 +8,8 @@ frozen reference policy; the final token carries the task reward.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,6 +17,20 @@ import numpy as np
 
 ENTROPY_MODES = ("softmax_dse", "naive_dse", "off")
 ENV_MODES = ("queue_difference", "negative_queue")
+
+
+def check_float(name: str, value, low: float = -math.inf, strict: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a finite number >= ``low`` (> ``low`` if ``strict``).
+
+    Each test is written so that NaN fails it.
+    """
+    if not (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and (value > low if strict else value >= low)
+    ):
+        bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 @dataclass
@@ -27,12 +43,10 @@ class RewardConfig:
     env_mode: str = "queue_difference"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.w_e < 0:
-            raise ValueError("w_e must be >= 0")
+        check_float("reward.h_r", self.h_r)
+        check_float("reward.w_e", self.w_e, 0.0)
+        check_float("reward.tau", self.tau, 0.0, strict=True)
+        check_float("reward.beta", self.beta, 0.0)
         if self.entropy_mode not in ENTROPY_MODES:
             raise ValueError(f"entropy_mode must be one of {ENTROPY_MODES}")
         if self.env_mode not in ENV_MODES:
@@ -46,10 +60,6 @@ def env_reward(queue_prev: float, queue_curr: float, env_mode: str = "queue_diff
     if env_mode == "negative_queue":
         return -queue_curr
     raise ValueError(f"unknown env_mode {env_mode!r}")
-
-
-def hurdle(r_env: float, h_r: float) -> float:
-    return r_env - h_r
 
 
 def softmax_dse_prob(counts: Sequence[float], chosen: int, tau: float) -> float:

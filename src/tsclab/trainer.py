@@ -27,6 +27,7 @@ from .policy import (
     ValueHead,
     clip_by_global_norm,
 )
+from .rewards import check_float
 
 CHECKPOINT_VERSION = 2
 
@@ -67,18 +68,16 @@ class TrainerConfig:
         # the newest record at an update was decided one decision interval before it
         if not self.buffer_window > self.decision_interval:
             raise ValueError("buffer_window must exceed decision_interval, or no record is left to train on")
-        if self.eps_low <= 0 or self.eps_high <= 0:
-            raise ValueError("clipping bounds must be > 0")
-        if self.eps_value <= 0:
-            raise ValueError("eps_value must be > 0")
+        for name in ("temperature", "eps_low", "eps_high", "eps_value", "grad_clip_policy", "grad_clip_value"):
+            check_float(f"trainer.{name}", getattr(self, name), 0.0, strict=True)
+        for name in ("alpha", "actor_lr", "value_lr", "actor_weight_decay", "value_weight_decay"):
+            check_float(f"trainer.{name}", getattr(self, name), 0.0)
         if not 0 <= self.gamma <= 1 or not 0 <= self.lam <= 1:
             raise ValueError("gamma and lam must lie in [0, 1]")
         if self.g_responses < 1:
             raise ValueError("g_responses must be >= 1")
         if self.value_clip_mode not in VALUE_CLIP_MODES:
             raise ValueError(f"value_clip_mode must be one of {VALUE_CLIP_MODES}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
 
     def warn_if_few_responses(self, n_phases: int) -> None:
         if self.g_responses < n_phases:

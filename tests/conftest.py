@@ -1,10 +1,3 @@
-import os
-
-# One BLAS thread for the whole suite, set before numpy first loads; a value
-# already in the environment wins. The suite's matrices are small, so a second
-# OpenBLAS thread only burns CPU.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import numpy as np
 import pytest
 

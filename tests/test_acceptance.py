@@ -9,26 +9,28 @@ share it.
 
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from test_policy import analytic_grad, weighted_logp_loss
+from test_phases import load_extraction_cases
+from test_policy import analytic_grad, assign_flat, flatten_params, weighted_logp_loss
 from test_trainer import gae_double_sum
 
 from tsclab import cli
 from tsclab.baselines import FixedTimeController
 from tsclab.experiment import ExperimentConfig, ExperimentRunner, compare, run_config
-from tsclab.phases import feature_length, load_extraction_cases, Vocabulary, extract_phase
+from tsclab.phases import feature_length, Vocabulary, extract_phase
 from tsclab.policy import (
     POLICY_FIELDS,
     VALUE_FIELDS,
     TokenPolicy,
     ValueHead,
-    assign_flat,
-    flatten_params,
 )
 from tsclab.rewards import (
     gated_entropy_reward,
@@ -596,29 +598,36 @@ def _trend_config(variant: str, seed: int) -> ExperimentConfig:
     )
 
 
+def _trend_run(variant: str, seed: int, run_dir: Path) -> dict:
+    """One run of the reward ablation grid: its final-episode queue and decision logs."""
+    runner = ExperimentRunner(_trend_config(variant, seed), out_dir=run_dir)
+    reports = runner.evaluate(1) if variant == "untrained" else runner.train()
+    return {
+        "queue": reports[-1].metrics["queue_length"],
+        "first_jsonl": reports[0].decisions_jsonl,
+        "final_jsonl": reports[-1].decisions_jsonl,
+    }
+
+
 @pytest.fixture(scope="session")
 def trend_runs(tmp_path_factory):
-    """Final-episode queues and decision logs for the reward ablation grid."""
+    """Final-episode queues and decision logs for the reward ablation grid.
+
+    The runs share nothing, so forked workers run them side by side; each
+    writes the same files it writes alone.
+    """
     root = tmp_path_factory.mktemp("trend")
     t0 = time.perf_counter()
-    out = {}
-    for variant in ("untrained", "env-only", "hurdle", "hurdle-dse"):
-        per_seed = []
-        for seed in TREND_SEEDS:
-            run_dir = root / f"{variant}_s{seed}"
-            runner = ExperimentRunner(_trend_config(variant, seed), out_dir=run_dir)
-            if variant == "untrained":
-                reports = runner.evaluate(1)
-            else:
-                reports = runner.train()
-            per_seed.append(
-                {
-                    "queue": reports[-1].metrics["queue_length"],
-                    "first_jsonl": reports[0].decisions_jsonl,
-                    "final_jsonl": reports[-1].decisions_jsonl,
-                }
-            )
-        out[variant] = per_seed
+    workers = min(2, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {
+            variant: [
+                pool.submit(_trend_run, variant, seed, root / f"{variant}_s{seed}")
+                for seed in TREND_SEEDS
+            ]
+            for variant in ("untrained", "env-only", "hurdle", "hurdle-dse")
+        }
+        out = {variant: [f.result() for f in fs] for variant, fs in futures.items()}
     out["elapsed"] = time.perf_counter() - t0
     out["root"] = root
     return out

@@ -17,6 +17,16 @@ TINY_TRAINER = {
     "batches_per_update": 1,
 }
 
+NAN, INF = float("nan"), float("inf")
+# float knobs with a value each one's check must refuse
+BAD_TRAINER_FLOATS = [
+    ("temperature", NAN), ("eps_low", NAN), ("eps_high", NAN), ("eps_value", NAN),
+    ("alpha", NAN), ("actor_lr", NAN), ("actor_lr", -1.0), ("value_lr", INF),
+    ("actor_weight_decay", NAN), ("value_weight_decay", -1.0),
+    ("grad_clip_policy", -1.0), ("grad_clip_value", NAN),
+]
+BAD_REWARD_FLOATS = [("tau", NAN), ("beta", NAN), ("w_e", NAN), ("h_r", NAN), ("h_r", INF)]
+
 
 def write_config(path, **over):
     base = {
@@ -108,9 +118,15 @@ class TestValidationFailures:
             ("train", {"trainer": {**TINY_TRAINER, "buffer_window": 0}}, [], "buffer_window"),
             ("train", {"trainer": {**TINY_TRAINER, "buffer_window": -5}}, [], "buffer_window"),
             ("eval", {}, ["--temperature", "0"], "--temperature"),
-        ],
+            ("eval", {}, ["--temperature", "inf"], "--temperature"),
+            ("baseline", {"controller": "fixed", "t_fixed": INF}, [], "t_fixed"),
+        ]
+        + [("train", {"trainer": {**TINY_TRAINER, k: v}}, [], f"trainer.{k}") for k, v in BAD_TRAINER_FLOATS]
+        + [("train", {"reward": {k: v}}, [], f"reward.{k}") for k, v in BAD_REWARD_FLOATS],
         ids=["t_fixed", "n_filler_17", "n_filler_-3", "batch_size", "batches_per_update",
-             "buffer_window_0", "buffer_window_-5", "temperature"],
+             "buffer_window_0", "buffer_window_-5", "temperature", "temperature_inf", "t_fixed_inf"]
+        + [f"trainer.{k}_{v}" for k, v in BAD_TRAINER_FLOATS]
+        + [f"reward.{k}_{v}" for k, v in BAD_REWARD_FLOATS],
     )
     def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, command, over, extra, key):
         cfg = write_config(tmp_path / "c.yaml", **over)

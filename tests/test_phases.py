@@ -11,13 +11,30 @@ from tsclab.phases import (
     Vocabulary,
     extract_phase,
     feature_length,
-    load_extraction_cases,
     phase_histogram,
     verbalize,
 )
 from tsclab.sim import STREAM_DEMAND, DemandProfile, Intersection, stream_rng
 
 CASES_PATH = Path(__file__).parent / "data" / "extraction_cases.tsv"
+
+
+def load_extraction_cases(path):
+    """Read extraction fixtures: one ``input_text TAB expected_mnemonic`` per line.
+
+    Literal ``\\n`` sequences in the input text are unescaped to real
+    newlines so multi-line cases fit the one-line format. Blank lines and
+    ``#`` comments are skipped.
+    """
+    cases = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            text, expected = line.split("\t")
+            cases.append((text.replace("\\n", "\n"), expected))
+    return cases
 
 
 class TestVocabulary:
@@ -32,7 +49,7 @@ class TestVocabulary:
         assert vocab8.eos_id == n + 2
 
     def test_encode_decode(self, vocab8):
-        ids = [vocab8.encode("NTST"), vocab8.encode(SIGNAL_OPEN), vocab8.encode("7")]
+        ids = [vocab8.index["NTST"], vocab8.index[SIGNAL_OPEN], vocab8.index["7"]]
         assert vocab8.decode(ids) == f"NTST {SIGNAL_OPEN} 7"
 
     def test_filler_budget(self):
@@ -64,7 +81,7 @@ class TestExtraction:
             assert idx == 3
 
     def test_token_id_input(self, toy8, vocab8):
-        ids = [vocab8.encode(SIGNAL_OPEN), vocab8.encode("ETEL"), vocab8.encode(SIGNAL_CLOSE)]
+        ids = [vocab8.index[SIGNAL_OPEN], vocab8.index["ETEL"], vocab8.index[SIGNAL_CLOSE]]
         assert extract_phase(ids, toy8, 0, vocab8) == 6
 
     def test_token_id_input_requires_vocab(self, toy8):

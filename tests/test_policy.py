@@ -9,10 +9,22 @@ from tsclab.policy import (
     TokenPolicy,
     ValueHead,
     clip_by_global_norm,
-    flatten_params,
-    assign_flat,
     global_norm,
 )
+
+
+def flatten_params(params, fields):
+    return np.concatenate([params[f].ravel() for f in fields])
+
+
+def assign_flat(params, fields, vec):
+    pos = 0
+    for f in fields:
+        size = params[f].size
+        params[f][...] = vec[pos : pos + size].reshape(params[f].shape)
+        pos += size
+    if pos != vec.size:
+        raise ValueError("flat vector length mismatch")
 
 
 def weighted_logp_loss(policy, features, tokens, lengths, weights):

@@ -11,7 +11,6 @@ from tsclab.rewards import (
     decision_reward,
     env_reward,
     gated_entropy_reward,
-    hurdle,
     k3_kl,
     naive_dse_prob,
     softmax_dse_prob,
@@ -110,7 +109,7 @@ class TestGate:
 
     def test_total_reward_composition(self):
         assert total_reward(2.0, 3.0, 1.5, 0.5) == pytest.approx(2.0 - 3.0 + 0.75)
-        assert hurdle(2.0, 3.0) == -1.0
+        assert total_reward(2.0, 3.0, 0.0, 0.0) == -1.0
 
 
 class TestEnvReward:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tsclab.phases import feature_length
 from tsclab.policy import TokenPolicy, ValueHead
+from tsclab.rewards import RewardConfig, decision_reward
 from tsclab.trainer import (
     BUFFER_FIELDS,
     CHECKPOINT_VERSION,
@@ -381,25 +382,32 @@ class TestTrainerUpdate:
         assert moved
 
     def test_final_reward_shift_invariance_reinforce(self, toy8, vocab8):
-        """With gamma = lam = 1, no critic, full-batch standardization, a
-        constant shift of every final reward leaves the update unchanged."""
+        """The reward hurdle cancels in this recipe.
+
+        With no critic, gamma = lam = 1 and the DSE bonus off, a hurdle
+        shifts every final reward, and so every token's advantage, by the
+        same -h_r, and the batch standardization subtracts it again. One
+        update step on a batch moves the parameters by the same amount at
+        h_r 0 and at h_r 3.
+        """
         kw = dict(
             gamma=1.0, lam=1.0, use_critic=False,
             batch_size=8, batches_per_update=1,
             actor_lr=1e-3, actor_weight_decay=0.0,
         )
-        t1 = _make_trainer(toy8, vocab8, **kw)
-        t2 = _make_trainer(toy8, vocab8, **kw)
-        rng = np.random.Generator(np.random.PCG64(44))
-        finals = rng.normal(size=8)
-        for rec in _records_from_policy(t1, 8, r_final=finals):
-            t1.buffer.add(**rec)
-        for rec in _records_from_policy(t2, 8, r_final=finals + 5.0):
-            t2.buffer.add(**rec)
-        t1.update(0.0)
-        t2.update(0.0)
-        for k in t1.policy.params:
-            assert np.allclose(t1.policy.params[k], t2.policy.params[k], atol=1e-12, rtol=0)
+        r_env = np.random.Generator(np.random.PCG64(44)).normal(size=8)
+        steps = []
+        for h_r in (0.0, 3.0):
+            cfg = RewardConfig(h_r=h_r, w_e=0.0, entropy_mode="off")
+            finals = np.array([decision_reward(None, 0, r, cfg)["r_total"] for r in r_env])
+            trainer = _make_trainer(toy8, vocab8, **kw)
+            for rec in _records_from_policy(trainer, 8, r_final=finals):
+                trainer.buffer.add(**rec)
+            before = {k: v.copy() for k, v in trainer.policy.params.items()}
+            trainer._update_batch(np.arange(8))
+            steps.append({k: trainer.policy.params[k] - before[k] for k in before})
+        assert max(np.abs(d).max() for d in steps[0].values()) > 1e-4
+        assert max(np.abs(steps[0][k] - steps[1][k]).max() for k in steps[0]) <= 1e-12
 
     def test_positive_advantage_raises_chosen_logprob(self, toy8, vocab8):
         trainer = _make_trainer(
