@@ -21,7 +21,7 @@ from .experiment import (
     compare,
     reward_histogram,
 )
-from .rewards import check_float
+from .rewards import check_float, check_int
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -29,6 +29,7 @@ def _load_config(args) -> ExperimentConfig:
         raise ValueError("validation failed: --config is required")
     cfg = ExperimentConfig.from_yaml(args.config)
     if getattr(args, "seed", None) is not None:
+        check_int("validation failed: --seed", args.seed, 0)
         cfg.seed = args.seed
     if getattr(args, "out", None) is not None:
         cfg.out = args.out

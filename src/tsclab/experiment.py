@@ -29,7 +29,15 @@ from . import _kernels
 from .baselines import FixedTimeController, MaxPressureController, RandomController
 from .phases import FILLER_WORDS, Vocabulary, extract_phase, feature_length, phase_histogram, verbalize
 from .policy import TokenPolicy, ValueHead
-from .rewards import RewardConfig, assemble_token_rewards, check_float, decision_reward, env_reward
+from .rewards import (
+    RewardConfig,
+    assemble_token_rewards,
+    check_bool,
+    check_float,
+    check_int,
+    decision_reward,
+    env_reward,
+)
 from .sim import (
     STREAM_CONTROLLER,
     STREAM_DEMAND,
@@ -85,10 +93,9 @@ class PolicyShape:
     n_filler: int = 16
 
     def __post_init__(self):
-        for name, low in (("max_len", 1), ("k_history", 0), ("d_embed", 1), ("d_hidden", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"policy.{name} must be >= {low}")
-        if not 0 <= self.n_filler <= len(FILLER_WORDS):
+        for name, low in (("max_len", 1), ("k_history", 0), ("d_embed", 1), ("d_hidden", 1), ("n_filler", 0)):
+            check_int(f"policy.{name}", getattr(self, name), low)
+        if not self.n_filler <= len(FILLER_WORDS):
             raise ValueError(f"policy.n_filler must lie in [0, {len(FILLER_WORDS)}]")
 
 
@@ -112,11 +119,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
-        if self.seed is None:
-            raise ValueError("seed must be set; unseeded runs are not supported")
+        check_int("episodes", self.episodes, 1)
+        check_int("seed", self.seed, 0)  # unseeded runs are not supported
+        check_int("default_phase", self.default_phase, 0)  # validate_config checks the top
         check_float("t_fixed", self.t_fixed, 0.0, strict=True)
+        check_bool("action_from_extra_sample", self.action_from_extra_sample)
+        check_bool("holdout_eval", self.holdout_eval)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -582,6 +590,8 @@ def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, 
         raise ValueError(f"compare labels must be unique, got {list(labels)}")
     if len(set(seeds)) != len(seeds):  # and so does each seed
         raise ValueError(f"compare seeds must be unique, got {list(seeds)}")
+    for seed in seeds:
+        check_int("compare seed", seed, 0)
     settings = [(validate_config(cfg)[0], json.dumps(cfg.demand, sort_keys=True)) for cfg in configs]
     if any(setting != settings[0] for setting in settings[1:]):
         raise ValueError("compare requires configs sharing topology and demand")

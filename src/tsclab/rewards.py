@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,15 +22,30 @@ ENV_MODES = ("queue_difference", "negative_queue")
 def check_float(name: str, value, low: float = -math.inf, strict: bool = False) -> None:
     """Raise ValueError unless ``value`` is a finite number >= ``low`` (> ``low`` if ``strict``).
 
-    Each test is written so that NaN fails it.
+    Each test is written so that NaN fails it; a bool is refused, not taken as 0 or 1.
     """
     if not (
         isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
         and math.isfinite(value)
         and (value > low if strict else value >= low)
     ):
         bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def check_int(name: str, value, low: Optional[int] = None) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, and >= ``low`` if given."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is true or false itself, not merely truthy."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass

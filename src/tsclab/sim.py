@@ -23,6 +23,7 @@ import numpy as np
 
 SPEED_STOPPED = 0.1  # m/s; below this a vehicle counts as queued
 JAM_SPACING = 7.0  # m between stopped vehicles, gives queues physical extent
+ARRIVAL_BLOCK_STEPS = 600  # most steps of Poisson arrivals drawn in one generator call
 
 # Demand stream ids used to derive independent RNG streams from one seed.
 STREAM_DEMAND = 0
@@ -332,9 +333,7 @@ class Intersection:
         self._queue_samples: List[float] = []
         self._lanes: Dict[str, Lane] = {lane.lane_id: lane for lane in topo.lanes}
         self._served = [frozenset(phase.allowed_lanes) for phase in topo.phases]
-        # (lane id, rate) of the lanes with a positive arrival rate for t in _arrivals_span
-        self._arrivals: List[Tuple[str, float]] = []
-        self._arrivals_span = (math.inf, -math.inf)  # empty, so the first step fills it
+        self._forget_arrivals()
 
     # -- control ---------------------------------------------------------
 
@@ -431,22 +430,65 @@ class Intersection:
             if when > self.time or (self.time == 0.0 and when == 0.0):
                 stopped += self._add_vehicle(lane_id, when)
             self._spawn_cursor += 1
-        # Poisson arrivals, one draw per lane with a positive rate, in lane order.
+        # Poisson arrivals of the lanes with a positive rate, one block row per step.
         lo, hi = self._arrivals_span
         if not lo <= self.time < hi:
             self._cache_arrivals(self.time)
-        poisson = self.rng.poisson
-        for lane_id, rate in self._arrivals:
-            for _ in range(int(poisson(rate))):
+            hi = self._arrivals_span[1]
+        if not self._arrivals:
+            return stopped
+        if self._block_row == len(self._block):
+            self._draw_block(math.ceil(min(hi - self.time, ARRIVAL_BLOCK_STEPS)))
+        row = self._block[self._block_row]
+        self._block_row += 1
+        for (lane_id, _), count in zip(self._arrivals, row):
+            for _ in range(count):
                 stopped += self._add_vehicle(lane_id, t_next)
         return stopped
+
+    def _draw_block(self, n_steps: int) -> None:
+        """Draw the arrival counts of the next ``n_steps`` steps, all in the cached span.
+
+        The generator fills the (step, lane) array in C order with the
+        routine a scalar draw uses, so the counts and the generator state
+        after them equal those of one draw per step and lane in lane order.
+        """
+        rates = [rate for _, rate in self._arrivals]
+        self._block_state = self.rng.bit_generator.state
+        self._block = self.rng.poisson(rates, size=(n_steps, len(rates))).tolist()
+        self._block_row = 0
+
+    def _forget_arrivals(self) -> None:
+        """Drop the rate cache and the drawn block; the next step rebuilds both."""
+        # (lane id, rate) of the lanes with a positive arrival rate for t in _arrivals_span
+        self._arrivals: List[Tuple[str, float]] = []
+        self._arrivals_span = (math.inf, -math.inf)  # empty, so the next step fills it
+        self._block: List[List[int]] = []  # arrival counts, one row per step, in _arrivals order
+        self._block_row = 0  # rows of _block used by the steps taken
+        self._block_state: Optional[dict] = None  # generator state before _block was drawn
+
+    def _rng_state(self) -> dict:
+        """The generator state after the arrivals of the steps taken.
+
+        The live generator has drawn the whole block, so the used rows are
+        drawn again on a copy set to the state from before the block.
+        """
+        if self._block_row == len(self._block):
+            return self.rng.bit_generator.state
+        replay = np.random.Generator(type(self.rng.bit_generator)(0))
+        replay.bit_generator.state = self._block_state
+        replay.poisson([rate for _, rate in self._arrivals], size=(self._block_row, len(self._arrivals)))
+        return replay.bit_generator.state
 
     def _cache_arrivals(self, t: float) -> None:
         """Cache the lanes whose ``rate_at(lane, t)`` is positive, with their rates.
 
         Rates change only at surge edges, so the cache holds on the span
         between the edges around ``t``; nothing else writes to the demand.
+        A block is drawn for at most the steps left in the span, so it is
+        used up by now; it is dropped with the old rates.
         """
+        self._block, self._block_row = [], 0
         edges = [edge for start, end, _ in self.demand.surges for edge in (start, end)]
         self._arrivals_span = (
             max((e for e in edges if e <= t), default=-math.inf),
@@ -557,7 +599,7 @@ class Intersection:
             },
             "spawn_cursor": self._spawn_cursor,
             "queue_samples": list(self._queue_samples),
-            "rng_state": self.rng.bit_generator.state,
+            "rng_state": self._rng_state(),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -585,6 +627,7 @@ class Intersection:
         self._spawn_cursor = int(state["spawn_cursor"])
         self._queue_samples = [float(q) for q in state["queue_samples"]]
         self.rng.bit_generator.state = state["rng_state"]
+        self._forget_arrivals()
 
 
 @dataclass(frozen=True)

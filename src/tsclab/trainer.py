@@ -27,7 +27,7 @@ from .policy import (
     ValueHead,
     clip_by_global_norm,
 )
-from .rewards import check_float
+from .rewards import check_bool, check_float, check_int
 
 CHECKPOINT_VERSION = 2
 
@@ -62,9 +62,10 @@ class TrainerConfig:
 
     def __post_init__(self):
         for name in ("episode_length", "decision_interval", "update_interval", "checkpoint_interval",
-                     "batch_size", "batches_per_update"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                     "batch_size", "batches_per_update", "g_responses"):
+            check_int(f"trainer.{name}", getattr(self, name), 1)
+        check_int("trainer.buffer_window", self.buffer_window)
+        check_bool("trainer.use_critic", self.use_critic)
         # the newest record at an update was decided one decision interval before it
         if not self.buffer_window > self.decision_interval:
             raise ValueError("buffer_window must exceed decision_interval, or no record is left to train on")
@@ -74,8 +75,6 @@ class TrainerConfig:
             check_float(f"trainer.{name}", getattr(self, name), 0.0)
         if not 0 <= self.gamma <= 1 or not 0 <= self.lam <= 1:
             raise ValueError("gamma and lam must lie in [0, 1]")
-        if self.g_responses < 1:
-            raise ValueError("g_responses must be >= 1")
         if self.value_clip_mode not in VALUE_CLIP_MODES:
             raise ValueError(f"value_clip_mode must be one of {VALUE_CLIP_MODES}")
 

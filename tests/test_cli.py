@@ -26,6 +26,16 @@ BAD_TRAINER_FLOATS = [
     ("grad_clip_policy", -1.0), ("grad_clip_value", NAN),
 ]
 BAD_REWARD_FLOATS = [("tau", NAN), ("beta", NAN), ("w_e", NAN), ("h_r", NAN), ("h_r", INF)]
+# integer and boolean knobs with a value of the wrong type, or a bool taken for a number
+BAD_TRAINER_TYPES = [
+    ("episode_length", 100.5), ("g_responses", 2.5), ("decision_interval", 10.5), ("update_interval", True),
+    ("checkpoint_interval", "720"), ("buffer_window", 120.0), ("batch_size", 6.5), ("batches_per_update", 1.5),
+    ("eps_low", True), ("use_critic", 0.5), ("use_critic", 1),
+]
+BAD_TOP_TYPES = [
+    ("episodes", 1.5), ("seed", 1.5), ("seed", -1), ("default_phase", 1.5), ("default_phase", True),
+    ("holdout_eval", "maybe"), ("action_from_extra_sample", 1), ("t_fixed", True),
+]
 
 
 def write_config(path, **over):
@@ -82,6 +92,14 @@ class TestValidationFailures:
         assert "base_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_rejects_a_negative_seed_before_making_its_output(self, tmp_path, capsys):
+        a = write_config(tmp_path / "a.yaml", controller="fixed")
+        b = write_config(tmp_path / "b.yaml", controller="maxpressure")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", a, "--config", b, "--seed", "0", "--seed", "-1", "--out", str(out)]) == 2
+        assert "compare seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_in_a_config_section(self, tmp_path, capsys):
         trainer = {**TINY_TRAINER, "episode_lenght": 720}
         cfg = write_config(tmp_path / "c.yaml", trainer=trainer)
@@ -122,11 +140,19 @@ class TestValidationFailures:
             ("baseline", {"controller": "fixed", "t_fixed": INF}, [], "t_fixed"),
         ]
         + [("train", {"trainer": {**TINY_TRAINER, k: v}}, [], f"trainer.{k}") for k, v in BAD_TRAINER_FLOATS]
-        + [("train", {"reward": {k: v}}, [], f"reward.{k}") for k, v in BAD_REWARD_FLOATS],
+        + [("train", {"reward": {k: v}}, [], f"reward.{k}") for k, v in BAD_REWARD_FLOATS]
+        + [("train", {"trainer": {**TINY_TRAINER, k: v}}, [], f"trainer.{k}") for k, v in BAD_TRAINER_TYPES]
+        + [("train", {k: v}, [], k) for k, v in BAD_TOP_TYPES]
+        + [("train", {"policy": {"max_len": 2.5}}, [], "policy.max_len"),
+           ("train", {"policy": {"max_len": 8, "d_hidden": True}}, [], "policy.d_hidden"),
+           ("train", {}, ["--seed", "-2"], "--seed")],
         ids=["t_fixed", "n_filler_17", "n_filler_-3", "batch_size", "batches_per_update",
              "buffer_window_0", "buffer_window_-5", "temperature", "temperature_inf", "t_fixed_inf"]
         + [f"trainer.{k}_{v}" for k, v in BAD_TRAINER_FLOATS]
-        + [f"reward.{k}_{v}" for k, v in BAD_REWARD_FLOATS],
+        + [f"reward.{k}_{v}" for k, v in BAD_REWARD_FLOATS]
+        + [f"trainer.{k}_{v!r}" for k, v in BAD_TRAINER_TYPES]
+        + [f"{k}_{v!r}" for k, v in BAD_TOP_TYPES]
+        + ["policy.max_len_2.5", "policy.d_hidden_True", "--seed_-2"],
     )
     def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, command, over, extra, key):
         cfg = write_config(tmp_path / "c.yaml", **over)
@@ -160,12 +186,12 @@ class TestValidationFailures:
             tmp_path / "c.yaml", controller="random", trainer={**TINY_TRAINER, "decision_interval": 0}
         )
         assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "error: decision_interval must be >= 1" in capsys.readouterr().err
+        assert "error: trainer.decision_interval must be >= 1" in capsys.readouterr().err
 
     def test_train_zero_update_interval(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", trainer={**TINY_TRAINER, "update_interval": 0})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "error: update_interval must be >= 1" in capsys.readouterr().err
+        assert "error: trainer.update_interval must be >= 1" in capsys.readouterr().err
 
     def test_decision_interval_shorter_than_yellow(self, tmp_path, capsys):
         cfg = write_config(

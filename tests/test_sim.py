@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsclab
+from tsclab.experiment import ExperimentConfig
 from tsclab.sim import (
+    ARRIVAL_BLOCK_STEPS,
     JAM_SPACING,
     SPEED_STOPPED,
     STREAM_DEMAND,
@@ -33,6 +35,14 @@ def schedule_sim(topo, spawns, seed=0):
 
 def empty_sim(topo, seed=0):
     return schedule_sim(topo, [], seed)
+
+
+def run_steps(sim, start, stop):
+    """Step ``sim`` from second ``start`` to ``stop``, switching phase every 30 s."""
+    for t in range(start, stop):
+        if t % 30 == 0:
+            sim.set_phase((t // 30) % sim.topo.n_phases)
+        sim.step()
 
 
 class TestTopology:
@@ -371,7 +381,8 @@ _EDGE = st.one_of(st.integers(0, 300).map(float), st.floats(0.0, 300.0))
 
 @settings(max_examples=40, deadline=None)
 @given(
-    rates=st.just([]) | st.lists(st.sampled_from([0.0, 0.4]) | st.floats(0.0, 0.4), min_size=8, max_size=8),
+    # 12.0 takes NumPy's other Poisson algorithm (PTRS, for rates >= 10)
+    rates=st.just([]) | st.lists(st.sampled_from([0.0, 0.4, 12.0]) | st.floats(0.0, 0.4), min_size=8, max_size=8),
     surges=st.lists(
         st.tuples(_EDGE, _EDGE, st.dictionaries(st.sampled_from(LANES8), st.floats(0.0, 0.4))),
         min_size=1,
@@ -385,9 +396,11 @@ _EDGE = st.one_of(st.integers(0, 300).map(float), st.floats(0.0, 300.0))
 )
 def test_fused_step_matches_two_pass_reference(rates, surges, seed, yellow, free_flow_speed, switches, spawns):
     """The step's own queue count, its cached arrival rates and its lean lane
-    update match a two-pass reference: the same queue, vehicles and demand
-    generator state after every step, also after a mid-surge state_dict
-    is loaded into a fresh intersection."""
+    update match a two-pass reference: the same queue and vehicles after
+    every step, also after a mid-surge state_dict is loaded into a fresh
+    intersection. The arrivals are drawn a block of steps ahead, so the
+    live generator runs ahead of the reference; the state that state_dict
+    reports, which a resume starts from, matches the reference's."""
     topo = build_topology("toy8", yellow_duration=yellow, free_flow_speed=free_flow_speed)
     surges = [(min(a, b), max(a, b), lane_rates) for a, b, lane_rates in surges]
 
@@ -414,11 +427,12 @@ def test_fused_step_matches_two_pass_reference(rates, surges, seed, yellow, free
         assert queue == sim.queue_length()
         assert queue == reference_step(ref)
         assert _vehicles(sim) == _vehicles(ref)
-        assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+        rng_state = sim.state_dict()["rng_state"]
+        assert rng_state == ref.rng.bit_generator.state
         if resumed is not None:
             assert resumed.step() == queue
             assert _vehicles(resumed) == _vehicles(sim)
-            assert resumed.rng.bit_generator.state == sim.rng.bit_generator.state
+            assert resumed.state_dict()["rng_state"] == rng_state
     assert sim.injected_count == ref.injected_count
     assert asdict(resumed.finalize_metrics()) == asdict(sim.finalize_metrics())
 
@@ -474,6 +488,27 @@ class TestDemand:
                 sim.step()
             counts.append(sim.injected_count)
         assert counts[0] != counts[1]
+
+    def test_arrivals_drawn_a_segment_block_per_call(self, toy8):
+        """A toy8 episode of the reference demand calls poisson a few times,
+        not once per lane and step (28 800 calls)."""
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.poisson_calls = rng, 0
+
+            def poisson(self, *args, **kwargs):
+                self.poisson_calls += 1
+                return self.rng.poisson(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        demand = ExperimentConfig.from_yaml(Path(__file__).resolve().parents[1] / "configs" / "toy8.yaml").demand
+        sim = Intersection(toy8, DemandProfile.from_dict(demand), CountingRng(stream_rng(0, STREAM_DEMAND, 0)))
+        run_steps(sim, 0, 3600)
+        assert sim.injected_count > 0
+        assert 0 < sim.rng.poisson_calls < 10
 
     def test_surge_window(self, toy8):
         demand = DemandProfile.from_dict(
@@ -606,6 +641,27 @@ class TestStateDict:
             assert simA.queue_length() == simB.queue_length()
             assert simA.injected_count == simB.injected_count
         assert asdict(simA.finalize_metrics()) == asdict(simB.finalize_metrics())
+
+    def test_resume_inside_a_block_of_the_open_last_segment(self, toy8):
+        """A snapshot taken a block cap and more into the last surge-free
+        segment, mid-block, resumes exactly as the run goes on uninterrupted."""
+        demand = {"kind": "poisson", "base_rate": 0.1, "surges": [{"start": 0.0, "end": 40.5, "rate": 0.3, "lanes": ["E_L"]}]}
+        cut, stop = 41 + ARRIVAL_BLOCK_STEPS + 37, 41 + 2 * ARRIVAL_BLOCK_STEPS + 50
+
+        def new_sim(seed):
+            return Intersection(toy8, DemandProfile.from_dict(demand), stream_rng(seed, STREAM_DEMAND, 0))
+
+        whole = new_sim(4)
+        run_steps(whole, 0, cut)
+        state = whole.state_dict()
+        resumed = new_sim(5)
+        resumed.load_state_dict(state)
+        assert resumed.state_dict() == state
+        run_steps(whole, cut, stop)
+        run_steps(resumed, cut, stop)
+        assert _vehicles(resumed) == _vehicles(whole)
+        assert resumed.state_dict() == whole.state_dict()
+        assert asdict(resumed.finalize_metrics()) == asdict(whole.finalize_metrics())
 
     def test_state_is_json_serializable(self, toy8):
         import json
