@@ -1,8 +1,8 @@
 """Non-learning reference controllers: fixed-time cycling, max pressure,
 and a seeded uniform-random control condition.
 
-All three expose ``decide(observation, current_phase, t)`` so the episode
-runner can drive them through the same loop as the learned policy.
+All three expose ``decide(observation, current_phase, t, topo)`` so the
+episode runner can drive them through the same loop as the learned policy.
 """
 
 from __future__ import annotations

@@ -115,11 +115,12 @@ def cmd_reward_hist(args) -> int:
     if not Path(args.jsonl).exists():
         raise ValueError(f"validation failed: decision log not found: {args.jsonl}")
     hurdle = args.hurdle
-    if hurdle is None:
-        if args.config is not None:
-            hurdle = ExperimentConfig.from_yaml(args.config).reward.h_r
-        else:
-            hurdle = 3.0
+    if hurdle is not None:
+        check_float("validation failed: --hurdle", hurdle)
+    elif args.config is not None:
+        hurdle = ExperimentConfig.from_yaml(args.config).reward.h_r
+    else:
+        hurdle = 3.0
     hist = reward_histogram(args.jsonl, hurdle, bin_width=args.bin_width)
     print(f"decisions: {hist['n']}")
     print(f"fraction with reward above hurdle {hurdle}: {hist['fraction_above']:.4f}")

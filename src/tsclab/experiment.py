@@ -46,11 +46,12 @@ from .sim import (
     STREAM_SHUFFLE,
     DemandProfile,
     Intersection,
+    Metrics,
     Topology,
     build_topology,
     stream_rng,
 )
-from .trainer import PPOTrainer, TrainerConfig, load_checkpoint, save_checkpoint
+from .trainer import DIAGNOSTICS, PPOTrainer, TrainerConfig, load_checkpoint, save_checkpoint
 
 
 # non-learning controllers by config name; each is built once per runner
@@ -62,26 +63,10 @@ BASELINES = {
 CONTROLLERS = ("policy", *BASELINES)
 
 STEP_COLUMNS = ("time", "phase", "queue", "injected", "completed")
-TRAIN_LOG_COLUMNS = (
-    "step",
-    "mean_ratio",
-    "clip_fraction",
-    "policy_loss",
-    "value_loss",
-    "mean_advantage",
-    "grad_norm_policy",
-    "grad_norm_value",
-)
+TRAIN_LOG_COLUMNS = ("step", *DIAGNOSTICS)
+METRICS = tuple(f.name for f in fields(Metrics))  # an episode's metrics, in column order
 # wall-clock time stays out of the CSVs so same-seed runs are bit-identical
-METRIC_COLUMNS = (
-    "episode",
-    "travel_time",
-    "queue_length",
-    "delay_seconds",
-    "delay_ratio",
-    "throughput",
-    "decisions",
-)
+METRIC_COLUMNS = ("episode", *METRICS, "decisions")
 
 
 @dataclass
@@ -600,20 +585,13 @@ def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, 
 
     rows = []
     for label, cfg in zip(labels, configs):
-        finals = {k: [] for k in ("travel_time", "queue_length", "delay_seconds", "delay_ratio", "throughput")}
+        finals = []
         for seed in seeds:
             run_cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": int(seed)})
-            reports = run_config(run_cfg, out_dir=out_dir / f"{label}_seed{seed}")
-            final = reports[-1].metrics
-            for k in finals:
-                finals[k].append(final[k])
-        row = {"label": label}
-        for k, vals in finals.items():
-            row[k] = float(np.median(vals))
-        rows.append(row)
+            finals.append(run_config(run_cfg, out_dir=out_dir / f"{label}_seed{seed}")[-1].metrics)
+        rows.append({"label": label, **{k: float(np.median([m[k] for m in finals])) for k in METRICS}})
 
-    columns = ["label", "travel_time", "queue_length", "delay_seconds", "delay_ratio", "throughput"]
-    with _CsvSink(out_dir / "comparison.csv", columns) as sink:
+    with _CsvSink(out_dir / "comparison.csv", ("label", *METRICS)) as sink:
         for row in rows:
             sink.row(row)
     return rows

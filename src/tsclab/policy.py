@@ -36,6 +36,9 @@ POLICY_FIELDS = (
 
 VALUE_FIELDS = ("w1", "b1", "w2", "b2")
 
+# the policy's shape, in the order meta() lists it; checkpoints store meta() in this order
+META_FIELDS = ("vocab_size", "feature_len", "eos_id", "d_embed", "d_hidden", "k_history", "max_len")
+
 
 def _uniform_init(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
@@ -303,28 +306,11 @@ class TokenPolicy:
         return sum(v.size for v in self.params.values())
 
     def meta(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "feature_len": self.feature_len,
-            "eos_id": self.eos_id,
-            "d_embed": self.d_embed,
-            "d_hidden": self.d_hidden,
-            "k_history": self.k_history,
-            "max_len": self.max_len,
-        }
+        return {f: getattr(self, f) for f in META_FIELDS}
 
     @staticmethod
     def from_meta(meta: dict, params: Dict[str, np.ndarray]) -> "TokenPolicy":
-        return TokenPolicy(
-            vocab_size=int(meta["vocab_size"]),
-            feature_len=int(meta["feature_len"]),
-            eos_id=int(meta["eos_id"]),
-            d_embed=int(meta["d_embed"]),
-            d_hidden=int(meta["d_hidden"]),
-            k_history=int(meta["k_history"]),
-            max_len=int(meta["max_len"]),
-            params=params,
-        )
+        return TokenPolicy(**{f: int(meta[f]) for f in META_FIELDS}, params=params)
 
 
 class ValueHead:

@@ -15,11 +15,14 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .rewards import check_float
 
 SPEED_STOPPED = 0.1  # m/s; below this a vehicle counts as queued
 JAM_SPACING = 7.0  # m between stopped vehicles, gives queues physical extent
@@ -85,6 +88,8 @@ class Topology:
 
 
 _MOVEMENTS = ("through", "left", "right", "u-turn")
+_GEOMETRY = ("road_length", "free_flow_speed", "saturation_headway")
+_OVERRIDES = (*_GEOMETRY, "yellow_duration")
 
 TOY8_PHASES = (
     ("NTST", "Northern and southern through lanes", ("N_T", "S_T")),
@@ -128,14 +133,9 @@ def _validate_topology(topo: Topology) -> Topology:
     for lane in topo.lanes:
         if lane.movement not in _MOVEMENTS:
             raise TopologyError(f"lane {lane.lane_id}: unknown movement {lane.movement!r}")
-        if lane.road_length <= 0:
-            raise TopologyError(f"lane {lane.lane_id}: road_length must be > 0")
-        if lane.free_flow_speed <= 0:
-            raise TopologyError(f"lane {lane.lane_id}: free_flow_speed must be > 0")
-        if lane.saturation_headway <= 0:
-            raise TopologyError(f"lane {lane.lane_id}: saturation_headway must be > 0")
-    if topo.yellow_duration < 0:
-        raise TopologyError("yellow_duration must be >= 0")
+        for name in _GEOMETRY:  # in (0, inf); NaN and bools fail
+            check_float(f"lane {lane.lane_id}: {name}", getattr(lane, name), 0.0, strict=True)
+    check_float("yellow_duration", topo.yellow_duration, 0.0)
     mnemonics = [p.mnemonic for p in topo.phases]
     if len(set(mnemonics)) != len(mnemonics):
         raise TopologyError("phase mnemonics must be unique")
@@ -172,13 +172,19 @@ PRESETS = {
     }
     for name, movements, table in (("toy8", "TL", TOY8_PHASES), ("toy4", "TR", TOY4_PHASES))
 }
-_GEOMETRY = ("road_length", "free_flow_speed", "saturation_headway")
-_OVERRIDES = (*_GEOMETRY, "yellow_duration")
 
 
 def _floats(keys: Sequence[str], *layers: dict) -> dict:
-    """The ``keys`` set in any layer, as floats; later layers win."""
-    return {k: float(v) for layer in layers for k, v in layer.items() if k in keys}
+    """The ``keys`` set in any layer, numbers as floats; later layers win.
+
+    Anything else, a bool too, is kept as given for ``_validate_topology`` to refuse.
+    """
+    return {
+        k: float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else v
+        for layer in layers
+        for k, v in layer.items()
+        if k in keys
+    }
 
 
 def build_topology(preset="toy8", **overrides) -> Topology:
@@ -266,7 +272,10 @@ class DemandProfile:
     def from_dict(spec: dict) -> "DemandProfile":
         kind = spec.get("kind", "poisson")
         if kind == "schedule":
-            spawns = [(float(s["time"]), str(s["lane"])) for s in spec.get("spawns", [])]
+            spawns = []
+            for i, s in enumerate(spec.get("spawns", [])):
+                check_float(f"demand spawns[{i}].time", s["time"], 0.0)
+                spawns.append((float(s["time"]), str(s["lane"])))
             spawns.sort(key=lambda p: p[0])
             return DemandProfile(spawns=spawns)
         if kind != "poisson":
@@ -286,7 +295,10 @@ class DemandProfile:
                 rate = _arrival_rate(s["rate"], f"surges[{i}].rate (lanes {lanes})")
                 for lid in lanes:
                     lane_rates[lid] = rate
-            surges.append((float(s["start"]), float(s["end"]), lane_rates))
+            start, end = float(s["start"]), float(s["end"])
+            if not start < end:  # also fails for nan; an open end (inf) is fine
+                raise ValueError(f"demand surges[{i}] must have start < end, got {s['start']!r} and {s['end']!r}")
+            surges.append((start, end, lane_rates))
         return DemandProfile(rates=rates, surges=surges, base_rate=base)
 
     def resolve_lanes(self, topo: Topology) -> None:
@@ -552,15 +564,11 @@ class Intersection:
     # -- metrics ---------------------------------------------------------
 
     def finalize_metrics(self) -> "Metrics":
-        queue = float(np.mean(self._queue_samples)) if self._queue_samples else 0.0
-        if not self.completed:
-            return Metrics(
-                travel_time=math.nan,
-                queue_length=queue,
-                delay_seconds=math.nan,
-                delay_ratio=math.nan,
-                throughput=0,
-            )
+        """The episode's metrics; the means over completed vehicles are nan when none completed."""
+
+        def mean(values) -> float:
+            return float(np.mean(values)) if values else math.nan
+
         travel = []
         delays = []
         ratios = []
@@ -572,10 +580,10 @@ class Intersection:
             delays.append(actual - free)
             ratios.append((actual - free) / actual if actual > 0 else 0.0)
         return Metrics(
-            travel_time=float(np.mean(travel)),
-            queue_length=queue,
-            delay_seconds=float(np.mean(delays)),
-            delay_ratio=float(np.mean(ratios)),
+            travel_time=mean(travel),
+            queue_length=float(np.mean(self._queue_samples)) if self._queue_samples else 0.0,
+            delay_seconds=mean(delays),
+            delay_ratio=mean(ratios),
             throughput=len(self.completed),
         )
 

@@ -33,6 +33,12 @@ CHECKPOINT_VERSION = 2
 
 VALUE_CLIP_MODES = ("standard", "literal")
 
+# the statistics of one update, averaged over its batches; train_log.csv adds a step column
+DIAGNOSTICS = (
+    "mean_ratio", "clip_fraction", "policy_loss", "value_loss",
+    "mean_advantage", "grad_norm_policy", "grad_norm_value",
+)
+
 
 @dataclass
 class TrainerConfig:
@@ -298,10 +304,7 @@ class PPOTrainer:
 
         order = self.shuffle_rng.permutation(n)
         pos = 0
-        diag = {k: 0.0 for k in (
-            "mean_ratio", "clip_fraction", "policy_loss", "value_loss",
-            "mean_advantage", "grad_norm_policy", "grad_norm_value",
-        )}
+        diag = dict.fromkeys(DIAGNOSTICS, 0.0)
 
         for _ in range(cfg.batches_per_update):
             take = min(cfg.batch_size, n)
@@ -310,8 +313,8 @@ class PPOTrainer:
                 pos = 0
             stats = self._update_batch(order[pos : pos + take])
             pos += take
-            for k, v in stats.items():
-                diag[k] += v / cfg.batches_per_update
+            for k in DIAGNOSTICS:
+                diag[k] += stats[k] / cfg.batches_per_update
 
         self.updates_done += 1
         diag["step"] = step
@@ -371,17 +374,10 @@ class PPOTrainer:
             self.opt_value.step(self.value_head.params, value_grads)
 
         flat_ratio = ratio[mask]
-        return {
-            "mean_ratio": float(flat_ratio.mean()),
-            "clip_fraction": float(
-                ((flat_ratio < 1.0 - cfg.eps_low) | (flat_ratio > 1.0 + cfg.eps_high)).mean()
-            ),
-            "policy_loss": -j_clip,
-            "value_loss": v_loss,
-            "mean_advantage": raw_adv_mean,
-            "grad_norm_policy": norm_p,
-            "grad_norm_value": norm_v,
-        }
+        clipped = (flat_ratio < 1.0 - cfg.eps_low) | (flat_ratio > 1.0 + cfg.eps_high)
+        # in DIAGNOSTICS order
+        stats = (float(flat_ratio.mean()), float(clipped.mean()), -j_clip, v_loss, raw_adv_mean, norm_p, norm_v)
+        return dict(zip(DIAGNOSTICS, stats, strict=True))
 
     # -- persistence -----------------------------------------------------
 

@@ -32,6 +32,22 @@ BAD_TRAINER_TYPES = [
     ("checkpoint_interval", "720"), ("buffer_window", 120.0), ("batch_size", 6.5), ("batches_per_update", 1.5),
     ("eps_low", True), ("use_critic", 0.5), ("use_critic", 1),
 ]
+# topology geometry must lie in (0, inf) and yellow_duration in [0, inf), neither a bool
+BAD_GEOMETRY = [
+    ("yellow_duration", NAN), ("road_length", NAN), ("road_length", INF), ("free_flow_speed", NAN),
+    ("road_length", True), ("saturation_headway", NAN),
+]
+SURGE = {"end": 100, "rate": 0.5, "lanes": ["N_T"]}
+# demand whose surge windows or spawn times a run would silently skip
+BAD_DEMANDS = [
+    ("surge_start_nan", {"kind": "poisson", "base_rate": 0.03, "surges": [{**SURGE, "start": NAN}]}, "surges[0]"),
+    ("surge_end_before_start", {"kind": "poisson", "base_rate": 0.03, "surges": [{**SURGE, "start": 150, "end": 50}]},
+     "surges[0]"),
+    ("spawn_time_-5", {"kind": "schedule", "spawns": [{"time": 0, "lane": "N_T"}, {"time": -5, "lane": "S_T"}]},
+     "spawns[1].time"),
+    ("spawn_time_nan", {"kind": "schedule", "spawns": [{"time": 0, "lane": "N_T"}, {"time": NAN, "lane": "S_T"}]},
+     "spawns[1].time"),
+]
 BAD_TOP_TYPES = [
     ("episodes", 1.5), ("seed", 1.5), ("seed", -1), ("default_phase", 1.5), ("default_phase", True),
     ("holdout_eval", "maybe"), ("action_from_extra_sample", 1), ("t_fixed", True),
@@ -145,18 +161,28 @@ class TestValidationFailures:
         + [("train", {k: v}, [], k) for k, v in BAD_TOP_TYPES]
         + [("train", {"policy": {"max_len": 2.5}}, [], "policy.max_len"),
            ("train", {"policy": {"max_len": 8, "d_hidden": True}}, [], "policy.d_hidden"),
-           ("train", {}, ["--seed", "-2"], "--seed")],
+           ("train", {}, ["--seed", "-2"], "--seed")]
+        + [("baseline", {"controller": "maxpressure", "topology_overrides": {k: v}}, [], k) for k, v in BAD_GEOMETRY]
+        + [("baseline", {"controller": "fixed", "demand": demand}, [], key) for _, demand, key in BAD_DEMANDS]
+        + [("reward-hist", {}, ["--hurdle", "nan"], "--hurdle")],
         ids=["t_fixed", "n_filler_17", "n_filler_-3", "batch_size", "batches_per_update",
              "buffer_window_0", "buffer_window_-5", "temperature", "temperature_inf", "t_fixed_inf"]
         + [f"trainer.{k}_{v}" for k, v in BAD_TRAINER_FLOATS]
         + [f"reward.{k}_{v}" for k, v in BAD_REWARD_FLOATS]
         + [f"trainer.{k}_{v!r}" for k, v in BAD_TRAINER_TYPES]
         + [f"{k}_{v!r}" for k, v in BAD_TOP_TYPES]
-        + ["policy.max_len_2.5", "policy.d_hidden_True", "--seed_-2"],
+        + ["policy.max_len_2.5", "policy.d_hidden_True", "--seed_-2"]
+        + [f"topology.{k}_{v!r}" for k, v in BAD_GEOMETRY]
+        + [name for name, _, _ in BAD_DEMANDS]
+        + ["--hurdle_nan"],
     )
     def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, command, over, extra, key):
         cfg = write_config(tmp_path / "c.yaml", **over)
         out = tmp_path / "out"
+        if command == "reward-hist":  # its one positional argument, a decision log
+            log = tmp_path / "decisions.jsonl"
+            log.write_text('{"R_env": 1.0}\n')
+            extra = [str(log), *extra]
         assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()

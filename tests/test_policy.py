@@ -263,3 +263,17 @@ class TestParamUtils:
         before = snap.params["w_out"].copy()
         small_policy.params["w_out"][:] += 1.0
         assert np.array_equal(snap.params["w_out"], before)
+
+    def test_meta_lists_the_shape_in_checkpoint_order(self, small_policy):
+        # checkpoints store meta() JSON-dumped without sort_keys, so this order is part of their bytes
+        assert list(small_policy.meta()) == [
+            "vocab_size", "feature_len", "eos_id", "d_embed", "d_hidden", "k_history", "max_len",
+        ]
+
+    def test_from_meta_rebuilds_the_policy(self, small_policy):
+        rebuilt = TokenPolicy.from_meta(small_policy.meta(), small_policy.params)
+        assert rebuilt.meta() == small_policy.meta()
+        features = np.full(small_policy.feature_len, 1.5)
+        keys = [derive_key(11, d, 0) for d in range(5)]
+        for a, b in zip(small_policy.sample(features, keys), rebuilt.sample(features, keys)):
+            assert np.array_equal(a, b)

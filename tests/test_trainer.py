@@ -12,6 +12,7 @@ from tsclab.rewards import RewardConfig, decision_reward
 from tsclab.trainer import (
     BUFFER_FIELDS,
     CHECKPOINT_VERSION,
+    DIAGNOSTICS,
     AdamW,
     PPOTrainer,
     ReplayBuffer,
@@ -336,6 +337,12 @@ class TestTrainerUpdate:
         assert diag["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
         assert diag["clip_fraction"] == 0.0
         assert diag["step"] == 360.0
+
+    def test_batch_statistics_are_the_diagnostics(self, toy8, vocab8):
+        trainer = _make_trainer(toy8, vocab8, batch_size=6, batches_per_update=1)
+        for rec in _records_from_policy(trainer, 6):
+            trainer.buffer.add(**rec)
+        assert list(trainer._update_batch(np.arange(6))) == list(DIAGNOSTICS)
 
     def test_zero_lr_is_noop(self, toy8, vocab8):
         trainer = _make_trainer(

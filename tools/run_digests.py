@@ -44,6 +44,11 @@ def main(src: Path, out: Path) -> int:
     for name in ("toy8", "toy4", "toy8_fixed", "toy8_maxpressure"):
         run_config(config(name, name))
     run_config(config("toy8", "toy8_random", controller="random"))
+    run_config(config("toy8_maxpressure", "toy8_maxpressure_geometry",
+                      topology_overrides={"road_length": 200.0, "yellow_duration": 3.0}))
+    scripted = [{"time": t, "lane": lane} for t, lane in
+                ((0, "N_T"), (0, "S_T"), (4, "E_L"), (30, "W_T"), (31, "W_T"), (200, "N_L"), (650, "S_L"))]
+    run_config(config("toy8_fixed", "toy8_fixed_schedule", demand={"kind": "schedule", "spawns": scripted}))
 
     reinforce = config("toy8", "toy8_reinforce")
     reinforce.trainer.use_critic, reinforce.trainer.gamma, reinforce.trainer.lam = False, 1.0, 1.0
