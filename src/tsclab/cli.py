@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, controller_default=None):
+    def common(p):
         p.add_argument("--config", type=str, default=None, help="YAML config path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", type=str, default=None, help="override the output directory")
@@ -150,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--controller",
             choices=CONTROLLERS,
-            default=controller_default,
             help="override the controller",
         )
 

@@ -35,6 +35,7 @@ from .rewards import (
     check_bool,
     check_float,
     check_int,
+    check_keys,
     decision_reward,
     env_reward,
 )
@@ -113,19 +114,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        check_keys("", raw, [f.name for f in fields(ExperimentConfig)])
         raw = dict(raw)
         for f in fields(ExperimentConfig):  # sections that are dataclasses of their own
             if is_dataclass(f.default_factory) and f.name in raw:
-                section = raw[f.name]
-                if not isinstance(section, dict):
-                    raise ValueError(f"config section {f.name!r} must be a mapping, got {section!r}")
-                unknown = set(section) - {g.name for g in fields(f.default_factory)}
-                if unknown:
-                    raise ValueError(f"unknown config keys: {sorted(f'{f.name}.{k}' for k in unknown)}")
-                raw[f.name] = f.default_factory(**section)
-        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+                check_keys(f.name, raw[f.name], [g.name for g in fields(f.default_factory)])
+                raw[f.name] = f.default_factory(**raw[f.name])
         return ExperimentConfig(**raw)
 
     @staticmethod
@@ -237,7 +231,7 @@ def reward_histogram(jsonl_path, hurdle: float, bin_width: float = 0.5) -> dict:
 
 
 def validate_config(cfg: ExperimentConfig) -> Tuple[Topology, DemandProfile]:
-    """The checks that need the built topology; returns it and the resolved demand.
+    """The checks that need the built topology; returns it and the parsed demand.
 
     Raises ValueError naming the check. It writes nothing, so callers run it
     before they make an output directory.
@@ -252,7 +246,7 @@ def validate_config(cfg: ExperimentConfig) -> Tuple[Topology, DemandProfile]:
             "take effect before the next one"
         )
     demand = DemandProfile.from_dict(cfg.demand)
-    demand.resolve_lanes(topo)
+    demand.check_lanes(topo)
     return topo, demand
 
 
@@ -261,7 +255,7 @@ class ExperimentRunner:
 
     def __init__(self, cfg: ExperimentConfig, out_dir=None):
         self.cfg = cfg
-        # resolved once, before any file is written; episodes share the demand read-only
+        # checked once, before any file is written; episodes share the demand, which they only read
         self.topo, self.demand = validate_config(cfg)
         self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
         self.out_dir.mkdir(parents=True, exist_ok=True)

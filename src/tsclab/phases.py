@@ -45,7 +45,6 @@ class Vocabulary:
             raise ValueError("vocabulary tokens must be unique")
         self.tokens: Tuple[str, ...] = tuple(tokens)
         self.index: Dict[str, int] = {tok: i for i, tok in enumerate(tokens)}
-        self.mnemonics = tuple(mnemonics)
         self.eos_id = self.index[EOS]
 
     @property

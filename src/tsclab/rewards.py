@@ -48,6 +48,22 @@ def check_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
+def check_keys(where: str, spec, allowed: Sequence[str], required: Sequence[str] = ()) -> None:
+    """Raise ValueError unless ``spec`` is a mapping with no key outside ``allowed`` and every ``required`` one.
+
+    ``where`` is the dotted config path of ``spec`` ("" for the whole config); the errors name each key by its path.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"config section {where!r} must be a mapping, got {spec!r}")
+    prefix = f"{where}." if where else ""
+    unknown = sorted(f"{prefix}{k}" for k in set(spec) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    missing = [f"{prefix}{k}" for k in required if k not in spec]
+    if missing:
+        raise ValueError(f"missing config keys: {missing}")
+
+
 @dataclass
 class RewardConfig:
     h_r: float = 3.0  # hurdle, vehicles

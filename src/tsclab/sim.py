@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rewards import check_float
+from .rewards import check_float, check_int, check_keys
 
 SPEED_STOPPED = 0.1  # m/s; below this a vehicle counts as queued
 JAM_SPACING = 7.0  # m between stopped vehicles, gives queues physical extent
@@ -90,6 +90,8 @@ class Topology:
 _MOVEMENTS = ("through", "left", "right", "u-turn")
 _GEOMETRY = ("road_length", "free_flow_speed", "saturation_headway")
 _OVERRIDES = (*_GEOMETRY, "yellow_duration")
+# an inline topology spec, each of its lanes and each of its phases take the fields of these as keys
+_TOPOLOGY_KEYS, _LANE_KEYS, _PHASE_KEYS = ([f.name for f in fields(cls)] for cls in (Topology, Lane, PhaseSpec))
 
 TOY8_PHASES = (
     ("NTST", "Northern and southern through lanes", ("N_T", "S_T")),
@@ -187,6 +189,13 @@ def _floats(keys: Sequence[str], *layers: dict) -> dict:
     }
 
 
+def _lane_ids(name: str, value) -> Tuple[str, ...]:
+    """``value``, a list of lane ids, as a tuple of strings; anything else, a string too, raises ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of lane ids, got {value!r}")
+    return tuple(str(lid) for lid in value)
+
+
 def build_topology(preset="toy8", **overrides) -> Topology:
     """Build a validated topology from a preset name or an explicit dict.
 
@@ -195,11 +204,13 @@ def build_topology(preset="toy8", **overrides) -> Topology:
     (list of dicts with lane_id/approach/movement and optional geometry),
     ``phases`` (list of dicts with mnemonic/description/allowed_lanes and
     an optional ``index`` that must equal the phase's position) and
-    optional ``name`` and ``yellow_duration``. Keyword overrides
-    (road_length, free_flow_speed, saturation_headway, yellow_duration)
-    apply uniformly to every lane of any topology; other keys raise
-    :class:`TopologyError`. Unset geometry takes the :class:`Lane` and
-    :class:`Topology` defaults.
+    optional ``name`` and ``yellow_duration``; any other key, in the dict
+    or in a lane or phase, raises ValueError, as does a phase ``index``
+    that is no integer or ``allowed_lanes`` that is no list. Keyword
+    overrides (road_length, free_flow_speed, saturation_headway,
+    yellow_duration) apply uniformly to every lane of any topology; other
+    keys raise :class:`TopologyError`. Unset geometry takes the
+    :class:`Lane` and :class:`Topology` defaults.
     """
     unknown = set(overrides) - set(_OVERRIDES)
     if unknown:
@@ -208,6 +219,12 @@ def build_topology(preset="toy8", **overrides) -> Topology:
         if preset not in PRESETS:
             raise TopologyError(f"unknown topology preset {preset!r}")
         preset = PRESETS[preset]
+    check_keys("topology", preset, _TOPOLOGY_KEYS, required=("lanes", "phases"))
+    for i, entry in enumerate(preset["lanes"]):
+        check_keys(f"topology.lanes[{i}]", entry, _LANE_KEYS, required=("lane_id",))
+    for i, entry in enumerate(preset["phases"]):
+        check_keys(f"topology.phases[{i}]", entry, _PHASE_KEYS, required=("mnemonic",))
+        check_int(f"topology.phases[{i}].index", entry.get("index", i))
     lanes = tuple(
         Lane(
             lane_id=str(entry["lane_id"]),
@@ -215,16 +232,16 @@ def build_topology(preset="toy8", **overrides) -> Topology:
             movement=str(entry.get("movement", "through")),
             **_floats(_GEOMETRY, entry, overrides),
         )
-        for entry in preset.get("lanes", [])
+        for entry in preset["lanes"]
     )
     phases = tuple(
         PhaseSpec(
             index=int(entry.get("index", i)),
             mnemonic=str(entry["mnemonic"]),
             description=str(entry.get("description", entry["mnemonic"])),
-            allowed_lanes=tuple(entry.get("allowed_lanes", ())),
+            allowed_lanes=_lane_ids(f"topology.phases[{i}].allowed_lanes", entry.get("allowed_lanes", ())),
         )
-        for i, entry in enumerate(preset.get("phases", []))
+        for i, entry in enumerate(preset["phases"])
     )
     topo = Topology(
         name=str(preset.get("name", "custom")),
@@ -245,24 +262,30 @@ class Vehicle:
     completion_time: Optional[float] = None
 
 
+# the keys of a demand spec of each kind
+_DEMAND_KEYS = {"poisson": ("kind", "rates", "base_rate", "surges"), "schedule": ("kind", "spawns")}
+
+
 @dataclass
 class DemandProfile:
-    """Per-lane arrival schedule.
+    """Per-lane arrival schedule; the simulator only reads it.
 
-    Either Poisson rates (``rates`` maps lane id -> vehicles/s, optionally
-    reshaped by ``surges``: a list of (start, end, {lane: rate}) windows
-    that override the base rate inside [start, end)), or an explicit
-    ``spawns`` list of (time, lane) pairs. Poisson draws consume the
-    demand RNG stream in a fixed lane order, so runs are seed-exact.
+    Either Poisson rates (``rates`` maps lane id -> vehicles/s, and
+    ``base_rate`` is the rate of every lane it does not name; ``surges``, a
+    list of (start, end, {lane: rate}) windows, override either inside
+    [start, end)), or an explicit ``spawns`` list of (time, lane) pairs.
+    Poisson draws consume the demand RNG stream in a fixed lane order, so
+    runs are seed-exact. One profile serves any topology that has the
+    lanes it names.
     """
 
     rates: Dict[str, float] = field(default_factory=dict)
     surges: List[Tuple[float, float, Dict[str, float]]] = field(default_factory=list)
     spawns: List[Tuple[float, str]] = field(default_factory=list)
-    base_rate: Optional[float] = None
+    base_rate: float = 0.0
 
     def rate_at(self, lane_id: str, t: float) -> float:
-        rate = self.rates.get(lane_id, 0.0)
+        rate = self.rates.get(lane_id, self.base_rate)
         for start, end, lane_rates in self.surges:
             if start <= t < end and lane_id in lane_rates:
                 rate = lane_rates[lane_id]
@@ -271,64 +294,67 @@ class DemandProfile:
     @staticmethod
     def from_dict(spec: dict) -> "DemandProfile":
         kind = spec.get("kind", "poisson")
+        if kind not in _DEMAND_KEYS:
+            raise ValueError(f"unknown demand kind {kind!r}")
+        check_keys("demand", spec, _DEMAND_KEYS[kind])
         if kind == "schedule":
             spawns = []
             for i, s in enumerate(spec.get("spawns", [])):
-                check_float(f"demand spawns[{i}].time", s["time"], 0.0)
+                check_keys(f"demand.spawns[{i}]", s, ("time", "lane"), required=("time", "lane"))
+                check_float(f"demand.spawns[{i}].time", s["time"], 0.0)
                 spawns.append((float(s["time"]), str(s["lane"])))
             spawns.sort(key=lambda p: p[0])
             return DemandProfile(spawns=spawns)
-        if kind != "poisson":
-            raise ValueError(f"unknown demand kind {kind!r}")
         rates = {str(k): _arrival_rate(v, f"rates[{str(k)!r}]") for k, v in spec.get("rates", {}).items()}
         base = spec.get("base_rate")
-        if base is not None:
-            base = _arrival_rate(base, "base_rate (every lane)")
+        base = 0.0 if base is None else _arrival_rate(base, "base_rate (every lane)")
         surges = []
         for i, s in enumerate(spec.get("surges", [])):
+            where = f"demand.surges[{i}]"
+            check_keys(where, s, ("start", "end", "rates", "rate", "lanes"), required=("start", "end"))
             lane_rates = {
                 str(k): _arrival_rate(v, f"surges[{i}].rates[{str(k)!r}]")
                 for k, v in s.get("rates", {}).items()
             }
+            if ("rate" in s) != ("lanes" in s):  # one alone would add no arrivals
+                raise ValueError(f"{where}: rate and lanes must be given together")
             if "rate" in s:
-                lanes = [str(lid) for lid in s.get("lanes", [])]
-                rate = _arrival_rate(s["rate"], f"surges[{i}].rate (lanes {lanes})")
-                for lid in lanes:
-                    lane_rates[lid] = rate
+                lanes = _lane_ids(f"{where}.lanes", s["lanes"])
+                rate = _arrival_rate(s["rate"], f"surges[{i}].rate (lanes {list(lanes)})")
+                lane_rates.update(dict.fromkeys(lanes, rate))
+            for key in ("start", "end"):  # a bool or a string is no time
+                if isinstance(s[key], bool) or not isinstance(s[key], numbers.Real):
+                    raise ValueError(f"{where}.{key} must be a number, got {s[key]!r}")
             start, end = float(s["start"]), float(s["end"])
             if not start < end:  # also fails for nan; an open end (inf) is fine
-                raise ValueError(f"demand surges[{i}] must have start < end, got {s['start']!r} and {s['end']!r}")
+                raise ValueError(f"{where} must have start < end, got {s['start']!r} and {s['end']!r}")
             surges.append((start, end, lane_rates))
         return DemandProfile(rates=rates, surges=surges, base_rate=base)
 
-    def resolve_lanes(self, topo: Topology) -> None:
-        """Validate lane references and fill in the base rate."""
-        known = set(topo.lane_ids)
+    def check_lanes(self, topo: Topology) -> None:
+        """Refuse a demand that names a lane ``topo`` does not have."""
         referenced = set(self.rates)
         referenced.update(lid for _, lid in self.spawns)
         for _, _, lane_rates in self.surges:
             referenced.update(lane_rates)
-        unknown = referenced - known
+        unknown = referenced - set(topo.lane_ids)
         if unknown:
             raise ValueError(f"demand references unknown lanes: {sorted(unknown)}")
-        if self.base_rate is not None:
-            for lid in topo.lane_ids:
-                self.rates.setdefault(lid, self.base_rate)
 
 
 def _arrival_rate(value, key: str) -> float:
-    """``value`` as vehicles/s; ``key`` names it in the error for a negative or non-finite rate."""
-    rate = float(value)
-    if not 0.0 <= rate < math.inf:  # also rejects nan
-        raise ValueError(f"demand {key} must be a finite arrival rate >= 0, got {value!r}")
-    return rate
+    """``value`` as vehicles/s; ``key`` names it in the error for a rate that is no number, a bool,
+    negative or non-finite."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value < math.inf):
+        raise ValueError(f"demand.{key} must be a finite arrival rate >= 0, got {value!r}")
+    return float(value)
 
 
 class Intersection:
     """Mutable simulation state stepped at 1-second resolution."""
 
     def __init__(self, topo: Topology, demand: DemandProfile, rng: np.random.Generator):
-        demand.resolve_lanes(topo)
+        demand.check_lanes(topo)
         self.topo = topo
         self.demand = demand
         self.rng = rng
@@ -338,8 +364,7 @@ class Intersection:
         self.yellow_remaining = 0.0
         self.vehicles: Dict[str, List[Vehicle]] = {lid: [] for lid in topo.lane_ids}
         self.completed: List[Vehicle] = []
-        self.injected_count = 0
-        self._next_vid = 0
+        self.injected_count = 0  # also the id of the next vehicle
         self._last_departure: Dict[str, float] = {lid: -math.inf for lid in topo.lane_ids}
         self._spawn_cursor = 0
         self._queue_samples: List[float] = []
@@ -513,13 +538,12 @@ class Intersection:
         """Put a vehicle at the back of ``lane_id``; returns whether it counts as stopped."""
         lane = self._lanes[lane_id]
         veh = Vehicle(
-            vid=self._next_vid,
+            vid=self.injected_count,
             lane=lane_id,
             position=lane.road_length,
             speed=lane.free_flow_speed,
             spawn_time=when,
         )
-        self._next_vid += 1
         self.injected_count += 1
         self.vehicles[lane_id].append(veh)
         return veh.speed < SPEED_STOPPED
@@ -601,7 +625,7 @@ class Intersection:
             "vehicles": {lid: [pack(v) for v in vs] for lid, vs in self.vehicles.items()},
             "completed": [pack(v) for v in self.completed],
             "injected_count": self.injected_count,
-            "next_vid": self._next_vid,
+            "next_vid": self.injected_count,  # kept, as the key is part of the checkpoint bytes
             "last_departure": {
                 lid: (None if math.isinf(t) else t) for lid, t in self._last_departure.items()
             },
@@ -628,7 +652,6 @@ class Intersection:
         self.vehicles = {lid: [unpack(r) for r in rows] for lid, rows in state["vehicles"].items()}
         self.completed = [unpack(r) for r in state["completed"]]
         self.injected_count = int(state["injected_count"])
-        self._next_vid = int(state["next_vid"])
         self._last_departure = {
             lid: (-math.inf if t is None else float(t)) for lid, t in state["last_departure"].items()
         }

@@ -381,21 +381,23 @@ class PPOTrainer:
 
     # -- persistence -----------------------------------------------------
 
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        out = {}
+    def _entries(self):
+        """(checkpoint entry, dict holding its array, key in that dict) in file order, which is
+        part of the checkpoint bytes: ``np.savez`` writes the members in it."""
         for f in POLICY_FIELDS:
-            out[f"policy.{f}"] = self.policy.params[f]
-            out[f"ref.{f}"] = self.reference.params[f]
+            yield f"policy.{f}", self.policy.params, f
+            yield f"ref.{f}", self.reference.params, f
         for f in VALUE_FIELDS:
-            out[f"value.{f}"] = self.value_head.params[f]
+            yield f"value.{f}", self.value_head.params, f
         for name, opt in (("optp", self.opt_policy), ("optv", self.opt_value)):
-            for f, arr in opt.m.items():
-                out[f"{name}.m.{f}"] = arr
-            for f, arr in opt.v.items():
-                out[f"{name}.v.{f}"] = arr
+            for moment, holder in (("m", opt.m), ("v", opt.v)):
+                for f in holder:
+                    yield f"{name}.{moment}.{f}", holder, f
         for name in BUFFER_FIELDS:
-            out[f"buf.{name}"] = getattr(self.buffer, name)
-        return out
+            yield f"buf.{name}", vars(self.buffer), name
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        return {entry: holder[key] for entry, holder, key in self._entries()}
 
     def state_meta(self) -> dict:
         return {
@@ -406,20 +408,12 @@ class PPOTrainer:
         }
 
     def load_state(self, arrays: Dict[str, np.ndarray], meta: dict) -> None:
-        for f in POLICY_FIELDS:
-            self.policy.params[f] = np.array(arrays[f"policy.{f}"])
-            self.reference.params[f] = np.array(arrays[f"ref.{f}"])
-        for f in VALUE_FIELDS:
-            self.value_head.params[f] = np.array(arrays[f"value.{f}"])
-        for name, opt in (("optp", self.opt_policy), ("optv", self.opt_value)):
-            opt.m = {f: np.array(arrays[f"{name}.m.{f}"]) for f in opt.m}
-            opt.v = {f: np.array(arrays[f"{name}.v.{f}"]) for f in opt.v}
+        for entry, holder, key in self._entries():
+            holder[key] = np.array(arrays[entry])
         self.opt_policy.t = int(meta["opt_policy_t"])
         self.opt_value.t = int(meta["opt_value_t"])
         self.updates_done = int(meta["updates_done"])
         self.shuffle_rng.bit_generator.state = meta["shuffle_rng"]
-        for name in BUFFER_FIELDS:
-            setattr(self.buffer, name, np.array(arrays[f"buf.{name}"]))
 
 
 def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: dict) -> None:

@@ -48,6 +48,52 @@ BAD_DEMANDS = [
     ("spawn_time_nan", {"kind": "schedule", "spawns": [{"time": 0, "lane": "N_T"}, {"time": NAN, "lane": "S_T"}]},
      "spawns[1].time"),
 ]
+# demand specs a run would misread or drop a part of without a word: unknown and missing keys,
+# bools and strings taken for numbers, and a string taken for a list of lanes
+BAD_DEMAND_SPECS = [
+    ({"kind": "poisson", "base_rat": 0.05}, "demand.base_rat"),
+    ({"kind": "poisson", "surges": [{"start": 0, "end": 100, "rate": 0.5, "lane": ["N_T"]}]}, "surges[0].lane"),
+    ({"kind": "schedule", "spawn": [{"time": 0, "lane": "N_T"}]}, "demand.spawn"),
+    ({"kind": "schedule", "spawns": [{"time": 0, "lane": "N_T", "speed": 3.0}]}, "spawns[0].speed"),
+    ({"kind": "poisson", "surges": [{"start": 0, "rate": 0.5, "lanes": ["N_T"]}]}, "surges[0].end"),
+    ({"kind": "poisson", "surges": [{"end": 100, "rate": 0.5, "lanes": ["N_T"]}]}, "surges[0].start"),
+    ({"kind": "schedule", "spawns": [{"lane": "N_T"}]}, "spawns[0].time"),
+    ({"kind": "schedule", "spawns": [{"time": 3}]}, "spawns[0].lane"),
+    ({"kind": "poisson", "rates": {"N_T": True}}, "rates['N_T']"),
+    ({"kind": "poisson", "rates": {"N_T": "0.5"}}, "rates['N_T']"),
+    ({"kind": "poisson", "base_rate": True}, "base_rate"),
+    ({"kind": "poisson", "surges": [{"start": True, "end": 100, "rate": 0.5, "lanes": ["N_T"]}]}, "surges[0].start"),
+    ({"kind": "poisson", "surges": [{"start": 0, "end": "100", "rate": 0.5, "lanes": ["N_T"]}]}, "surges[0].end"),
+    ({"kind": "poisson", "surges": [{"start": 0, "end": 100, "rate": 0.5, "lanes": "N_T"}]}, "surges[0].lanes"),
+    ({"kind": "poisson", "surges": [{"start": 0, "end": 100, "lanes": ["N_T"]}]}, "surges[0]: rate and lanes"),
+    ({"kind": "poisson", "surges": [{"start": 0, "end": 100, "rate": 0.5}]}, "surges[0]: rate and lanes"),
+]
+# an inline two-lane topology, and changes to it that a run would misread or ignore
+PAIR = {
+    "name": "pair",
+    "lanes": [{"lane_id": "A"}, {"lane_id": "B"}],
+    "phases": [{"mnemonic": "AX", "allowed_lanes": ["A"]}, {"mnemonic": "BX", "allowed_lanes": ["B"]}],
+}
+
+
+def pair(lanes=({}, {}), phases=({}, {}), **top):
+    """PAIR with ``top`` merged at its top level, and each dict of ``lanes`` and ``phases`` into that entry."""
+    return {
+        **PAIR,
+        **top,
+        "lanes": [{**entry, **change} for entry, change in zip(PAIR["lanes"], lanes)],
+        "phases": [{**entry, **change} for entry, change in zip(PAIR["phases"], phases)],
+    }
+
+
+BAD_TOPOLOGIES = [
+    (pair(yellow=3.0), "topology.yellow"),
+    (pair(lanes=({"road_lenght": 50}, {})), "lanes[0].road_lenght"),
+    (pair(phases=({"desc": "A only"}, {})), "phases[0].desc"),
+    (pair(phases=({"index": 0.7}, {})), "phases[0].index"),
+    (pair(phases=({}, {"index": True})), "phases[1].index"),
+    (pair(phases=({"allowed_lanes": "AB"}, {})), "phases[0].allowed_lanes"),
+]
 BAD_TOP_TYPES = [
     ("episodes", 1.5), ("seed", 1.5), ("seed", -1), ("default_phase", 1.5), ("default_phase", True),
     ("holdout_eval", "maybe"), ("action_from_extra_sample", 1), ("t_fixed", True),
@@ -164,7 +210,9 @@ class TestValidationFailures:
            ("train", {}, ["--seed", "-2"], "--seed")]
         + [("baseline", {"controller": "maxpressure", "topology_overrides": {k: v}}, [], k) for k, v in BAD_GEOMETRY]
         + [("baseline", {"controller": "fixed", "demand": demand}, [], key) for _, demand, key in BAD_DEMANDS]
-        + [("reward-hist", {}, ["--hurdle", "nan"], "--hurdle")],
+        + [("reward-hist", {}, ["--hurdle", "nan"], "--hurdle")]
+        + [("baseline", {"controller": "fixed", "demand": demand}, [], key) for demand, key in BAD_DEMAND_SPECS]
+        + [("baseline", {"controller": "fixed", "topology": topo}, [], key) for topo, key in BAD_TOPOLOGIES],
         ids=["t_fixed", "n_filler_17", "n_filler_-3", "batch_size", "batches_per_update",
              "buffer_window_0", "buffer_window_-5", "temperature", "temperature_inf", "t_fixed_inf"]
         + [f"trainer.{k}_{v}" for k, v in BAD_TRAINER_FLOATS]
@@ -174,7 +222,9 @@ class TestValidationFailures:
         + ["policy.max_len_2.5", "policy.d_hidden_True", "--seed_-2"]
         + [f"topology.{k}_{v!r}" for k, v in BAD_GEOMETRY]
         + [name for name, _, _ in BAD_DEMANDS]
-        + ["--hurdle_nan"],
+        + ["--hurdle_nan"]
+        + [f"demand:{key}_{i}" for i, (_, key) in enumerate(BAD_DEMAND_SPECS)]
+        + [f"topology:{key}" for _, key in BAD_TOPOLOGIES],
     )
     def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, command, over, extra, key):
         cfg = write_config(tmp_path / "c.yaml", **over)

@@ -556,6 +556,19 @@ class TestDemand:
         with pytest.raises(ValueError):
             Intersection(toy8, demand, stream_rng(0, STREAM_DEMAND, 0))
 
+    def test_one_profile_serves_toy8_then_toy4(self, toy8, toy4):
+        """The simulator only reads its demand, so one parsed profile runs on
+        any topology that has the lanes it names (E_T and W_T are in both)."""
+        demand = DemandProfile.from_dict({"kind": "poisson", "base_rate": 0.02, "rates": {"E_T": 0.15, "W_T": 0.15}})
+        for topo in (toy8, toy4):
+            sim = Intersection(topo, demand, stream_rng(0, STREAM_DEMAND, 0))
+            run_steps(sim, 0, 100)
+            assert sim.injected_count > 0
+            assert demand.rates == {"E_T": 0.15, "W_T": 0.15}
+            assert {lid: demand.rate_at(lid, 0.0) for lid in topo.lane_ids} == {
+                lid: 0.15 if lid in ("E_T", "W_T") else 0.02 for lid in topo.lane_ids
+            }
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             DemandProfile.from_dict({"kind": "tidal"})
@@ -584,7 +597,7 @@ class TestDemand:
     def test_zero_rate_accepted(self, toy8, key):
         spec, _ = self._demand_with(key, 0)
         demand = DemandProfile.from_dict({"kind": "poisson", **spec})
-        demand.resolve_lanes(toy8)
+        demand.check_lanes(toy8)
         assert all(demand.rate_at(lid, 5.0) == 0.0 for lid in toy8.lane_ids)
 
 

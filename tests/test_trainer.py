@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsclab.phases import feature_length
-from tsclab.policy import TokenPolicy, ValueHead
+from tsclab.policy import POLICY_FIELDS, VALUE_FIELDS, TokenPolicy, ValueHead
 from tsclab.rewards import RewardConfig, decision_reward
 from tsclab.trainer import (
     BUFFER_FIELDS,
@@ -489,7 +489,17 @@ class TestCheckpoint:
         trainer, path = self._saved(toy8, vocab8, tmp_path, 5)
         meta, arrays = load_checkpoint(path)
         twin = _make_trainer(toy8, vocab8)
+        for params in (twin.policy.params, twin.reference.params, twin.value_head.params):
+            for arr in params.values():
+                arr += 1.0  # so each entry compared below is what load_state wrote, not the shared init
         twin.load_state(arrays, meta["trainer_meta"])
+        for f in POLICY_FIELDS:
+            assert np.array_equal(trainer.policy.params[f], twin.policy.params[f]), f
+            assert np.array_equal(trainer.reference.params[f], twin.reference.params[f]), f
+        for f in VALUE_FIELDS:
+            assert np.array_equal(trainer.value_head.params[f], twin.value_head.params[f]), f
+        # np.savez writes the entries in this order, so it is part of the checkpoint bytes
+        assert list(trainer.state_arrays())[:4] == ["policy.emb", "ref.emb", "policy.w_ctx", "ref.w_ctx"]
         for name in BUFFER_FIELDS:
             a, b = getattr(trainer.buffer, name), getattr(twin.buffer, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name

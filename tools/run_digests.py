@@ -49,6 +49,9 @@ def main(src: Path, out: Path) -> int:
     scripted = [{"time": t, "lane": lane} for t, lane in
                 ((0, "N_T"), (0, "S_T"), (4, "E_L"), (30, "W_T"), (31, "W_T"), (200, "N_L"), (650, "S_L"))]
     run_config(config("toy8_fixed", "toy8_fixed_schedule", demand={"kind": "schedule", "spawns": scripted}))
+    per_lane = {"kind": "poisson", "base_rate": 0.02, "rates": {"E_T": 0.15, "W_T": 0.15},
+                "surges": [{"start": 100, "end": 400, "rates": {"N_T": 0.2, "E_T": 0.0}}]}
+    run_config(config("toy4", "toy4_maxpressure_rates", controller="maxpressure", demand=per_lane))
 
     reinforce = config("toy8", "toy8_reinforce")
     reinforce.trainer.use_critic, reinforce.trainer.gamma, reinforce.trainer.lam = False, 1.0, 1.0
