@@ -15,34 +15,34 @@ import sys
 from pathlib import Path
 
 from .experiment import (
+    BASELINES,
     CONTROLLERS,
     ExperimentConfig,
     ExperimentRunner,
     compare,
     reward_histogram,
 )
-from .rewards import check_float, check_int
+from .rewards import RewardConfig, check_float, check_int
 
 
 def _load_config(args) -> ExperimentConfig:
     if args.config is None:
         raise ValueError("validation failed: --config is required")
     cfg = ExperimentConfig.from_yaml(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         check_int("validation failed: --seed", args.seed, 0)
         cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.out = args.out
-    if getattr(args, "episodes", None) is not None:
-        if args.episodes < 1:
-            raise ValueError("validation failed: --episodes must be >= 1")
+    if args.episodes is not None:
+        check_int("validation failed: --episodes", args.episodes, 1)
         cfg.episodes = args.episodes
-    if getattr(args, "controller", None) is not None:
+    if args.controller is not None:
         cfg.controller = args.controller
     return cfg
 
 
-def _print_reports(reports) -> None:
+def _report(runner, reports) -> int:
     for rep in reports:
         m = rep.metrics
         print(
@@ -50,6 +50,8 @@ def _print_reports(reports) -> None:
             f"travel time {m['travel_time']:.1f}, throughput {m['throughput']}, "
             f"decisions {rep.decisions}"
         )
+    print(f"outputs in {runner.out_dir}")
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -59,10 +61,7 @@ def cmd_train(args) -> int:
     runner = ExperimentRunner(cfg)
     if args.resume is not None:
         runner.restore(args.resume)
-    reports = runner.train()
-    _print_reports(reports)
-    print(f"outputs in {runner.out_dir}")
-    return 0
+    return _report(runner, runner.train())
 
 
 def cmd_eval(args) -> int:
@@ -74,23 +73,15 @@ def cmd_eval(args) -> int:
         if cfg.controller != "policy":
             raise ValueError("validation failed: --checkpoint requires controller 'policy'")
         runner.restore(args.checkpoint, fresh_episodes=True)
-    reports = runner.evaluate(temperature=args.temperature)
-    _print_reports(reports)
-    print(f"outputs in {runner.out_dir}")
-    return 0
+    return _report(runner, runner.evaluate(temperature=args.temperature))
 
 
 def cmd_baseline(args) -> int:
     cfg = _load_config(args)
     if cfg.controller == "policy":
-        raise ValueError(
-            "validation failed: baseline requires controller in {fixed, maxpressure, random}"
-        )
+        raise ValueError(f"validation failed: baseline requires controller in {{{', '.join(BASELINES)}}}")
     runner = ExperimentRunner(cfg)
-    reports = runner.evaluate()
-    _print_reports(reports)
-    print(f"outputs in {runner.out_dir}")
-    return 0
+    return _report(runner, runner.evaluate())
 
 
 def cmd_compare(args) -> int:
@@ -120,7 +111,7 @@ def cmd_reward_hist(args) -> int:
     elif args.config is not None:
         hurdle = ExperimentConfig.from_yaml(args.config).reward.h_r
     else:
-        hurdle = 3.0
+        hurdle = RewardConfig().h_r
     hist = reward_histogram(args.jsonl, hurdle, bin_width=args.bin_width)
     print(f"decisions: {hist['n']}")
     print(f"fraction with reward above hurdle {hurdle}: {hist['fraction_above']:.4f}")
@@ -181,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reward-hist", help="histogram of per-decision rewards from a log")
     p.add_argument("jsonl", type=str, help="per-decision JSONL log")
-    p.add_argument("--hurdle", type=float, default=None, help="hurdle (default: config or 3.0)")
+    p.add_argument("--hurdle", type=float, default=None, help=f"hurdle (default: config or {RewardConfig().h_r})")
     p.add_argument("--bin-width", type=float, default=0.5, help="histogram bin width")
     p.add_argument("--config", type=str, default=None, help="config supplying the hurdle")
     p.add_argument("--out", type=str, default=None, help="directory for reward_hist.json")

@@ -105,6 +105,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
+        check_keys("topology_overrides", self.topology_overrides)  # build_topology checks its keys
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a string or null, got {self.out!r}")
         check_int("episodes", self.episodes, 1)
         check_int("seed", self.seed, 0)  # unseeded runs are not supported
         check_int("default_phase", self.default_phase, 0)  # validate_config checks the top
@@ -145,12 +148,6 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 class _CsvSink:
     def __init__(self, path, columns, append=False):
         self.path = Path(path)
@@ -167,7 +164,7 @@ class _CsvSink:
         self.fh.close()
 
     def row(self, values: dict) -> None:
-        self.fh.write(",".join(_fmt(values[c]) for c in self.columns) + "\n")
+        self.fh.write(",".join(str(values[c]) for c in self.columns) + "\n")
 
 
 @dataclass
@@ -312,16 +309,17 @@ class ExperimentRunner:
         return Intersection(self.topo, self.demand, stream_rng(self.cfg.seed, *stream))
 
     def _decide(
-        self, sim: Intersection, t: int, learn: bool, temperature: Optional[float], space: int, state
-    ):
+        self, sim: Intersection, t: int, queue: float, learn: bool,
+        temperature: Optional[float], space: int, state,
+    ) -> _Pending:
         """One decision: the baseline's ``decide``, or verbalize -> sample -> extract.
 
-        Returns the phase and the fields a learning decision keeps for its
-        training record (none otherwise).
+        Returns it as a pending record; only a learning decision fills the
+        training fields.
         """
         obs = sim.observe()
         if self.baseline is not None:
-            return self.baseline.decide(obs, sim.active_phase, t, self.topo), {}
+            return _Pending(float(t), queue, self.baseline.decide(obs, sim.active_phase, t, self.topo))
         cfg = self.cfg
         features = verbalize(obs, sim.active_phase, self.topo)
         g = cfg.trainer.g_responses
@@ -333,17 +331,18 @@ class ExperimentRunner:
         action_tokens = tokens[0, : lengths[0]]
         action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
         if not learn:
-            return action, {}
+            return _Pending(float(t), queue, action)
         first_entropy = 1 if cfg.action_from_extra_sample else 0
         responses = [tokens[r, : lengths[r]] for r in range(first_entropy, n_samples)]
-        return action, {
-            "counts": phase_histogram(responses, self.topo, cfg.default_phase, self.vocab),
-            "features": features,
-            "tokens": np.array(action_tokens),
-            "logps": np.array(logps[0, : lengths[0]]),
-            "ref_logps": np.asarray(self.trainer.reference.logprobs(features, action_tokens)),
-            "v_old": self.trainer.value_head.value(features) if cfg.trainer.use_critic else 0.0,
-        }
+        return _Pending(
+            float(t), queue, action,
+            counts=phase_histogram(responses, self.topo, cfg.default_phase, self.vocab),
+            features=features,
+            tokens=np.array(action_tokens),
+            logps=np.array(logps[0, : lengths[0]]),
+            ref_logps=np.asarray(self.trainer.reference.logprobs(features, action_tokens)),
+            v_old=self.trainer.value_head.value(features) if cfg.trainer.use_critic else 0.0,
+        )
 
     def _close_pending(self, pending: _Pending, queue_now: float, learn: bool, jsonl_fh) -> None:
         cfg = self.cfg
@@ -399,7 +398,7 @@ class ExperimentRunner:
         length = tcfg.episode_length
         offset = self.episode_index * length
         pending: Optional[_Pending] = None
-        decisions = 0
+        first = state.decision_counter
         queue = sim.queue_length()  # afterwards each step returns the queue it leaves
         for t in range(start_t, length + 1):
             if t % tcfg.decision_interval == 0 or t == length:
@@ -413,18 +412,14 @@ class ExperimentRunner:
                     if t % tcfg.checkpoint_interval == 0 and t < length:
                         self._save_checkpoint(t, sim=sim)
                 if t == length:
-                    return decisions
-                action, record = self._decide(sim, t, learn, temperature, space, state)
-                pending = _Pending(float(t), queue, action, **record)
-                sim.set_phase(action)
+                    return state.decision_counter - first
+                pending = self._decide(sim, t, queue, learn, temperature, space, state)
+                sim.set_phase(pending.phase)
                 state.decision_counter += 1
-                decisions += 1
 
             queue = sim.step()
-            if steps is not None:  # the STEP_COLUMNS row, floats by repr as in _fmt
-                steps.fh.write(
-                    f"{sim.time!r},{sim.active_phase},{queue!r},{sim.injected_count},{len(sim.completed)}\n"
-                )
+            if steps is not None:  # the STEP_COLUMNS row
+                steps.fh.write(f"{sim.time},{sim.active_phase},{queue},{sim.injected_count},{len(sim.completed)}\n")
 
     def run_episode(self, learn: bool, temperature: Optional[float] = None) -> EpisodeReport:
         """One logged episode: its step CSV, its decision log and its row of

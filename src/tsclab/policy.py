@@ -78,8 +78,6 @@ class TokenPolicy:
         if params is not None:
             self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
         else:
-            if rng is None:
-                rng = np.random.default_rng(0)
             self.params = self._init_params(rng)
 
     def _init_params(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
@@ -327,8 +325,6 @@ class ValueHead:
         if params is not None:
             self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
         else:
-            if rng is None:
-                rng = np.random.default_rng(0)
             self.params = {
                 "w1": _uniform_init(rng, (feature_len, hidden), feature_len),
                 "b1": np.zeros(hidden),

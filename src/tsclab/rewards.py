@@ -19,8 +19,8 @@ ENTROPY_MODES = ("softmax_dse", "naive_dse", "off")
 ENV_MODES = ("queue_difference", "negative_queue")
 
 
-def check_float(name: str, value, low: float = -math.inf, strict: bool = False) -> None:
-    """Raise ValueError unless ``value`` is a finite number >= ``low`` (> ``low`` if ``strict``).
+def check_float(name: str, value, low: float = -math.inf, strict: bool = False, high: float = math.inf) -> None:
+    """Raise ValueError unless ``value`` is a finite number >= ``low`` (> ``low`` if ``strict``) and <= ``high``.
 
     Each test is written so that NaN fails it; a bool is refused, not taken as 0 or 1.
     """
@@ -29,8 +29,10 @@ def check_float(name: str, value, low: float = -math.inf, strict: bool = False) 
         and not isinstance(value, bool)
         and math.isfinite(value)
         and (value > low if strict else value >= low)
+        and value <= high
     ):
         bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+        bound += "" if high == math.inf else f" and <= {high:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
@@ -48,20 +50,27 @@ def check_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
-def check_keys(where: str, spec, allowed: Sequence[str], required: Sequence[str] = ()) -> None:
+def check_keys(where: str, spec, allowed: Optional[Sequence[str]] = None, required: Sequence[str] = ()) -> None:
     """Raise ValueError unless ``spec`` is a mapping with no key outside ``allowed`` and every ``required`` one.
 
     ``where`` is the dotted config path of ``spec`` ("" for the whole config); the errors name each key by its path.
+    With ``allowed`` None any key is allowed, as in a mapping keyed by lane id.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"config section {where!r} must be a mapping, got {spec!r}")
     prefix = f"{where}." if where else ""
-    unknown = sorted(f"{prefix}{k}" for k in set(spec) - set(allowed))
+    unknown = [] if allowed is None else sorted(f"{prefix}{k}" for k in set(spec) - set(allowed))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     missing = [f"{prefix}{k}" for k in required if k not in spec]
     if missing:
         raise ValueError(f"missing config keys: {missing}")
+
+
+def check_list(where: str, value) -> None:
+    """Raise ValueError unless ``value``, the config entry at ``where``, is a list (or a tuple); a string is none."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config entry {where!r} must be a list, got {value!r}")
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rewards import check_float, check_int, check_keys
+from .rewards import check_float, check_int, check_keys, check_list
 
 SPEED_STOPPED = 0.1  # m/s; below this a vehicle counts as queued
 JAM_SPACING = 7.0  # m between stopped vehicles, gives queues physical extent
@@ -129,6 +129,8 @@ TOY4_PHASES = (
 
 
 def _validate_topology(topo: Topology) -> Topology:
+    if not topo.lanes or not topo.phases:
+        raise TopologyError("a topology needs at least one lane and one phase")
     lane_ids = [lane.lane_id for lane in topo.lanes]
     if len(set(lane_ids)) != len(lane_ids):
         raise TopologyError("duplicate lane ids")
@@ -191,8 +193,7 @@ def _floats(keys: Sequence[str], *layers: dict) -> dict:
 
 def _lane_ids(name: str, value) -> Tuple[str, ...]:
     """``value``, a list of lane ids, as a tuple of strings; anything else, a string too, raises ValueError."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list of lane ids, got {value!r}")
+    check_list(name, value)
     return tuple(str(lid) for lid in value)
 
 
@@ -216,10 +217,12 @@ def build_topology(preset="toy8", **overrides) -> Topology:
     if unknown:
         raise TopologyError(f"unknown topology overrides {sorted(unknown)}; allowed: {list(_OVERRIDES)}")
     if not isinstance(preset, dict):
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise TopologyError(f"unknown topology preset {preset!r}")
         preset = PRESETS[preset]
     check_keys("topology", preset, _TOPOLOGY_KEYS, required=("lanes", "phases"))
+    check_list("topology.lanes", preset["lanes"])
+    check_list("topology.phases", preset["phases"])
     for i, entry in enumerate(preset["lanes"]):
         check_keys(f"topology.lanes[{i}]", entry, _LANE_KEYS, required=("lane_id",))
     for i, entry in enumerate(preset["phases"]):
@@ -293,25 +296,31 @@ class DemandProfile:
 
     @staticmethod
     def from_dict(spec: dict) -> "DemandProfile":
+        check_keys("demand", spec)  # a mapping; which keys it may hold depends on its kind
         kind = spec.get("kind", "poisson")
-        if kind not in _DEMAND_KEYS:
+        if not isinstance(kind, str) or kind not in _DEMAND_KEYS:
             raise ValueError(f"unknown demand kind {kind!r}")
         check_keys("demand", spec, _DEMAND_KEYS[kind])
         if kind == "schedule":
-            spawns = []
-            for i, s in enumerate(spec.get("spawns", [])):
+            spawns, entries = [], spec.get("spawns", [])
+            check_list("demand.spawns", entries)
+            for i, s in enumerate(entries):
                 check_keys(f"demand.spawns[{i}]", s, ("time", "lane"), required=("time", "lane"))
                 check_float(f"demand.spawns[{i}].time", s["time"], 0.0)
                 spawns.append((float(s["time"]), str(s["lane"])))
             spawns.sort(key=lambda p: p[0])
             return DemandProfile(spawns=spawns)
-        rates = {str(k): _arrival_rate(v, f"rates[{str(k)!r}]") for k, v in spec.get("rates", {}).items()}
+        rates = spec.get("rates", {})
+        check_keys("demand.rates", rates)  # keyed by lane id, which check_lanes checks
+        rates = {str(k): _arrival_rate(v, f"rates[{str(k)!r}]") for k, v in rates.items()}
         base = spec.get("base_rate")
         base = 0.0 if base is None else _arrival_rate(base, "base_rate (every lane)")
-        surges = []
-        for i, s in enumerate(spec.get("surges", [])):
+        surges, entries = [], spec.get("surges", [])
+        check_list("demand.surges", entries)
+        for i, s in enumerate(entries):
             where = f"demand.surges[{i}]"
             check_keys(where, s, ("start", "end", "rates", "rate", "lanes"), required=("start", "end"))
+            check_keys(f"{where}.rates", s.get("rates", {}))
             lane_rates = {
                 str(k): _arrival_rate(v, f"surges[{i}].rates[{str(k)!r}]")
                 for k, v in s.get("rates", {}).items()

@@ -79,8 +79,8 @@ class TrainerConfig:
             check_float(f"trainer.{name}", getattr(self, name), 0.0, strict=True)
         for name in ("alpha", "actor_lr", "value_lr", "actor_weight_decay", "value_weight_decay"):
             check_float(f"trainer.{name}", getattr(self, name), 0.0)
-        if not 0 <= self.gamma <= 1 or not 0 <= self.lam <= 1:
-            raise ValueError("gamma and lam must lie in [0, 1]")
+        for name in ("gamma", "lam"):
+            check_float(f"trainer.{name}", getattr(self, name), 0.0, high=1.0)
         if self.value_clip_mode not in VALUE_CLIP_MODES:
             raise ValueError(f"value_clip_mode must be one of {VALUE_CLIP_MODES}")
 
@@ -144,15 +144,13 @@ def value_loss(
     """Clipped value regression loss and its derivative w.r.t. v_new.
 
     "standard" clips the value change around the rollout-time value;
-    "literal" clips the error term itself (in which case the max always
-    selects the unclipped square, making the clip a no-op -- kept for
-    fidelity to the printed form).
+    "literal" is the printed form, which clips the error term itself; since
+    ``|clip(err)| <= |err|`` its max always selects the unclipped square, so
+    it is the plain squared error.
     """
     err = v_new - returns
     if mode == "literal":
-        clipped = np.clip(err, -eps_value, eps_value)
-        per = np.maximum(err**2, clipped**2)
-        dv = np.where(err**2 >= clipped**2, err, clipped * np.where(np.abs(err) <= eps_value, 1.0, 0.0))
+        per, dv = err**2, err
     elif mode == "standard":
         v_clip = v_old + np.clip(v_new - v_old, -eps_value, eps_value)
         err_clip = v_clip - returns

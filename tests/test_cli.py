@@ -30,7 +30,7 @@ BAD_REWARD_FLOATS = [("tau", NAN), ("beta", NAN), ("w_e", NAN), ("h_r", NAN), ("
 BAD_TRAINER_TYPES = [
     ("episode_length", 100.5), ("g_responses", 2.5), ("decision_interval", 10.5), ("update_interval", True),
     ("checkpoint_interval", "720"), ("buffer_window", 120.0), ("batch_size", 6.5), ("batches_per_update", 1.5),
-    ("eps_low", True), ("use_critic", 0.5), ("use_critic", 1),
+    ("eps_low", True), ("use_critic", 0.5), ("use_critic", 1), ("gamma", True), ("lam", False),
 ]
 # topology geometry must lie in (0, inf) and yellow_duration in [0, inf), neither a bool
 BAD_GEOMETRY = [
@@ -67,6 +67,15 @@ BAD_DEMAND_SPECS = [
     ({"kind": "poisson", "surges": [{"start": 0, "end": 100, "rate": 0.5, "lanes": "N_T"}]}, "surges[0].lanes"),
     ({"kind": "poisson", "surges": [{"start": 0, "end": 100, "lanes": ["N_T"]}]}, "surges[0]: rate and lanes"),
     ({"kind": "poisson", "surges": [{"start": 0, "end": 100, "rate": 0.5}]}, "surges[0]: rate and lanes"),
+    # a value of the wrong shape: a mapping or a list where the other, or a scalar, belongs
+    ([0.1], "'demand' must be a mapping"),
+    (5, "'demand' must be a mapping"),
+    ({"kind": ["poisson"]}, "demand kind"),
+    ({"kind": "poisson", "rates": [0.1]}, "'demand.rates' must be a mapping"),
+    ({"kind": "poisson", "surges": [{"start": 0, "end": 100, "rates": [0.1]}]}, "'demand.surges[0].rates' must be"),
+    ({"kind": "poisson", "surges": 5}, "'demand.surges' must be a list"),
+    ({"kind": "poisson", "surges": {"a": 1}}, "'demand.surges' must be a list"),
+    ({"kind": "schedule", "spawns": 5}, "'demand.spawns' must be a list"),
 ]
 # an inline two-lane topology, and changes to it that a run would misread or ignore
 PAIR = {
@@ -93,10 +102,15 @@ BAD_TOPOLOGIES = [
     (pair(phases=({"index": 0.7}, {})), "phases[0].index"),
     (pair(phases=({}, {"index": True})), "phases[1].index"),
     (pair(phases=({"allowed_lanes": "AB"}, {})), "phases[0].allowed_lanes"),
+    ({**PAIR, "lanes": 5}, "'topology.lanes' must be a list"),
+    ({**PAIR, "phases": 5}, "'topology.phases' must be a list"),
+    (["toy8"], "unknown topology preset"),
+    ({"lanes": [], "phases": []}, "at least one lane and one phase"),
 ]
 BAD_TOP_TYPES = [
     ("episodes", 1.5), ("seed", 1.5), ("seed", -1), ("default_phase", 1.5), ("default_phase", True),
     ("holdout_eval", "maybe"), ("action_from_extra_sample", 1), ("t_fixed", True),
+    ("topology_overrides", [1]), ("out", 5),
 ]
 
 

@@ -118,6 +118,11 @@ class TestTopology:
         with pytest.raises(TopologyError):
             build_topology(spec)
 
+    @pytest.mark.parametrize("lanes, phases", [([], []), ([{"lane_id": "A"}], [])])
+    def test_empty_topology_rejected(self, lanes, phases):
+        with pytest.raises(TopologyError, match="at least one lane and one phase"):
+            build_topology({"lanes": lanes, "phases": phases})
+
     def test_lane_listed_twice_in_a_phase_rejected(self):
         spec = {
             "lanes": [{"lane_id": "A"}, {"lane_id": "B"}],
@@ -418,8 +423,10 @@ def test_fused_step_matches_two_pass_reference(rates, surges, seed, yellow, free
     resumed = None
     for t in range(300):
         if t == snapshot_at:
+            state = sim.state_dict()
+            assert state["rng_state"] == sim._rng_state()  # so the checks below may read it directly
             resumed = new_sim(seed + 1)
-            resumed.load_state_dict(sim.state_dict())
+            resumed.load_state_dict(state)
         for s in (sim, ref, resumed):
             if s is not None and t in switches:
                 s.set_phase(switches[t])
@@ -427,12 +434,12 @@ def test_fused_step_matches_two_pass_reference(rates, surges, seed, yellow, free
         assert queue == sim.queue_length()
         assert queue == reference_step(ref)
         assert _vehicles(sim) == _vehicles(ref)
-        rng_state = sim.state_dict()["rng_state"]
+        rng_state = sim._rng_state()
         assert rng_state == ref.rng.bit_generator.state
         if resumed is not None:
             assert resumed.step() == queue
             assert _vehicles(resumed) == _vehicles(sim)
-            assert resumed.state_dict()["rng_state"] == rng_state
+            assert resumed._rng_state() == rng_state
     assert sim.injected_count == ref.injected_count
     assert asdict(resumed.finalize_metrics()) == asdict(sim.finalize_metrics())
 

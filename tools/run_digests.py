@@ -6,13 +6,17 @@ SRC is the ``src`` directory of the checkout to run and OUT a new directory.
 The runs go under OUT, and OUT/digests.txt gets one ``sha256  path`` line
 per file, sorted by path, and each ``.npz`` also gets one
 ``sha256  path::member`` line per zip member, so a change that alters only
-checkpoint meta shows as ``meta.npy`` lines alone. Every run has 2 episodes of 720 steps, update and
+checkpoint meta shows as ``meta.npy`` lines alone. Every library run has 2 episodes of 720 steps, update and
 checkpoint intervals of 360 and the held-out episode on, and reads the
-configs next to this tool, so two checkouts get the same inputs. Diff the
+configs next to this tool, so two checkouts get the same inputs. Three
+runs go through the command line (a baseline, and ``reward-hist`` with the
+default hurdle and with a config's); what each prints goes to a
+``*_stdout.txt`` file, so the printed reports are digested too. Diff the
 digests.txt of a parent checkout against a change's: a change that keeps
 same-config, same-seed runs byte-identical shows no difference.
 """
 
+import contextlib
 import hashlib
 import os
 import sys
@@ -25,6 +29,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def main(src: Path, out: Path) -> int:
     sys.path.insert(0, str(src))
     import tsclab
+    from tsclab import cli
     from tsclab.experiment import ExperimentConfig, ExperimentRunner, compare, run_config
 
     if not Path(tsclab.__file__).resolve().is_relative_to(src):
@@ -73,6 +78,17 @@ def main(src: Path, out: Path) -> int:
     runner.train()
     baselines = [config("toy8_fixed", "compare"), config("toy8_maxpressure", "compare")]
     compare(baselines, [3, 4], "compare", labels=["fixed", "maxpressure"])
+
+    log = "toy8/ep000_decisions.jsonl"
+    for name, argv in (
+        ("cli_baseline", ["baseline", "--config", str(CONFIGS / "toy8_maxpressure.yaml"), "--episodes", "1"]),
+        ("cli_hist_default", ["reward-hist", log]),
+        ("cli_hist_config", ["reward-hist", log, "--config", str(CONFIGS / "toy8.yaml")]),
+    ):
+        with open(f"{name}_stdout.txt", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            code = cli.main([*argv, "--out", name])
+        if code != 0:
+            raise SystemExit(f"{name}: tsclab exited with {code}")
 
     def sha(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
