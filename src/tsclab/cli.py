@@ -19,6 +19,7 @@ from .experiment import (
     CONTROLLERS,
     ExperimentConfig,
     ExperimentRunner,
+    check_file,
     compare,
     reward_histogram,
 )
@@ -103,8 +104,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reward_hist(args) -> int:
-    if not Path(args.jsonl).exists():
-        raise ValueError(f"validation failed: decision log not found: {args.jsonl}")
+    check_file("decision log", args.jsonl)
     hurdle = args.hurdle
     if hurdle is not None:
         check_float("validation failed: --hurdle", hurdle)

@@ -70,6 +70,14 @@ METRICS = tuple(f.name for f in fields(Metrics))  # an episode's metrics, in col
 METRIC_COLUMNS = ("episode", *METRICS, "decisions")
 
 
+def check_file(what: str, path) -> Path:
+    """Raise ValueError, naming ``what`` and ``path``, unless ``path`` is a file; return it as a Path."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"validation failed: {what} {'is not a file' if path.exists() else 'not found'}: {path}")
+    return path
+
+
 @dataclass
 class PolicyShape:
     d_embed: int = 16
@@ -127,8 +135,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_yaml(path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+        with open(check_file("config", path), "r", encoding="utf-8") as fh:
+            try:
+                raw = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ValueError(f"validation failed: config {path} is not valid YAML: {exc}") from exc
         return ExperimentConfig.from_dict(raw)
 
     def to_dict(self) -> dict:
@@ -332,11 +343,15 @@ class ExperimentRunner:
         action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
         if not learn:
             return _Pending(float(t), queue, action)
-        first_entropy = 1 if cfg.action_from_extra_sample else 0
-        responses = [tokens[r, : lengths[r]] for r in range(first_entropy, n_samples)]
+        # the G entropy responses are rows 1..G with an extra action sample and rows 0..G-1
+        # without; row 0 is extracted once, above
+        responses = [tokens[r, : lengths[r]] for r in range(1, n_samples)]
+        counts = phase_histogram(responses, self.topo, cfg.default_phase, self.vocab)
+        if not cfg.action_from_extra_sample:
+            counts[action] += 1
         return _Pending(
             float(t), queue, action,
-            counts=phase_histogram(responses, self.topo, cfg.default_phase, self.vocab),
+            counts=counts,
             features=features,
             tokens=np.array(action_tokens),
             logps=np.array(logps[0, : lengths[0]]),

@@ -52,7 +52,7 @@ class Vocabulary:
         return len(self.tokens)
 
     def decode(self, token_ids: Sequence[int]) -> str:
-        return " ".join(self.tokens[int(t)] for t in token_ids)
+        return " ".join(map(self.tokens.__getitem__, np.asarray(token_ids, dtype=np.int64).tolist()))
 
     @staticmethod
     def for_topology(topo: Topology, n_filler: int = 16) -> "Vocabulary":
@@ -89,28 +89,27 @@ def extract_phase(text_or_tokens, topo: Topology, default_code: int, vocab: Opti
             raise ValueError("token-id input requires a vocabulary")
         text = vocab.decode(text_or_tokens)
 
-    by_mnemonic = {p.mnemonic.upper(): p.index for p in topo.phases}
-    for match in reversed(list(_TAG_RE.finditer(text))):
-        candidate = match.group(1).strip().upper()
-        if candidate in by_mnemonic:
-            return by_mnemonic[candidate]
+    by_mnemonic, needles = topo.phase_names
+    for content in reversed(_TAG_RE.findall(text)):
+        phase = by_mnemonic.get(content.strip().upper())
+        if phase is not None:
+            return phase
 
     lowered = text.lower()
     best_pos = -1
     best_phase = default_code
-    for phase in topo.phases:
-        for needle in (phase.mnemonic.lower(), phase.description.lower()):
-            pos = lowered.rfind(needle)
-            if pos > best_pos:
-                best_pos = pos
-                best_phase = phase.index
+    for needle, phase in needles:
+        pos = lowered.rfind(needle)
+        if pos > best_pos:
+            best_pos = pos
+            best_phase = phase
     return best_phase
 
 
 def phase_histogram(
     responses: Sequence, topo: Topology, default_code: int, vocab: Optional[Vocabulary] = None
 ) -> np.ndarray:
-    """Count extracted phases over G responses; sums to G."""
+    """Count the extracted phase of each response; sums to ``len(responses)``."""
     counts = np.zeros(topo.n_phases, dtype=np.int64)
     for response in responses:
         counts[extract_phase(response, topo, default_code, vocab)] += 1

@@ -9,6 +9,13 @@ difference suite in the tests pins them to the analytic contract.
 Sampling and the teacher-forced batch paths share one trunk; the
 sampler batches all responses of a decision, and the random streams come
 from the counter-based keys in ``_kernels``.
+
+The sampler's outputs are exact to the bit, and one rule keeps them so:
+each decoding step runs on exactly the rows still active, compacted in
+their original order. A lone active row keeps NumPy's 1-row (gemv) matmul
+path, whose last bits differ from those of the same row inside a larger
+(gemm) batch, so rows are never padded, and rows of different calls are
+never merged into one batch.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ def _uniform_init(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _leaky(x):
-    return np.maximum(x, 0.01 * x)
+def _leaky(x, out=None):
+    out = np.multiply(x, 0.01, out=out)
+    return np.maximum(x, out, out=out)
 
 
 def _dleaky(x):
@@ -98,19 +106,26 @@ class TokenPolicy:
 
     # -- the trunk, shared by sampling and teacher forcing ---------------
 
-    def _trunk(self, z0: np.ndarray):
-        """Hidden layers from the first pre-activation ``z0`` up to the logits.
+    def _layers(self, lead: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
+        """Empty arrays for the trunk's layers (h0, z1, h1, z2, h2, logits) over leading shape ``lead``."""
+        d_h = self.d_hidden
+        return (*(np.empty((*lead, d_h)) for _ in range(5)), np.empty((*lead, self.vocab_size)))
 
-        Returns (logits, (h0, z1, h1, z2, h2)); the intermediates feed
-        :meth:`backward_from_dlogits`.
+    def _trunk(self, z0: np.ndarray, layers: Tuple[np.ndarray, ...]) -> np.ndarray:
+        """Runs the hidden layers from the first pre-activation ``z0`` up to the logits.
+
+        Writes each layer into ``layers`` (h0, z1, h1, z2, h2, logits, as
+        :meth:`_layers` makes them) and returns the logits; the
+        intermediates feed :meth:`backward_from_dlogits`.
         """
         p = self.params
-        h0 = _leaky(z0)
-        z1 = h0 @ p["w_h1"] + p["b_h1"]
-        h1 = _leaky(z1)
-        z2 = h1 @ p["w_h2"] + p["b_h2"]
-        h2 = _leaky(z2)
-        return h2 @ p["w_out"] + p["b_out"], (h0, z1, h1, z2, h2)
+        h0, z1, h1, z2, h2, logits = layers
+        _leaky(z0, out=h0)
+        np.add(np.matmul(h0, p["w_h1"], out=z1), p["b_h1"], out=z1)
+        _leaky(z1, out=h1)
+        np.add(np.matmul(h1, p["w_h2"], out=z2), p["b_h2"], out=z2)
+        _leaky(z2, out=h2)
+        return np.add(np.matmul(h2, p["w_out"], out=logits), p["b_out"], out=logits)
 
     # -- sampling --------------------------------------------------------
 
@@ -131,56 +146,86 @@ class TokenPolicy:
         they agree with :meth:`logprobs` on the same tokens. Raises
         ``ValueError`` if a sampled log-prob is not finite, which non-finite
         parameters or features cause.
+
+        Each step works on the active rows only, compacted in key order:
+        their tokens, log-probs and uniforms sit in per-call buffers, and a
+        row is copied into the padded outputs when it ends.
         """
         if temperature <= 0:
             raise ValueError("temperature must be > 0")
         p = self.params
         g = len(keys)
         n_steps = int(max_len if max_len is not None else self.max_len)
-        k = self.k_history
-        uniforms = _kernels.uniforms_from_key(keys, n_steps)
+        k, eos = self.k_history, self.eos_id
         # the projected mean embedding of the window is the mean of projected rows
         hist_proj = p["emb"] @ p["w_hist"]
         ctx_pre = np.asarray(features, dtype=np.float64) @ p["w_ctx"] + p["b_ctx"]
+        b_hist = p["b_hist"]
+        z0_empty = ctx_pre + np.zeros(self.d_hidden) + b_hist  # the first pre-activation of an empty window
 
         tokens = np.full((g, n_steps), -1, dtype=np.int64)
         logps = np.zeros((g, n_steps), dtype=np.float64)
-        rows = slice(None)  # active rows; a plain slice until the first one ends
-        pick = np.arange(g)
+        lengths = np.full(g, n_steps, dtype=np.int64)
+        # the active rows in key order: the output row of each, and step-major
+        # buffers of their uniforms, tokens and log-probs (buffer[step] is one step of every row)
+        rows = np.arange(g)
+        u = np.ascontiguousarray(_kernels.uniforms_from_key(keys, n_steps).T)[:, :, None]
+        tok = np.empty((n_steps, g), dtype=np.int64)
+        lp = np.empty((n_steps, g))
+        # z0, the trunk's layers, exp(logits - max) and then the CDF, max, sum and lse of each active row
+        buffers = (np.empty((g, self.d_hidden)), *self._layers((g,)), np.empty((g, self.vocab_size)),
+                   *(np.empty((g, 1)) for _ in range(3)))
+        n = -1
         for step in range(n_steps):
+            if n != rows.size:  # rows ended: slice the buffers to the active ones
+                n = rows.size
+                z0, *layers, e, mx, total, lse = (b[:n] for b in buffers)
+                pick, lse_flat = np.arange(n), lse[:, 0]
+                # the CDF but its last column: the count of its entries <= u is the
+                # count over the whole CDF capped at vocab_size - 1, as the CDF is
+                # nondecreasing (and NaN from the first NaN on)
+                head = e[:, :-1]
             if step and k:
-                window = tokens[rows, max(0, step - k) : step]
-                hist = hist_proj[window].sum(axis=1) / window.shape[1]
+                window = tok[max(0, step - k) : step]
+                np.add.reduce(hist_proj.take(window, axis=0), axis=0, out=z0)
+                np.divide(z0, window.shape[0], out=z0)
+                np.add(ctx_pre, z0, out=z0)
+                np.add(z0, b_hist, out=z0)
             else:
-                hist = np.zeros((pick.size, self.d_hidden))  # empty window
-            logits, _ = self._trunk(ctx_pre + hist + p["b_hist"])
+                z0[...] = z0_empty
+            logits = self._trunk(z0, layers)
 
-            mx = logits.max(axis=1, keepdims=True)
-            exp1 = np.exp(logits - mx)
-            total = exp1.sum(axis=1, keepdims=True)
-            lse = (mx + np.log(total))[:, 0]
-            if temperature == 1.0:
-                probs = exp1 / total
-            else:
-                scaled = logits / temperature
-                exp_s = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-                probs = exp_s / exp_s.sum(axis=1, keepdims=True)
-            cdf = np.cumsum(probs, axis=1)
-            drawn = (cdf <= uniforms[rows, step][:, None]).sum(axis=1)
-            drawn = np.minimum(drawn, self.vocab_size - 1)
+            np.maximum.reduce(logits, axis=1, keepdims=True, out=mx)
+            np.exp(np.subtract(logits, mx, out=e), out=e)
+            np.add.reduce(e, axis=1, keepdims=True, out=total)
+            np.add(mx, np.log(total, out=lse), out=lse)
+            if temperature != 1.0:
+                np.divide(logits, temperature, out=e)
+                np.maximum.reduce(e, axis=1, keepdims=True, out=mx)
+                np.exp(np.subtract(e, mx, out=e), out=e)
+                np.add.reduce(e, axis=1, keepdims=True, out=total)
+            np.add.accumulate(np.divide(head, total, out=head), axis=1, out=head)
+            drawn = np.add.reduce(np.less_equal(head, u[step]), axis=1)
 
-            tokens[rows, step] = drawn
-            logps[rows, step] = logits[pick, drawn] - lse
-            ended = drawn == self.eos_id
-            if ended.any():
-                rows = np.arange(g)[rows][~ended]
+            tok[step] = drawn
+            np.subtract(logits[pick, drawn], lse_flat, out=lp[step])
+            if eos in drawn.tolist():
+                ended = drawn == eos
+                done = rows[ended]
+                tokens[done, : step + 1] = tok[: step + 1, ended].T
+                logps[done, : step + 1] = lp[: step + 1, ended].T
+                lengths[done] = step + 1
+                live = ~ended
+                rows, u, tok, lp = rows[live], u[:, live], tok[:, live], lp[:, live]
                 if not rows.size:
                     break
-                pick = np.arange(rows.size)
+        else:
+            tokens[rows] = tok.T
+            logps[rows] = lp.T
 
         if not np.isfinite(logps).all():
             raise ValueError("sampler produced a non-finite log-prob; check parameters and features")
-        return tokens, (tokens >= 0).sum(axis=1), logps
+        return tokens, lengths, logps
 
     # -- teacher-forced evaluation ---------------------------------------
 
@@ -208,7 +253,8 @@ class TokenPolicy:
 
         ctx_pre = features @ p["w_ctx"] + p["b_ctx"]
         z0 = ctx_pre[:, None, :] + m @ p["w_hist"] + p["b_hist"]
-        logits, (h0, z1, h1, z2, h2) = self._trunk(z0)
+        h0, z1, h1, z2, h2, logits = layers = self._layers((B, L))
+        self._trunk(z0, layers)
 
         cache = {
             "features": features,

@@ -57,7 +57,8 @@ def check_keys(where: str, spec, allowed: Optional[Sequence[str]] = None, requir
     With ``allowed`` None any key is allowed, as in a mapping keyed by lane id.
     """
     if not isinstance(spec, dict):
-        raise ValueError(f"config section {where!r} must be a mapping, got {spec!r}")
+        name = f"config section {where!r}" if where else "the config"
+        raise ValueError(f"{name} must be a mapping, got {spec!r}")
     prefix = f"{where}." if where else ""
     unknown = [] if allowed is None else sorted(f"{prefix}{k}" for k in set(spec) - set(allowed))
     if unknown:

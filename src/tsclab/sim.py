@@ -18,7 +18,8 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +86,15 @@ class Topology:
         matrix = np.array([[lid in p.allowed_lanes for lid in self.lane_ids] for p in self.phases], dtype=np.int64)
         matrix.flags.writeable = False  # one array serves every caller
         return matrix
+
+    @cached_property
+    def phase_names(self) -> Tuple[Mapping[str, int], Tuple[Tuple[str, int], ...]]:
+        """How response text names a phase: a read-only map of each upper-case mnemonic to its
+        phase index, and (lower-case needle, phase index) for each phase's mnemonic and then
+        description, in table order."""
+        by_mnemonic = MappingProxyType({p.mnemonic.upper(): p.index for p in self.phases})
+        needles = tuple((name.lower(), p.index) for p in self.phases for name in (p.mnemonic, p.description))
+        return by_mnemonic, needles
 
 
 _MOVEMENTS = ("through", "left", "right", "u-turn")

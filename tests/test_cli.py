@@ -113,6 +113,13 @@ BAD_TOP_TYPES = [
     ("topology_overrides", [1]), ("out", 5),
 ]
 
+# a config or decision log that is not a readable file: (id, command, YAML text of the file, or None for a directory)
+BAD_FILES = [
+    ("unclosed_brace", "baseline", "demand: {kind: poisson\ncontroller: fixed\n"),
+    ("config_dir", "baseline", None),
+    ("log_dir", "reward-hist", None),
+]
+
 
 def write_config(path, **over):
     base = {
@@ -189,6 +196,28 @@ class TestValidationFailures:
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 2
         assert "'reward' must be a mapping" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_not_a_mapping(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(["toy8"]))
+        out = tmp_path / "out"
+        assert main(["baseline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: the config must be a mapping, got ['toy8']")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [(c, t) for _, c, t in BAD_FILES], ids=[i for i, _, _ in BAD_FILES])
+    def test_bad_file_rejected_before_any_output(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad"
+        if text is None:
+            bad.mkdir()
+        else:
+            bad.write_text(text)
+        out = tmp_path / "out"
+        args = [str(bad)] if command == "reward-hist" else ["--config", str(bad)]
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
         assert not out.exists()
 
     def test_compare_rejects_configs_sharing_a_file_stem(self, tmp_path, capsys):

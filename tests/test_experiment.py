@@ -9,6 +9,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsclab import experiment, phases
 from tsclab._kernels import derive_key
 from tsclab.experiment import (
     ExperimentConfig,
@@ -283,6 +284,17 @@ class TestExtraSample:
         """With action_from_extra_sample a learning decision samples G + 1
         responses, acts on the one with key index 0 and logs the phase
         counts of responses 1..G."""
+        self._check_decisions(tmp_path, monkeypatch, extra=True)
+
+    def test_action_from_first_sample(self, tmp_path, monkeypatch):
+        """Without it, a learning decision samples G responses, acts on the
+        first and logs the phase counts of all G."""
+        self._check_decisions(tmp_path, monkeypatch, extra=False)
+
+    @staticmethod
+    def _check_decisions(tmp_path, monkeypatch, extra):
+        """Each decision's action and counts equal one extract_phase call per
+        response, and that is all the scanning the decision does."""
         calls = []
         sample = TokenPolicy.sample
 
@@ -291,22 +303,32 @@ class TestExtraSample:
             calls.append((list(keys), result))
             return result
 
+        scans = []
+
+        def counting_extract(*args):
+            scans.append(args)
+            return extract_phase(*args)
+
+        for module in (experiment, phases):  # _decide's own call and phase_histogram's
+            monkeypatch.setattr(module, "extract_phase", counting_extract)
         monkeypatch.setattr(TokenPolicy, "sample", recording_sample)
-        cfg = tiny_config(action_from_extra_sample=True, policy={"d_embed": 4, "d_hidden": 8, "max_len": 32})
+        cfg = tiny_config(action_from_extra_sample=extra, policy={"d_embed": 4, "d_hidden": 8, "max_len": 32})
         runner = ExperimentRunner(cfg, out_dir=tmp_path / "run")
         report = runner.train()[0]
         rows = [json.loads(line) for line in Path(report.decisions_jsonl).read_text().splitlines()]
         g = cfg.trainer.g_responses
+        n_samples = g + 1 if extra else g
         assert len(rows) == len(calls) == report.decisions == 30
+        assert len(scans) == 30 * n_samples
         chosen = set()
         for i, (row, (keys, (tokens, lengths, _))) in enumerate(zip(rows, calls)):
-            assert keys == [derive_key(cfg.seed, 0, i, r) for r in range(g + 1)]
-            phases = [
+            assert keys == [derive_key(cfg.seed, 0, i, r) for r in range(n_samples)]
+            found = [
                 extract_phase(tokens[r, : lengths[r]], runner.topo, cfg.default_phase, runner.vocab)
-                for r in range(g + 1)
+                for r in range(n_samples)
             ]
-            assert row["chosen_phase"] == phases[0]
-            assert row["counts"] == np.bincount(phases[1:], minlength=runner.topo.n_phases).tolist()
+            assert row["chosen_phase"] == found[0]
+            assert row["counts"] == np.bincount(found[n_samples - g :], minlength=runner.topo.n_phases).tolist()
             assert sum(row["counts"]) == g
             chosen.add(row["chosen_phase"])
         assert len(chosen) > 1  # the responses name more than the default phase

@@ -52,6 +52,14 @@ class TestVocabulary:
         ids = [vocab8.index["NTST"], vocab8.index[SIGNAL_OPEN], vocab8.index["7"]]
         assert vocab8.decode(ids) == f"NTST {SIGNAL_OPEN} 7"
 
+    def test_decode_takes_arrays_and_lists_alike(self, vocab8):
+        ids = [vocab8.index["ETWT"], vocab8.index[SIGNAL_CLOSE], 0, vocab8.eos_id]
+        text = "ETWT </signal> NTST <eos>"
+        assert vocab8.decode(np.array(ids, dtype=np.int64)) == text
+        assert vocab8.decode(ids) == text
+        assert vocab8.decode([np.int64(i) for i in ids]) == text
+        assert vocab8.decode(np.array([], dtype=np.int64)) == ""
+
     def test_filler_budget(self):
         with pytest.raises(ValueError):
             Vocabulary(["AA"], n_filler=len(FILLER_WORDS) + 1)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tsclab._kernels import derive_key
+from tsclab._kernels import derive_key, uniforms_from_key
 from tsclab.phases import feature_length
 from tsclab.policy import (
     POLICY_FIELDS,
@@ -162,6 +164,107 @@ class TestForward:
     def test_oov_token_rejected(self, small_policy):
         with pytest.raises(ValueError):
             small_policy.logprobs(np.zeros(small_policy.feature_len), [small_policy.vocab_size])
+
+
+def reference_sample(policy, features, keys, temperature=1.0, max_len=None):
+    """The sampler as one loop over the padded outputs, indexed by an
+    active-row index that is a plain slice until the first row ends: the
+    bit-exact oracle of ``TokenPolicy.sample``."""
+    p = policy.params
+
+    def leaky(x):
+        return np.maximum(x, 0.01 * x)
+
+    g = len(keys)
+    n_steps = int(max_len if max_len is not None else policy.max_len)
+    k = policy.k_history
+    uniforms = uniforms_from_key(keys, n_steps)
+    hist_proj = p["emb"] @ p["w_hist"]
+    ctx_pre = np.asarray(features, dtype=np.float64) @ p["w_ctx"] + p["b_ctx"]
+
+    tokens = np.full((g, n_steps), -1, dtype=np.int64)
+    logps = np.zeros((g, n_steps), dtype=np.float64)
+    rows = slice(None)
+    pick = np.arange(g)
+    for step in range(n_steps):
+        if step and k:
+            window = tokens[rows, max(0, step - k) : step]
+            hist = hist_proj[window].sum(axis=1) / window.shape[1]
+        else:
+            hist = np.zeros((pick.size, policy.d_hidden))
+        h0 = leaky(ctx_pre + hist + p["b_hist"])
+        h1 = leaky(h0 @ p["w_h1"] + p["b_h1"])
+        h2 = leaky(h1 @ p["w_h2"] + p["b_h2"])
+        logits = h2 @ p["w_out"] + p["b_out"]
+
+        mx = logits.max(axis=1, keepdims=True)
+        exp1 = np.exp(logits - mx)
+        total = exp1.sum(axis=1, keepdims=True)
+        lse = (mx + np.log(total))[:, 0]
+        if temperature == 1.0:
+            probs = exp1 / total
+        else:
+            scaled = logits / temperature
+            exp_s = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+            probs = exp_s / exp_s.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        drawn = (cdf <= uniforms[rows, step][:, None]).sum(axis=1)
+        drawn = np.minimum(drawn, policy.vocab_size - 1)
+
+        tokens[rows, step] = drawn
+        logps[rows, step] = logits[pick, drawn] - lse
+        ended = drawn == policy.eos_id
+        if ended.any():
+            rows = np.arange(g)[rows][~ended]
+            if not rows.size:
+                break
+            pick = np.arange(rows.size)
+
+    if not np.isfinite(logps).all():
+        raise ValueError("sampler produced a non-finite log-prob")
+    return tokens, (tokens >= 0).sum(axis=1), logps
+
+
+# an EOS logit bias that ends every row at its first token, ends some rows early, or ends none
+EOS_BIASES = (50.0, 2.0, 0.0, -50.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.integers(1, 9),
+    k_history=st.sampled_from([0, 1, 4, 40]),
+    max_len=st.sampled_from([1, 2, 7, 32]),
+    temperature=st.sampled_from([0.5, 1.0, 2.0]),
+    eos_bias=st.sampled_from(EOS_BIASES),
+    d_hidden=st.sampled_from([6, 64]),
+    seed=st.integers(0, 2**16),
+)
+@example(g=1, k_history=4, max_len=32, temperature=1.0, eos_bias=0.0, d_hidden=64, seed=0)
+@example(g=9, k_history=40, max_len=32, temperature=0.5, eos_bias=2.0, d_hidden=64, seed=1)
+@example(g=8, k_history=4, max_len=32, temperature=2.0, eos_bias=50.0, d_hidden=64, seed=2)
+@example(g=8, k_history=0, max_len=7, temperature=1.0, eos_bias=-50.0, d_hidden=6, seed=3)
+def test_sample_matches_reference_loop_bit_for_bit(
+    toy8, vocab8, g, k_history, max_len, temperature, eos_bias, d_hidden, seed
+):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    policy = TokenPolicy(
+        vocab8.size, feature_length(toy8), vocab8.eos_id,
+        d_embed=16, d_hidden=d_hidden, k_history=k_history, max_len=max_len, rng=rng,
+    )
+    policy.params["b_out"] += rng.normal(0.0, 0.5, size=vocab8.size)
+    policy.params["b_out"][vocab8.eos_id] += eos_bias
+    features = rng.uniform(0.0, 6.0, size=policy.feature_len)
+    keys = [derive_key(seed, r) for r in range(g)]
+    got = policy.sample(features, keys, temperature=temperature)
+    want = reference_sample(policy, features, keys, temperature=temperature)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    lengths = got[1]
+    if eos_bias == EOS_BIASES[0]:
+        assert np.all(lengths == 1)
+    if eos_bias == EOS_BIASES[-1]:
+        assert np.all(lengths == max_len)
 
 
 class TestSampling:

@@ -146,6 +146,19 @@ class TestTopology:
         assert topo == toy4 and hash(topo) == hash(toy4)
         assert "phase_lanes" not in asdict(topo)
 
+    def test_phase_names(self, toy4):
+        topo = build_topology("toy4")
+        by_mnemonic, needles = names = topo.phase_names
+        assert dict(by_mnemonic) == {"NUTRLSUTRL": 0, "NUTLSUTL": 1, "EUTRLWUTRL": 2, "EUTLWUTL": 3}
+        # each phase's mnemonic, then its description, in table order
+        assert len(needles) == 8 and needles[2:4] == (
+            ("nutlsutl", 1), ("northern and southern u-turn, through, and left-turn lanes", 1)
+        )
+        assert topo.phase_names is names  # built once
+        with pytest.raises(TypeError):
+            by_mnemonic["X"] = 0
+        assert topo == toy4 and "phase_names" not in asdict(topo)
+
     def test_uncovered_lane_rejected(self):
         spec = {
             "name": "bad",
