@@ -385,6 +385,8 @@ class Intersection:
         self.completed: List[Vehicle] = []
         self.injected_count = 0  # also the id of the next vehicle
         self._last_departure: Dict[str, float] = {lid: -math.inf for lid in topo.lane_ids}
+        # per lane, how many front vehicles did not move in the last step; derived, never saved
+        self._settled: Dict[str, int] = dict.fromkeys(topo.lane_ids, 0)
         self._spawn_cursor = 0
         self._queue_samples: List[float] = []
         self._lanes: Dict[str, Lane] = {lane.lane_id: lane for lane in topo.lanes}
@@ -409,8 +411,9 @@ class Intersection:
     def step(self) -> float:
         """Advance one second; returns the queue length sampled after it.
 
-        One pass over the vehicles moves them and counts the stopped ones,
-        so the sample equals :meth:`queue_length` without a second pass.
+        One pass over the vehicles that can move moves them and counts the
+        stopped ones, so the sample equals :meth:`queue_length` without a
+        second pass.
         """
         t_next = self.time + 1.0
 
@@ -441,25 +444,42 @@ class Intersection:
         return queue
 
     def _advance_lane(self, lane: Lane, served: bool, t_next: float) -> int:
-        """Move one lane's vehicles; returns how many end the step stopped."""
-        queue = self.vehicles[lane.lane_id]  # front first: vehicles join only at the back
+        """Move one lane's vehicles; returns how many end the step stopped.
+
+        A vehicle's update reads only its position, the lane's speed and its
+        front limit, the closest position its leader leaves it (0.0 for the
+        front vehicle). So if a vehicle and its leader did not move in the
+        last step and the lane has no departure, the vehicle gets the same
+        inputs again and so the same position and speed 0.0. By induction
+        from the front, the ``_settled`` front vehicles that did not move in
+        the last step stay as they are on an unserved lane, and its pass
+        starts behind them. A served lane's front vehicle may depart, so its
+        pass starts at the front, and every pass counts the prefix anew.
+        """
+        lane_id = lane.lane_id
+        queue = self.vehicles[lane_id]  # front first: vehicles join only at the back
         if not queue:
             return 0
         speed = lane.free_flow_speed
-        survivors: List[Vehicle] = []
-        stopped = 0
-        front_limit = 0.0  # closest position the next vehicle may occupy
-        for veh in queue:
+        start = 0 if served else self._settled[lane_id]
+        # closest position the next vehicle may occupy
+        front_limit = queue[start - 1].position + JAM_SPACING if start else 0.0
+        if (
+            served
+            and queue[0].position - speed <= 0.0
+            and t_next - self._last_departure[lane_id] >= lane.saturation_headway
+        ):  # the headway is > 0, so at most one vehicle departs per step
+            veh = queue.pop(0)
+            veh.completion_time = t_next
+            veh.position = 0.0
+            veh.speed = speed
+            self._last_departure[lane_id] = t_next
+            self.completed.append(veh)
+        stopped = settled = start
+        moving = False  # whether a vehicle of this pass has moved yet
+        for veh in queue[start:]:
             position = veh.position
             candidate = position - speed
-            if not survivors and candidate <= 0.0 and served:
-                if t_next - self._last_departure[lane.lane_id] >= lane.saturation_headway:
-                    veh.completion_time = t_next
-                    veh.position = 0.0
-                    veh.speed = speed
-                    self._last_departure[lane.lane_id] = t_next
-                    self.completed.append(veh)
-                    continue
             # max(candidate, front_limit), then min(., position): on a tie the
             # two picks are equal floats, and no -0.0 can arise here
             new_pos = candidate if candidate > front_limit else front_limit
@@ -467,11 +487,16 @@ class Intersection:
                 new_pos = position
             veh.speed = moved = position - new_pos  # per 1 s step
             veh.position = new_pos
-            survivors.append(veh)
             if moved < SPEED_STOPPED:
                 stopped += 1
+            if not moving:
+                # not moved < SPEED_STOPPED: a crawl at free_flow_speed 0.05 counts as stopped but moves
+                if new_pos == position:
+                    settled += 1
+                else:
+                    moving = True
             front_limit = new_pos + JAM_SPACING
-        queue[:] = survivors
+        self._settled[lane_id] = settled
         return stopped
 
     def _spawn(self, t_next: float) -> int:
@@ -497,21 +522,25 @@ class Intersection:
             self._draw_block(math.ceil(min(hi - self.time, ARRIVAL_BLOCK_STEPS)))
         row = self._block[self._block_row]
         self._block_row += 1
-        for (lane_id, _), count in zip(self._arrivals, row):
-            for _ in range(count):
-                stopped += self._add_vehicle(lane_id, t_next)
+        for lane_id in row:
+            stopped += self._add_vehicle(lane_id, t_next)
         return stopped
 
     def _draw_block(self, n_steps: int) -> None:
-        """Draw the arrival counts of the next ``n_steps`` steps, all in the cached span.
+        """Draw the arrivals of the next ``n_steps`` steps, all in the cached span.
 
-        The generator fills the (step, lane) array in C order with the
-        routine a scalar draw uses, so the counts and the generator state
+        The generator fills the (step, lane) array of counts in C order with
+        the routine a scalar draw uses, so the counts and the generator state
         after them equal those of one draw per step and lane in lane order.
+        Each step's row of counts becomes the lane id of each arrival, in
+        lane order with repeats.
         """
-        rates = [rate for _, rate in self._arrivals]
+        lane_ids, rates = zip(*self._arrivals)
         self._block_state = self.rng.bit_generator.state
-        self._block = self.rng.poisson(rates, size=(n_steps, len(rates))).tolist()
+        counts = self.rng.poisson(rates, size=(n_steps, len(rates)))
+        arrivals = np.repeat(np.tile(np.array(lane_ids, dtype=object), n_steps), counts.ravel()).tolist()
+        ends = np.cumsum(counts.sum(axis=1)).tolist()
+        self._block = [arrivals[lo:hi] for lo, hi in zip([0, *ends], ends)]
         self._block_row = 0
 
     def _forget_arrivals(self) -> None:
@@ -519,7 +548,7 @@ class Intersection:
         # (lane id, rate) of the lanes with a positive arrival rate for t in _arrivals_span
         self._arrivals: List[Tuple[str, float]] = []
         self._arrivals_span = (math.inf, -math.inf)  # empty, so the next step fills it
-        self._block: List[List[int]] = []  # arrival counts, one row per step, in _arrivals order
+        self._block: List[List[str]] = []  # one row per step: the lane id of each arrival, in _arrivals order
         self._block_row = 0  # rows of _block used by the steps taken
         self._block_state: Optional[dict] = None  # generator state before _block was drawn
 
@@ -674,6 +703,7 @@ class Intersection:
         self._last_departure = {
             lid: (-math.inf if t is None else float(t)) for lid, t in state["last_departure"].items()
         }
+        self._settled = dict.fromkeys(self.vehicles, 0)
         self._spawn_cursor = int(state["spawn_cursor"])
         self._queue_samples = [float(q) for q in state["queue_samples"]]
         self.rng.bit_generator.state = state["rng_state"]

@@ -119,6 +119,12 @@ BAD_FILES = [
     ("config_dir", "baseline", None),
     ("log_dir", "reward-hist", None),
 ]
+# a checkpoint the command must refuse: (id, command, flag, controller, what the path is, a word of the error)
+BAD_CHECKPOINTS = [
+    ("resume_missing", "train", "--resume", "policy", "missing", "not found"),
+    ("checkpoint_dir", "eval", "--checkpoint", "policy", "dir", "is not a file"),
+    ("checkpoint_with_baseline", "eval", "--checkpoint", "fixed", "file", "requires controller 'policy'"),
+]
 
 
 def write_config(path, **over):
@@ -219,6 +225,24 @@ class TestValidationFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, controller, kind, message",
+        [case[1:] for case in BAD_CHECKPOINTS],
+        ids=[case[0] for case in BAD_CHECKPOINTS],
+    )
+    def test_bad_checkpoint_rejected_before_any_output(self, tmp_path, capsys, command, flag, controller, kind, message):
+        cfg = write_config(tmp_path / "c.yaml", controller=controller)
+        ckpt = tmp_path / "ckpt.npz"
+        if kind == "dir":
+            ckpt.mkdir()
+        elif kind == "file":
+            ckpt.write_bytes(b"")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, flag, str(ckpt), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_compare_rejects_configs_sharing_a_file_stem(self, tmp_path, capsys):
         (tmp_path / "x").mkdir()

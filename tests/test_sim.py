@@ -457,6 +457,62 @@ def test_fused_step_matches_two_pass_reference(rates, surges, seed, yellow, free
     assert asdict(resumed.finalize_metrics()) == asdict(sim.finalize_metrics())
 
 
+def _step_with_reference(sim, ref, steps, switches=None):
+    """Step ``sim`` and ``ref`` (by :func:`reference_step`) ``steps`` times, requesting
+    ``switches[k]`` before step k; the queue and every vehicle's id, lane, position
+    and speed must agree after each step."""
+    for k in range(steps):
+        if switches and k in switches:
+            sim.set_phase(switches[k])
+            ref.set_phase(switches[k])
+        queue = sim.step()
+        assert queue == reference_step(ref) == sim.queue_length()
+        assert _vehicles(sim) == _vehicles(ref)
+
+
+class TestSettledPrefix:
+    """An unserved lane's pass starts behind the vehicles that did not move
+    in the last step; these check that the skip leaves every step as the
+    two-pass reference computes it."""
+
+    @pytest.mark.parametrize("free_flow_speed", [10.0, 0.05])
+    def test_jammed_red_lanes_then_served(self, free_flow_speed):
+        """Phase 0 is held until the red lanes jam, then each other phase is
+        served in turn, each change through a 5 s yellow."""
+        topo = build_topology("toy8", free_flow_speed=free_flow_speed)
+
+        def new_sim():
+            return Intersection(topo, DemandProfile(base_rate=0.3), stream_rng(11, STREAM_DEMAND, 0))
+
+        sim, ref = new_sim(), new_sim()
+        _step_with_reference(sim, ref, 400)
+        if free_flow_speed == 10.0:  # at 0.05 m/s no vehicle reaches the stop line in 400 s
+            assert min(sim._settled[lid] for lid in ("E_T", "W_T", "N_L", "S_L")) >= 20
+        _step_with_reference(sim, ref, 400, {k * 50: k % 8 for k in range(1, 8)})
+
+    def test_load_state_dict_into_a_stepped_intersection(self, toy8):
+        """A state loaded into an intersection that jammed under another
+        history steps on as a fresh intersection given that state does."""
+
+        def new_sim(seed):
+            return Intersection(toy8, DemandProfile(base_rate=0.05), stream_rng(seed, STREAM_DEMAND, 0))
+
+        source = new_sim(3)
+        run_steps(source, 0, 200)
+        state = source.state_dict()
+
+        jammed = new_sim(4)
+        for _ in range(1500):  # phase 0 all along: every other lane piles up
+            jammed.step()
+        assert min(jammed._settled[lid] for lid in ("E_T", "W_T", "N_L", "S_L")) > max(
+            map(len, state["vehicles"].values())
+        )
+        jammed.load_state_dict(state)
+        ref = new_sim(5)
+        ref.load_state_dict(state)
+        _step_with_reference(jammed, ref, 200, {k * 30: (k + 3) % 8 for k in range(7)})
+
+
 class TestObserve:
     def test_segment_boundaries(self, toy8):
         sim = schedule_sim(toy8, [])

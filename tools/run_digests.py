@@ -6,11 +6,13 @@ SRC is the ``src`` directory of the checkout to run and OUT a new directory.
 The runs go under OUT, and OUT/digests.txt gets one ``sha256  path`` line
 per file, sorted by path, and each ``.npz`` also gets one
 ``sha256  path::member`` line per zip member, so a change that alters only
-checkpoint meta shows as ``meta.npy`` lines alone. Every library run has 2 episodes of 720 steps, update and
-checkpoint intervals of 360 and the held-out episode on, and reads the
-configs next to this tool, so two checkouts get the same inputs. Three
-runs go through the command line (a baseline, and ``reward-hist`` with the
-default hurdle and with a config's); what each prints goes to a
+checkpoint meta shows as ``meta.npy`` lines alone. Every library run has 2
+episodes of 720 steps, update and checkpoint intervals of 360 and the
+held-out episode on, and reads the configs next to this tool, so two
+checkouts get the same inputs. One fixed-time run sends 2 vehicles/s into
+E_T, more than the lane holds, so its vehicles stack at the lane's entry.
+Three runs go through the command line (a baseline, and ``reward-hist``
+with the default hurdle and with a config's); what each prints goes to a
 ``*_stdout.txt`` file, so the printed reports are digested too. Diff the
 digests.txt of a parent checkout against a change's: a change that keeps
 same-config, same-seed runs byte-identical shows no difference.
@@ -57,6 +59,10 @@ def main(src: Path, out: Path) -> int:
     per_lane = {"kind": "poisson", "base_rate": 0.02, "rates": {"E_T": 0.15, "W_T": 0.15},
                 "surges": [{"start": 100, "end": 400, "rates": {"N_T": 0.2, "E_T": 0.0}}]}
     run_config(config("toy4", "toy4_maxpressure_rates", controller="maxpressure", demand=per_lane))
+    # E_T gets more arrivals than it can hold, so its vehicles stack at the entry (road_length)
+    pile = config("toy8_fixed", "toy8_fixed_entry_pile")
+    pile.demand = {**pile.demand, "rates": {"E_T": 2.0}}
+    run_config(pile)
 
     reinforce = config("toy8", "toy8_reinforce")
     reinforce.trainer.use_critic, reinforce.trainer.gamma, reinforce.trainer.lam = False, 1.0, 1.0
