@@ -26,6 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
+from .rewards import check_float
 
 POLICY_FIELDS = (
     "emb",
@@ -57,8 +58,13 @@ def _leaky(x, out=None):
     return np.maximum(x, out, out=out)
 
 
-def _dleaky(x):
-    return np.where(x >= 0.0, 1.0, 0.01)
+def _leaky_backward(d, z):
+    """Scales the gradient ``d`` in place by leaky ReLU's slope at ``z`` and returns it.
+
+    The slope is 1 where ``z >= 0`` and 0.01 elsewhere, NaN included; ``d``
+    is left as it is where the slope is 1, which is ``d * 1.0`` to the bit.
+    """
+    return np.multiply(d, 0.01, out=d, where=~(z >= 0.0))
 
 
 class TokenPolicy:
@@ -144,15 +150,15 @@ class TokenPolicy:
         tokens is (g, max_len) padded with -1, logps is (g, max_len) padded
         with 0 and holds the log-probs of the temperature-1 distribution, so
         they agree with :meth:`logprobs` on the same tokens. Raises
-        ``ValueError`` if a sampled log-prob is not finite, which non-finite
-        parameters or features cause.
+        ``ValueError`` if ``temperature`` is not finite and above 0, or if a
+        sampled log-prob is not finite, which non-finite parameters or
+        features cause.
 
         Each step works on the active rows only, compacted in key order:
         their tokens, log-probs and uniforms sit in per-call buffers, and a
         row is copied into the padded outputs when it ends.
         """
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        check_float("temperature", temperature, 0.0, strict=True)
         p = self.params
         g = len(keys)
         n_steps = int(max_len if max_len is not None else self.max_len)
@@ -242,17 +248,20 @@ class TokenPolicy:
         k = self.k_history
         valid = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
         ids = np.maximum(tokens, 0)
-        emb_seq = p["emb"][ids] * valid[:, :, None]
+        emb_seq = p["emb"][ids]
+        emb_seq *= valid[:, :, None]
 
-        wsum = np.zeros((B, L, self.d_embed))
+        m = np.zeros((B, L, self.d_embed))
         for off in range(1, k + 1):
             if off < L:
-                wsum[:, off:, :] += emb_seq[:, :-off, :]
+                m[:, off:, :] += emb_seq[:, :-off, :]
         wcount = np.minimum(np.arange(L), k).clip(min=1).astype(np.float64)
-        m = wsum / wcount[None, :, None]
+        np.divide(m, wcount[None, :, None], out=m)  # the window sums become their means
 
         ctx_pre = features @ p["w_ctx"] + p["b_ctx"]
-        z0 = ctx_pre[:, None, :] + m @ p["w_hist"] + p["b_hist"]
+        z0 = m @ p["w_hist"]
+        np.add(ctx_pre[:, None, :], z0, out=z0)
+        np.add(z0, p["b_hist"], out=z0)
         h0, z1, h1, z2, h2, logits = layers = self._layers((B, L))
         self._trunk(z0, layers)
 
@@ -299,7 +308,9 @@ class TokenPolicy:
         """Parameter gradients given d(loss)/d(logits).
 
         ``dlogits`` must already be zero at padded positions (the loss
-        builders only write valid positions).
+        builders only write valid positions). Each layer's gradient is
+        scaled in place (see :func:`_leaky_backward`), so one
+        (B, L, d_hidden) array is alive at a time besides the cache.
         """
         p = self.params
         B, L, V = dlogits.shape
@@ -311,25 +322,22 @@ class TokenPolicy:
         grads["w_out"] = h2f.T @ dlf
         grads["b_out"] = dlf.sum(axis=0)
 
-        dh2 = dlogits @ p["w_out"].T
-        dz2 = dh2 * _dleaky(cache["z2"])
-        grads["w_h2"] = cache["h1"].reshape(-1, d_h).T @ dz2.reshape(-1, d_h)
-        grads["b_h2"] = dz2.sum(axis=(0, 1))
+        d = _leaky_backward(dlogits @ p["w_out"].T, cache["z2"])
+        grads["w_h2"] = cache["h1"].reshape(-1, d_h).T @ d.reshape(-1, d_h)
+        grads["b_h2"] = d.sum(axis=(0, 1))
 
-        dh1 = dz2 @ p["w_h2"].T
-        dz1 = dh1 * _dleaky(cache["z1"])
-        grads["w_h1"] = cache["h0"].reshape(-1, d_h).T @ dz1.reshape(-1, d_h)
-        grads["b_h1"] = dz1.sum(axis=(0, 1))
+        d = _leaky_backward(d @ p["w_h2"].T, cache["z1"])
+        grads["w_h1"] = cache["h0"].reshape(-1, d_h).T @ d.reshape(-1, d_h)
+        grads["b_h1"] = d.sum(axis=(0, 1))
 
-        dh0 = dz1 @ p["w_h1"].T
-        dz0 = dh0 * _dleaky(cache["z0"])
-        grads["b_hist"] = dz0.sum(axis=(0, 1))
+        d = _leaky_backward(d @ p["w_h1"].T, cache["z0"])
+        grads["b_hist"] = d.sum(axis=(0, 1))
         grads["b_ctx"] = grads["b_hist"].copy()
-        grads["w_hist"] = cache["m"].reshape(-1, d_e).T @ dz0.reshape(-1, d_h)
-        grads["w_ctx"] = cache["features"].T @ dz0.sum(axis=1)
+        grads["w_hist"] = cache["m"].reshape(-1, d_e).T @ d.reshape(-1, d_h)
+        grads["w_ctx"] = cache["features"].T @ d.sum(axis=1)
 
-        dm = dz0 @ p["w_hist"].T
-        dwsum = dm / cache["wcount"][None, :, None]
+        dwsum = d @ p["w_hist"].T
+        np.divide(dwsum, cache["wcount"][None, :, None], out=dwsum)
         demb = np.zeros((B, L, d_e))
         for off in range(1, k + 1):
             if off < L:
@@ -397,8 +405,7 @@ class ValueHead:
         grads = {}
         grads["w2"] = cache["h1"].T @ dv[:, None]
         grads["b2"] = np.array([dv.sum()])
-        dh1 = dv[:, None] @ p["w2"].T
-        dz1 = dh1 * _dleaky(cache["z1"])
+        dz1 = _leaky_backward(dv[:, None] @ p["w2"].T, cache["z1"])
         grads["w1"] = cache["features"].T @ dz1
         grads["b1"] = dz1.sum(axis=0)
         return grads
@@ -410,7 +417,9 @@ class ValueHead:
 
 def _logsumexp(logits: np.ndarray) -> np.ndarray:
     mx = logits.max(axis=-1, keepdims=True)
-    return (mx + np.log(np.exp(logits - mx).sum(axis=-1, keepdims=True)))[..., 0]
+    e = np.subtract(logits, mx)
+    total = np.exp(e, out=e).sum(axis=-1, keepdims=True)
+    return (mx + np.log(total))[..., 0]
 
 
 def global_norm(grads: Dict[str, np.ndarray]) -> float:

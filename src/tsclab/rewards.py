@@ -107,9 +107,9 @@ def softmax_dse_prob(counts: Sequence[float], chosen: int, tau: float) -> float:
     """Confidence of the chosen phase under softmax(counts / tau).
 
     Max-subtraction keeps tiny temperatures finite; the math is unchanged.
+    Raises ``ValueError`` unless ``tau`` is finite and above 0.
     """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    check_float("tau", tau, 0.0, strict=True)
     c = np.asarray(counts, dtype=np.float64) / tau
     c = c - c.max()
     e = np.exp(c)

@@ -340,8 +340,11 @@ class PPOTrainer:
         # loss = -J: each valid token contributes -dobj / n_tok through its log-prob
         dlogp_loss = np.where(mask, -dlogp / n_tok, 0.0)
 
-        probs = np.exp(logits - cache["lse"][..., None])
-        dlogits = -probs * dlogp_loss[:, :, None]
+        # -probs * dlogp_loss, built in the logits' own array: logits - lse -> exp -> negate -> scale
+        dlogits = np.subtract(logits, cache["lse"][..., None], out=logits)
+        np.exp(dlogits, out=dlogits)
+        np.negative(dlogits, out=dlogits)
+        np.multiply(dlogits, dlogp_loss[:, :, None], out=dlogits)
         rows = np.arange(B)[:, None]
         cols = np.arange(lmax)[None, :]
         dlogits[rows, cols, cache["ids"]] += dlogp_loss

@@ -633,10 +633,22 @@ def trend_runs(tmp_path_factory):
     return out
 
 
+def _agreement(jsonl: str) -> float:
+    """Mean over the logged decisions of max(counts) / sum(counts): how far the G responses agree."""
+    with open(jsonl, "r", encoding="utf-8") as fh:
+        counts = [json.loads(line)["counts"] for line in fh]
+    return float(np.mean([max(c) / sum(c) for c in counts]))
+
+
 def test_criterion_10_training_trend(trend_runs):
     med = {
         v: float(np.median([r["queue"] for r in trend_runs[v]]))
         for v in ("untrained", "env-only", "hurdle", "hurdle-dse")
+    }
+    # printed beside the queues, not gated: the bonus is meant to raise agreement
+    agreement = {
+        v: [float(np.median([_agreement(r[log]) for r in trend_runs[v]])) for log in ("first_jsonl", "final_jsonl")]
+        for v in ("env-only", "hurdle", "hurdle-dse")
     }
     elapsed = trend_runs["elapsed"]
     ordering = med["untrained"] >= med["env-only"] >= med["hurdle"]
@@ -652,7 +664,8 @@ def test_criterion_10_training_trend(trend_runs):
         f"hurdle+DSE {med['hurdle-dse']:.2f} <= {TREND_DSE_FACTOR:g}x hurdle ({dse_close}); "
         f"reduction {(1 - med['hurdle'] / med['untrained']) * 100:.0f}% >= "
         f"{TREND_REDUCTION * 100:.0f}% ({reduced}); {elapsed:.0f}s of "
-        f"{TREND_BUDGET_S:.0f}s budget",
+        f"{TREND_BUDGET_S:.0f}s budget; median agreement ep000 -> ep{TREND_EPISODES - 1:03d}: "
+        + "; ".join(f"{v} {first:.3f} -> {final:.3f}" for v, (first, final) in agreement.items()),
     )
 
 

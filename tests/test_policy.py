@@ -121,6 +121,121 @@ class TestGradientOracle:
         assert rel <= 1e-6
 
 
+def reference_backward(policy, cache, dlogits):
+    """The backward pass with one new array per layer gradient: the bit-exact
+    oracle of ``TokenPolicy.backward_from_dlogits``."""
+    p = policy.params
+    B, L, V = dlogits.shape
+    d_h, d_e, k = policy.d_hidden, policy.d_embed, policy.k_history
+
+    def dleaky(x):
+        return np.where(x >= 0.0, 1.0, 0.01)
+
+    grads = {}
+    grads["w_out"] = cache["h2"].reshape(-1, d_h).T @ dlogits.reshape(-1, V)
+    grads["b_out"] = dlogits.reshape(-1, V).sum(axis=0)
+    dh2 = dlogits @ p["w_out"].T
+    dz2 = dh2 * dleaky(cache["z2"])
+    grads["w_h2"] = cache["h1"].reshape(-1, d_h).T @ dz2.reshape(-1, d_h)
+    grads["b_h2"] = dz2.sum(axis=(0, 1))
+    dh1 = dz2 @ p["w_h2"].T
+    dz1 = dh1 * dleaky(cache["z1"])
+    grads["w_h1"] = cache["h0"].reshape(-1, d_h).T @ dz1.reshape(-1, d_h)
+    grads["b_h1"] = dz1.sum(axis=(0, 1))
+    dh0 = dz1 @ p["w_h1"].T
+    dz0 = dh0 * dleaky(cache["z0"])
+    grads["b_hist"] = dz0.sum(axis=(0, 1))
+    grads["b_ctx"] = grads["b_hist"].copy()
+    grads["w_hist"] = cache["m"].reshape(-1, d_e).T @ dz0.reshape(-1, d_h)
+    grads["w_ctx"] = cache["features"].T @ dz0.sum(axis=1)
+    dm = dz0 @ p["w_hist"].T
+    dwsum = dm / cache["wcount"][None, :, None]
+    demb = np.zeros((B, L, d_e))
+    for off in range(1, k + 1):
+        if off < L:
+            demb[:, :-off, :] += dwsum[:, off:, :]
+    demb *= cache["valid"][:, :, None]
+    grads["emb"] = np.zeros_like(p["emb"])
+    np.add.at(grads["emb"], cache["ids"].ravel(), demb.reshape(-1, d_e))
+
+    return grads
+
+
+def reference_value_backward(head, cache, dv):
+    """``ValueHead.backward`` with a new array per step, as ``reference_backward``."""
+    p = head.params
+    dleaky = np.where(cache["z1"] >= 0.0, 1.0, 0.01)
+    dz1 = (dv[:, None] @ p["w2"].T) * dleaky
+    return {
+        "w2": cache["h1"].T @ dv[:, None],
+        "b2": np.array([dv.sum()]),
+        "w1": cache["features"].T @ dz1,
+        "b1": dz1.sum(axis=0),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    batch=st.integers(1, 7),
+    max_len=st.sampled_from([1, 2, 5, 32]),
+    k_history=st.sampled_from([0, 1, 4]),
+    d_hidden=st.sampled_from([3, 64]),
+    signed_zeros=st.booleans(),
+    nan_param=st.sampled_from([None, "b_hist", "b_h1", "b_h2"]),
+    seed=st.integers(0, 2**16),
+)
+@example(batch=6, max_len=1, k_history=4, d_hidden=64, signed_zeros=False, nan_param=None, seed=0)
+@example(batch=1, max_len=1, k_history=4, d_hidden=64, signed_zeros=True, nan_param=None, seed=1)
+@example(batch=5, max_len=32, k_history=4, d_hidden=64, signed_zeros=True, nan_param=None, seed=2)
+@example(batch=4, max_len=5, k_history=1, d_hidden=3, signed_zeros=False, nan_param="b_h2", seed=3)
+@example(batch=4, max_len=5, k_history=4, d_hidden=64, signed_zeros=True, nan_param="b_hist", seed=4)
+def test_backward_matches_reference_bit_for_bit(
+    toy8, vocab8, batch, max_len, k_history, d_hidden, signed_zeros, nan_param, seed
+):
+    """The in-place backward passes give the reference's gradients to the bit.
+
+    Rows are padded past their lengths. With ``signed_zeros`` some
+    pre-activations are exactly 0.0 and -0.0, where the slope is 1; a NaN
+    parameter makes pre-activations NaN, where the slope is 0.01.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    F = feature_length(toy8)
+    policy = TokenPolicy(
+        vocab8.size, F, vocab8.eos_id, d_embed=5, d_hidden=d_hidden,
+        k_history=k_history, max_len=max_len, rng=rng,
+    )
+    head = ValueHead(F, rng=rng)
+    if nan_param is not None:
+        policy.params[nan_param][0] = np.nan
+        head.params["b1"][0] = np.nan
+    features = rng.uniform(0.0, 4.0, size=(batch, F))
+    lengths = rng.integers(1, max_len + 1, size=batch)
+    tokens = np.where(
+        np.arange(max_len)[None, :] < lengths[:, None],
+        rng.integers(0, vocab8.size, size=(batch, max_len)),
+        -1,
+    )
+    _, cache = policy.forward_batch(features, tokens, lengths)
+    dlogits = rng.normal(size=(batch, max_len, vocab8.size)) * cache["valid"][:, :, None]
+    _, v_cache = head.forward_batch(features)
+    dv = rng.normal(size=batch)
+    if signed_zeros:
+        for z in (cache["z0"], cache["z1"], cache["z2"], v_cache["z1"]):
+            z[..., 0] = 0.0
+            z[..., -1] = -0.0
+
+    got = policy.backward_from_dlogits(cache, dlogits)
+    want = reference_backward(policy, cache, dlogits)
+    assert sorted(got) == sorted(want) == sorted(POLICY_FIELDS)
+    for name in POLICY_FIELDS:
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+    got_v = head.backward(v_cache, dv)
+    want_v = reference_value_backward(head, v_cache, dv)
+    assert sorted(got_v) == sorted(VALUE_FIELDS)
+    for name in VALUE_FIELDS:
+        assert np.array_equal(got_v[name], want_v[name], equal_nan=True), name
+
+
 class TestForward:
     def test_logprobs_are_normalized(self, small_policy):
         rng = np.random.Generator(np.random.PCG64(9))
@@ -320,6 +435,12 @@ class TestSampling:
         keys = [derive_key(3, i, 0) for i in range(4)]
         with pytest.raises(ValueError, match="non-finite"):
             small_policy.sample(np.full(small_policy.feature_len, 1.0), keys)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    def test_temperature_must_be_finite_and_positive(self, small_policy, temperature):
+        keys = [derive_key(3, i, 0) for i in range(4)]
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            small_policy.sample(np.full(small_policy.feature_len, 1.0), keys, temperature=temperature)
 
     def test_greedy_low_temperature(self, small_policy):
         features = np.full(small_policy.feature_len, 2.0)

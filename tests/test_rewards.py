@@ -83,9 +83,10 @@ class TestDse:
         with pytest.raises(ValueError):
             naive_dse_prob([0, 0, 0], 1)
 
-    def test_softmax_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            softmax_dse_prob([1, 1], 0, 0.0)
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_softmax_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            softmax_dse_prob([1, 1], 0, tau)
 
 
 class TestGate:

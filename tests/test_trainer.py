@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -441,6 +442,36 @@ class TestTrainerUpdate:
         trainer.update(0.0)
         for k in v_before:
             assert np.array_equal(trainer.value_head.params[k], v_before[k])
+
+    def test_update_peak_memory(self, toy8, vocab8):
+        """One update holds at most 12 (B, L, d_hidden) float64 arrays at its peak.
+
+        Batches of B = 20 responses of L = 32 tokens on the toy8 policy's
+        default shape. The forward cache holds 6 such arrays; the backward
+        keeps one layer gradient alive at a time, and the softmax gradient
+        is built in the logits' array.
+        """
+        B, L = 20, 32
+        rng = np.random.Generator(np.random.PCG64(33))
+        F = feature_length(toy8)
+        policy = TokenPolicy(vocab8.size, F, vocab8.eos_id, max_len=L, rng=rng)
+        trainer = PPOTrainer(policy, ValueHead(F, rng=rng), TrainerConfig(batch_size=B),
+                             np.random.Generator(np.random.PCG64(34)))
+        for i in range(B):
+            features = rng.uniform(0.0, 3.0, size=F)
+            tokens = rng.integers(0, vocab8.size, size=L)
+            rewards = np.zeros(L)
+            rewards[-1] = 1.0
+            trainer.buffer.add(time=float(i), features=features, tokens=tokens,
+                               logps_old=policy.logprobs(features, tokens), rewards=rewards, v_old=0.0)
+        trainer.update(0.0)
+        tracemalloc.start()
+        try:
+            trainer.update(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * B * L * policy.d_hidden * 8
 
     def test_critic_value_moves(self, toy8, vocab8):
         trainer = _make_trainer(toy8, vocab8, batch_size=4, batches_per_update=1, value_lr=1e-2)

@@ -11,6 +11,8 @@ episodes of 720 steps, update and checkpoint intervals of 360 and the
 held-out episode on, and reads the configs next to this tool, so two
 checkouts get the same inputs. One fixed-time run sends 2 vehicles/s into
 E_T, more than the lane holds, so its vehicles stack at the lane's entry.
+One toy8 training run has ``policy.max_len`` 1, so every update batch
+holds one-token responses.
 Three runs go through the command line (a baseline, and ``reward-hist``
 with the default hurdle and with a config's); what each prints goes to a
 ``*_stdout.txt`` file, so the printed reports are digested too. Diff the
@@ -74,6 +76,11 @@ def main(src: Path, out: Path) -> int:
     knobs.reward.entropy_mode, knobs.reward.env_mode = "naive_dse", "negative_queue"
     knobs.trainer.value_clip_mode = "literal"
     run_config(knobs)
+
+    # every response is one token, so each update trains on length-1 batches
+    one_token = config("toy8", "toy8_one_token")
+    one_token.policy.max_len = 1
+    run_config(one_token)
 
     runner = ExperimentRunner(config("toy8", "toy8_eval_restored"))
     runner.restore("toy8/ckpt_final.npz", fresh_episodes=True)
