@@ -560,14 +560,29 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> List[EpisodeReport]:
     return runner.evaluate()
 
 
+def _median(values: Sequence[float]) -> float:
+    """``np.median`` of a non-empty list, bit for bit, by its own arithmetic.
+
+    ``np.median`` checks for NaN through ``numpy.ma``, whose import costs
+    about 0.6 MiB of memory; NaN sorts last, so a last sorted NaN means a
+    NaN among the values.
+    """
+    s = np.sort(np.asarray(values, dtype=np.float64))
+    if np.isnan(s[-1]):
+        return float("nan")
+    k, odd = divmod(s.size, 2)
+    return float(np.mean(s[k - 1 + odd : k + 1]))
+
+
 def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, labels=None) -> List[dict]:
     """Run each config over the seeds; one median-aggregated row per config.
 
-    There must be one unique label per config and no repeated seed. Every
-    config is validated, and all must share a topology (overrides included)
-    and a demand description; all this is checked before any run starts or
-    any directory is made. Learned configs are trained and judged on their
-    final episode; baselines are evaluated the same way.
+    There must be one unique label per config, at least one seed and no
+    repeated seed. Every config is validated, and all must share a topology
+    (overrides included) and a demand description; all this is checked
+    before any run starts or any directory is made. Learned configs are
+    trained and judged on their final episode; baselines are evaluated the
+    same way.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least 2 configs")
@@ -577,6 +592,8 @@ def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, 
         raise ValueError(f"compare got {len(labels)} labels for {len(configs)} configs")
     if len(set(labels)) != len(labels):  # each label names its runs' directories
         raise ValueError(f"compare labels must be unique, got {list(labels)}")
+    if not seeds:
+        raise ValueError("compare needs at least one seed")
     if len(set(seeds)) != len(seeds):  # and so does each seed
         raise ValueError(f"compare seeds must be unique, got {list(seeds)}")
     for seed in seeds:
@@ -593,7 +610,7 @@ def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, 
         for seed in seeds:
             run_cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": int(seed)})
             finals.append(run_config(run_cfg, out_dir=out_dir / f"{label}_seed{seed}")[-1].metrics)
-        rows.append({"label": label, **{k: float(np.median([m[k] for m in finals])) for k in METRICS}})
+        rows.append({"label": label, **{k: _median([m[k] for m in finals]) for k in METRICS}})
 
     with _CsvSink(out_dir / "comparison.csv", ("label", *METRICS)) as sink:
         for row in rows:

@@ -113,25 +113,30 @@ class TokenPolicy:
     # -- the trunk, shared by sampling and teacher forcing ---------------
 
     def _layers(self, lead: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
-        """Empty arrays for the trunk's layers (h0, z1, h1, z2, h2, logits) over leading shape ``lead``."""
+        """Empty arrays for the trunk (h, z1, z2, logits) over leading shape ``lead``.
+
+        ``h`` holds each hidden activation in turn; ``z1`` and ``z2`` are the
+        pre-activations of the second and third hidden layers.
+        """
         d_h = self.d_hidden
-        return (*(np.empty((*lead, d_h)) for _ in range(5)), np.empty((*lead, self.vocab_size)))
+        return (*(np.empty((*lead, d_h)) for _ in range(3)), np.empty((*lead, self.vocab_size)))
 
     def _trunk(self, z0: np.ndarray, layers: Tuple[np.ndarray, ...]) -> np.ndarray:
         """Runs the hidden layers from the first pre-activation ``z0`` up to the logits.
 
-        Writes each layer into ``layers`` (h0, z1, h1, z2, h2, logits, as
-        :meth:`_layers` makes them) and returns the logits; the
-        intermediates feed :meth:`backward_from_dlogits`.
+        Writes into ``layers`` (h, z1, z2, logits, as :meth:`_layers` makes
+        them) and returns the logits. ``h`` holds h0, then h1, then h2, each
+        ``_leaky`` of its pre-activation (``z0``, ``z1``, ``z2``), so the
+        pre-activations are all :meth:`backward_from_dlogits` needs.
         """
         p = self.params
-        h0, z1, h1, z2, h2, logits = layers
-        _leaky(z0, out=h0)
-        np.add(np.matmul(h0, p["w_h1"], out=z1), p["b_h1"], out=z1)
-        _leaky(z1, out=h1)
-        np.add(np.matmul(h1, p["w_h2"], out=z2), p["b_h2"], out=z2)
-        _leaky(z2, out=h2)
-        return np.add(np.matmul(h2, p["w_out"], out=logits), p["b_out"], out=logits)
+        h, z1, z2, logits = layers
+        _leaky(z0, out=h)
+        np.add(np.matmul(h, p["w_h1"], out=z1), p["b_h1"], out=z1)
+        _leaky(z1, out=h)
+        np.add(np.matmul(h, p["w_h2"], out=z2), p["b_h2"], out=z2)
+        _leaky(z2, out=h)
+        return np.add(np.matmul(h, p["w_out"], out=logits), p["b_out"], out=logits)
 
     # -- sampling --------------------------------------------------------
 
@@ -241,7 +246,9 @@ class TokenPolicy:
         ``features`` is (B, F), ``tokens`` is (B, L) padded with -1,
         ``lengths`` gives the valid prefix of each row. Returns
         (logits (B, L, V), cache) where the cache feeds
-        :meth:`backward_from_dlogits`.
+        :meth:`backward_from_dlogits`. The cache holds the pre-activations
+        ``z0``, ``z1`` and ``z2`` and no activation: three (B, L, d_hidden)
+        arrays besides the window means ``m`` (B, L, d_embed).
         """
         p = self.params
         B, L = tokens.shape
@@ -262,7 +269,7 @@ class TokenPolicy:
         z0 = m @ p["w_hist"]
         np.add(ctx_pre[:, None, :], z0, out=z0)
         np.add(z0, p["b_hist"], out=z0)
-        h0, z1, h1, z2, h2, logits = layers = self._layers((B, L))
+        _, z1, z2, logits = layers = self._layers((B, L))
         self._trunk(z0, layers)
 
         cache = {
@@ -272,11 +279,8 @@ class TokenPolicy:
             "wcount": wcount,
             "m": m,
             "z0": z0,
-            "h0": h0,
             "z1": z1,
-            "h1": h1,
             "z2": z2,
-            "h2": h2,
         }
         return logits, cache
 
@@ -285,9 +289,14 @@ class TokenPolicy:
 
         Returns (logps, logits, cache); the cache of :meth:`forward_batch`
         also holds ``lse``, the log-normaliser of every position's logits.
+        Raises ``ValueError`` on a token id outside the vocabulary, or on the
+        padding id -1 inside a row's length.
         """
-        if tokens.min() < -1 or tokens.max() >= self.vocab_size:
+        lowest = tokens.min()
+        if lowest < -1 or tokens.max() >= self.vocab_size:
             raise ValueError("token id outside vocabulary")
+        if lowest < 0 and np.any(tokens < 0, where=np.arange(tokens.shape[1]) < lengths[:, None]):
+            raise ValueError("padding id -1 inside a response's length")
         logits, cache = self.forward_batch(features, tokens, lengths)
         lse = cache["lse"] = _logsumexp(logits)
         B, L = tokens.shape
@@ -308,26 +317,29 @@ class TokenPolicy:
         """Parameter gradients given d(loss)/d(logits).
 
         ``dlogits`` must already be zero at padded positions (the loss
-        builders only write valid positions). Each layer's gradient is
-        scaled in place (see :func:`_leaky_backward`), so one
-        (B, L, d_hidden) array is alive at a time besides the cache.
+        builders only write valid positions). The activations h2, h1 and h0
+        are recomputed with ``_leaky`` from the cached pre-activations, each
+        just before the weight gradient that reads it and dropped after;
+        the cache is only read. Each layer's gradient is scaled in place
+        (see :func:`_leaky_backward`), so besides the cache at most two
+        (B, L, d_hidden) arrays are alive at a time. One toy8 update
+        (B = 20, L = 32) peaks at about 7.5 such arrays.
         """
         p = self.params
         B, L, V = dlogits.shape
         d_h, d_e, k = self.d_hidden, self.d_embed, self.k_history
-        h2f = cache["h2"].reshape(-1, d_h)
         dlf = dlogits.reshape(-1, V)
 
         grads = {}
-        grads["w_out"] = h2f.T @ dlf
+        grads["w_out"] = _leaky(cache["z2"]).reshape(-1, d_h).T @ dlf
         grads["b_out"] = dlf.sum(axis=0)
 
         d = _leaky_backward(dlogits @ p["w_out"].T, cache["z2"])
-        grads["w_h2"] = cache["h1"].reshape(-1, d_h).T @ d.reshape(-1, d_h)
+        grads["w_h2"] = _leaky(cache["z1"]).reshape(-1, d_h).T @ d.reshape(-1, d_h)
         grads["b_h2"] = d.sum(axis=(0, 1))
 
         d = _leaky_backward(d @ p["w_h2"].T, cache["z1"])
-        grads["w_h1"] = cache["h0"].reshape(-1, d_h).T @ d.reshape(-1, d_h)
+        grads["w_h1"] = _leaky(cache["z0"]).reshape(-1, d_h).T @ d.reshape(-1, d_h)
         grads["b_h1"] = d.sum(axis=(0, 1))
 
         d = _leaky_backward(d @ p["w_h1"].T, cache["z0"])
@@ -394,16 +406,18 @@ class ValueHead:
         return float(v[0])
 
     def forward_batch(self, features: np.ndarray):
+        """Values of a (B, F) batch and the cache :meth:`backward` reads: the
+        features and the pre-activation ``z1``, and no activation."""
         p = self.params
         z1 = features @ p["w1"] + p["b1"]
-        h1 = _leaky(z1)
-        v = (h1 @ p["w2"])[:, 0] + p["b2"][0]
-        return v, {"features": features, "z1": z1, "h1": h1}
+        v = (_leaky(z1) @ p["w2"])[:, 0] + p["b2"][0]
+        return v, {"features": features, "z1": z1}
 
     def backward(self, cache: dict, dv: np.ndarray) -> Dict[str, np.ndarray]:
+        """Parameter gradients given d(loss)/d(values); h1 is recomputed from ``z1``."""
         p = self.params
         grads = {}
-        grads["w2"] = cache["h1"].T @ dv[:, None]
+        grads["w2"] = _leaky(cache["z1"]).T @ dv[:, None]
         grads["b2"] = np.array([dv.sum()])
         dz1 = _leaky_backward(dv[:, None] @ p["w2"].T, cache["z1"])
         grads["w1"] = cache["features"].T @ dz1

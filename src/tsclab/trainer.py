@@ -217,7 +217,17 @@ class ReplayBuffer:
         self.v_old = np.zeros(0)
 
     def add(self, *, time, features, tokens, logps_old, rewards, v_old) -> None:
-        """Append one response trajectory; ``time`` is the decision's global simulation time."""
+        """Append one response trajectory; ``time`` is the decision's global simulation time.
+
+        ``tokens`` is one response, 1-D with no padding id, and ``logps_old``
+        and ``rewards`` have one entry per token; :meth:`batch` reads a
+        row's length back as its count of tokens >= 0.
+        """
+        if tokens.ndim != 1 or np.shape(logps_old) != tokens.shape or np.shape(rewards) != tokens.shape:
+            raise ValueError(f"tokens {np.shape(tokens)}, logps_old {np.shape(logps_old)} and rewards "
+                             f"{np.shape(rewards)} must be one 1-D response of equal lengths")
+        if np.any(tokens < 0):
+            raise ValueError("response holds a negative token id; a padding id would shorten its length")
         pad = self.max_len - tokens.size
         if pad < 0:
             raise ValueError(f"response of {tokens.size} tokens exceeds max_len {self.max_len}")

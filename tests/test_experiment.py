@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +391,51 @@ class TestCompare:
     def test_requires_two_configs(self, tmp_path):
         with pytest.raises(ValueError):
             compare([tiny_config()], seeds=[0], out_dir=tmp_path / "cmp")
+
+    def test_requires_a_seed(self, tmp_path):
+        configs = [tiny_config(controller="fixed"), tiny_config(controller="maxpressure")]
+        with pytest.raises(ValueError, match="at least one seed"):
+            compare(configs, seeds=[], out_dir=tmp_path / "cmp", labels=["fixed", "mp"])
+        assert not (tmp_path / "cmp").exists()
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0]),
+                st.integers(-(2**62), 2**62),
+            ),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    def test_median_is_numpys_bit_for_bit(self, values):
+        with np.errstate(invalid="ignore"):  # inf and -inf average to NaN
+            got, want = experiment._median(values), np.median(values)
+        assert type(got) is float
+        assert (math.isnan(got) and math.isnan(want)) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_compare_leaves_numpy_ma_unimported(self, tmp_path):
+        """``np.median`` imports ``numpy.ma``; a compare round needs none of it."""
+        code = textwrap.dedent(
+            """
+            import json, sys
+            from tsclab.experiment import ExperimentConfig, compare
+            configs = [ExperimentConfig.from_dict(d) for d in json.loads(sys.argv[1])]
+            compare(configs, [0, 1], sys.argv[2], labels=["fixed", "mp"])
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        configs = [tiny_config(controller=c).to_dict() for c in ("fixed", "maxpressure")]
+        src = Path(experiment.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(configs), str(tmp_path / "cmp")],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert done.stdout.strip() == "False"
+        assert (tmp_path / "cmp" / "comparison.csv").is_file()
 
     @pytest.mark.parametrize("labels", [["only"], ["a", "b", "c"], ["same", "same"]])
     def test_rejects_labels_that_do_not_name_each_config_once(self, tmp_path, labels):

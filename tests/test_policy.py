@@ -128,19 +128,22 @@ def reference_backward(policy, cache, dlogits):
     B, L, V = dlogits.shape
     d_h, d_e, k = policy.d_hidden, policy.d_embed, policy.k_history
 
+    def leaky(x):
+        return np.where(x >= 0.0, x, 0.01 * x)
+
     def dleaky(x):
         return np.where(x >= 0.0, 1.0, 0.01)
 
     grads = {}
-    grads["w_out"] = cache["h2"].reshape(-1, d_h).T @ dlogits.reshape(-1, V)
+    grads["w_out"] = leaky(cache["z2"]).reshape(-1, d_h).T @ dlogits.reshape(-1, V)
     grads["b_out"] = dlogits.reshape(-1, V).sum(axis=0)
     dh2 = dlogits @ p["w_out"].T
     dz2 = dh2 * dleaky(cache["z2"])
-    grads["w_h2"] = cache["h1"].reshape(-1, d_h).T @ dz2.reshape(-1, d_h)
+    grads["w_h2"] = leaky(cache["z1"]).reshape(-1, d_h).T @ dz2.reshape(-1, d_h)
     grads["b_h2"] = dz2.sum(axis=(0, 1))
     dh1 = dz2 @ p["w_h2"].T
     dz1 = dh1 * dleaky(cache["z1"])
-    grads["w_h1"] = cache["h0"].reshape(-1, d_h).T @ dz1.reshape(-1, d_h)
+    grads["w_h1"] = leaky(cache["z0"]).reshape(-1, d_h).T @ dz1.reshape(-1, d_h)
     grads["b_h1"] = dz1.sum(axis=(0, 1))
     dh0 = dz1 @ p["w_h1"].T
     dz0 = dh0 * dleaky(cache["z0"])
@@ -164,10 +167,10 @@ def reference_backward(policy, cache, dlogits):
 def reference_value_backward(head, cache, dv):
     """``ValueHead.backward`` with a new array per step, as ``reference_backward``."""
     p = head.params
-    dleaky = np.where(cache["z1"] >= 0.0, 1.0, 0.01)
-    dz1 = (dv[:, None] @ p["w2"].T) * dleaky
+    z1 = cache["z1"]
+    dz1 = (dv[:, None] @ p["w2"].T) * np.where(z1 >= 0.0, 1.0, 0.01)
     return {
-        "w2": cache["h1"].T @ dv[:, None],
+        "w2": np.where(z1 >= 0.0, z1, 0.01 * z1).T @ dv[:, None],
         "b2": np.array([dv.sum()]),
         "w1": cache["features"].T @ dz1,
         "b1": dz1.sum(axis=0),
@@ -196,7 +199,9 @@ def test_backward_matches_reference_bit_for_bit(
 
     Rows are padded past their lengths. With ``signed_zeros`` some
     pre-activations are exactly 0.0 and -0.0, where the slope is 1; a NaN
-    parameter makes pre-activations NaN, where the slope is 0.01.
+    parameter makes pre-activations NaN, where the slope is 0.01. The
+    caches hold pre-activations and no activation, and the backward passes
+    leave them as they found them.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     F = feature_length(toy8)
@@ -224,6 +229,14 @@ def test_backward_matches_reference_bit_for_bit(
             z[..., 0] = 0.0
             z[..., -1] = -0.0
 
+    assert sorted(cache) == ["features", "ids", "m", "valid", "wcount", "z0", "z1", "z2"]
+    assert sorted(v_cache) == ["features", "z1"]
+
+    def cache_bytes():
+        return [{name: value.tobytes() for name, value in c.items()} for c in (cache, v_cache)]
+
+    before = cache_bytes()
+
     got = policy.backward_from_dlogits(cache, dlogits)
     want = reference_backward(policy, cache, dlogits)
     assert sorted(got) == sorted(want) == sorted(POLICY_FIELDS)
@@ -234,6 +247,7 @@ def test_backward_matches_reference_bit_for_bit(
     assert sorted(got_v) == sorted(VALUE_FIELDS)
     for name in VALUE_FIELDS:
         assert np.array_equal(got_v[name], want_v[name], equal_nan=True), name
+    assert cache_bytes() == before
 
 
 class TestForward:
@@ -279,6 +293,18 @@ class TestForward:
     def test_oov_token_rejected(self, small_policy):
         with pytest.raises(ValueError):
             small_policy.logprobs(np.zeros(small_policy.feature_len), [small_policy.vocab_size])
+
+    def test_padding_id_inside_length_rejected(self, small_policy):
+        """-1 would be scored as token 0; past a row's length it is padding."""
+        features = np.zeros(small_policy.feature_len)
+        with pytest.raises(ValueError, match="padding id"):
+            small_policy.logprobs(features, [3, -1, 5])
+        tokens = np.array([[3, 5, -1], [3, -1, 5]])
+        with pytest.raises(ValueError, match="padding id"):
+            small_policy.logprobs_batch(np.stack([features, features]), tokens, np.array([2, 3]))
+        logps, _, _ = small_policy.logprobs_batch(np.stack([features, features]), tokens, np.array([2, 1]))
+        assert np.all(logps[:, 0] < 0.0) and logps[0, 1] < 0.0
+        assert logps[0, 2] == logps[1, 1] == logps[1, 2] == 0.0
 
 
 def reference_sample(policy, features, keys, temperature=1.0, max_len=None):

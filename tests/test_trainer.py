@@ -271,6 +271,24 @@ class TestBuffer:
             buf.add(**_record(0.0, n_tokens=5))
         assert len(buf) == 0
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"tokens": np.array([3, -1, 5])},
+            {"tokens": np.array([[0, 1, 2]])},
+            {"logps_old": np.full(2, -0.5)},
+            {"rewards": np.ones(4)},
+        ],
+        ids=["padding-id", "2-d", "short-logps", "long-rewards"],
+    )
+    def test_malformed_response_raises(self, change):
+        """A padding id would make ``batch`` read the response back shorter,
+        so its last reward would fall outside the trained prefix."""
+        buf = ReplayBuffer(400.0, n_features=2, max_len=4)
+        with pytest.raises(ValueError):
+            buf.add(**{**_record(0.0, n_tokens=3), **change})
+        assert len(buf) == 0
+
     def test_batch_cuts_to_longest_chosen_response(self):
         buf = ReplayBuffer(400.0, n_features=2, max_len=6)
         for i, n in enumerate((1, 4, 2)):
@@ -444,12 +462,13 @@ class TestTrainerUpdate:
             assert np.array_equal(trainer.value_head.params[k], v_before[k])
 
     def test_update_peak_memory(self, toy8, vocab8):
-        """One update holds at most 12 (B, L, d_hidden) float64 arrays at its peak.
+        """One update holds at most 9 (B, L, d_hidden) float64 arrays at its peak.
 
         Batches of B = 20 responses of L = 32 tokens on the toy8 policy's
-        default shape. The forward cache holds 6 such arrays; the backward
-        keeps one layer gradient alive at a time, and the softmax gradient
-        is built in the logits' array.
+        default shape. The forward cache holds the 3 pre-activations and no
+        activation; the backward recomputes each activation when it needs
+        it and keeps one layer gradient alive at a time, and the softmax
+        gradient is built in the logits' array.
         """
         B, L = 20, 32
         rng = np.random.Generator(np.random.PCG64(33))
@@ -471,7 +490,7 @@ class TestTrainerUpdate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * B * L * policy.d_hidden * 8
+        assert peak <= 9 * B * L * policy.d_hidden * 8
 
     def test_critic_value_moves(self, toy8, vocab8):
         trainer = _make_trainer(toy8, vocab8, batch_size=4, batches_per_update=1, value_lr=1e-2)
