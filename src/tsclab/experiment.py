@@ -207,25 +207,38 @@ def reward_histogram(jsonl_path, hurdle: float, bin_width: float = 0.5) -> dict:
     """Histogram of per-decision environmental rewards from a decision log.
 
     Returns bin edges/counts plus the fraction of decisions whose reward
-    strictly exceeds the hurdle (invariant to the bin width).
+    strictly exceeds the hurdle (invariant to the bin width). Raises
+    ``ValueError``, naming the log and the line, on a line that is not a
+    JSON object with a finite number ``R_env`` (a bool is refused), and on
+    rewards whose span holds a non-finite number of bins.
     """
     check_float("bin width", bin_width, 0.0, strict=True)
-    rewards = []
+    rewards, line_numbers = [], []
     with open(jsonl_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = json.loads(line)
-                rewards.append(float(row["R_env"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"malformed decision log {jsonl_path}: {exc}") from exc
+                reward = json.loads(line)["R_env"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ValueError(f"malformed decision log {jsonl_path} line {number}: {exc}") from exc
+            check_float(f"decision log {jsonl_path} line {number}: R_env", reward)
+            rewards.append(float(reward))
+            line_numbers.append(number)
     if not rewards:
         return {"bin_edges": [], "counts": [], "fraction_above": 0.0, "n": 0}
     arr = np.asarray(rewards)
-    lo = math.floor(arr.min() / bin_width) * bin_width
-    hi = math.ceil(arr.max() / bin_width) * bin_width
+    low, high = int(arr.argmin()), int(arr.argmax())
+    lo_bins, hi_bins = rewards[low] / bin_width, rewards[high] / bin_width
+    if not math.isfinite(hi_bins - lo_bins):
+        raise ValueError(
+            f"decision log {jsonl_path}: rewards from {rewards[low]!r} (line {line_numbers[low]}) "
+            f"to {rewards[high]!r} (line {line_numbers[high]}) span a non-finite number of bins "
+            f"of width {bin_width!r}"
+        )
+    lo = math.floor(lo_bins) * bin_width
+    hi = math.ceil(hi_bins) * bin_width
     if hi <= lo:
         hi = lo + bin_width
     edges = np.arange(lo, hi + bin_width / 2, bin_width)

@@ -16,11 +16,25 @@ their original order. A lone active row keeps NumPy's 1-row (gemv) matmul
 path, whose last bits differ from those of the same row inside a larger
 (gemm) batch, so rows are never padded, and rows of different calls are
 never merged into one batch.
+
+A call with one key (every eval decision and the held-out episode) runs a
+1-row loop on 1-D arrays, which gives the bits of the batched loop at
+g = 1 with fewer and cheaper NumPy calls per token:
+
+- a 1-D row times a matrix is the same gemv as the (1, d) batch;
+- a reduction over a contiguous 1-D row is the same loop as one along
+  axis 1 of a (1, V) array;
+- the CDF is nondecreasing, and NaN from its first NaN on, which
+  ``searchsorted`` orders last, so ``searchsorted(u, side="right")`` is
+  the count of entries <= u that the batched loop takes.
+
+A G > 1 call keeps the batched loop to its end, even once one row is left.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,32 +169,93 @@ class TokenPolicy:
         tokens is (g, max_len) padded with -1, logps is (g, max_len) padded
         with 0 and holds the log-probs of the temperature-1 distribution, so
         they agree with :meth:`logprobs` on the same tokens. Raises
-        ``ValueError`` if ``temperature`` is not finite and above 0, or if a
-        sampled log-prob is not finite, which non-finite parameters or
-        features cause.
+        ``ValueError`` if ``temperature`` is not finite and above 0, if the
+        normaliser of a tempered distribution is not finite (a temperature
+        so small that the scaled logits overflow), or if a sampled log-prob
+        is not finite, which non-finite parameters or features cause.
 
-        Each step works on the active rows only, compacted in key order:
-        their tokens, log-probs and uniforms sit in per-call buffers, and a
-        row is copied into the padded outputs when it ends.
+        One key runs :meth:`_sample_row` on 1-D arrays, more keys run
+        :meth:`_sample_rows`; both give the same bits (see the module
+        docstring).
         """
         check_float("temperature", temperature, 0.0, strict=True)
         p = self.params
-        g = len(keys)
         n_steps = int(max_len if max_len is not None else self.max_len)
-        k, eos = self.k_history, self.eos_id
         # the projected mean embedding of the window is the mean of projected rows
         hist_proj = p["emb"] @ p["w_hist"]
         ctx_pre = np.asarray(features, dtype=np.float64) @ p["w_ctx"] + p["b_ctx"]
-        b_hist = p["b_hist"]
-        z0_empty = ctx_pre + np.zeros(self.d_hidden) + b_hist  # the first pre-activation of an empty window
+        z0_empty = ctx_pre + np.zeros(self.d_hidden) + p["b_hist"]  # the first pre-activation of an empty window
+        u = _kernels.uniforms_from_key(keys, n_steps)
+        loop = self._sample_row if len(keys) == 1 else self._sample_rows
+        tokens, lengths, logps = loop(u, hist_proj, ctx_pre, z0_empty, temperature)
+        if not np.isfinite(logps).all():
+            raise ValueError("sampler produced a non-finite log-prob; check parameters and features")
+        return tokens, lengths, logps
 
+    def _sample_row(self, u, hist_proj, ctx_pre, z0_empty, temperature):
+        """The loop of :meth:`sample` for one key, on 1-D arrays.
+
+        ``u`` is the (1, n_steps) uniforms of the key. Each step runs the
+        trunk on one (d_hidden,) row, reduces the (vocab_size,) logits to
+        scalars and draws by a binary search of the CDF; the token and its
+        log-prob go straight into the padded outputs.
+        """
+        k, eos, b_hist = self.k_history, self.eos_id, self.params["b_hist"]
+        u = u[0]
+        n_steps = u.size
+        tokens = np.full((1, n_steps), -1, dtype=np.int64)
+        logps = np.zeros((1, n_steps), dtype=np.float64)
+        tok, lp = tokens[0], logps[0]
+        length = n_steps
+        z0, layers, e = np.empty(self.d_hidden), self._layers(()), np.empty(self.vocab_size)
+        head = e[:-1]  # the CDF but its last entry, as in _sample_rows
+        for step in range(n_steps):
+            if step and k:
+                window = tok[max(0, step - k) : step]
+                np.add.reduce(hist_proj.take(window, axis=0), axis=0, out=z0)
+                np.divide(z0, window.size, out=z0)
+                np.add(ctx_pre, z0, out=z0)
+                logits = self._trunk(np.add(z0, b_hist, out=z0), layers)
+            else:
+                logits = self._trunk(z0_empty, layers)
+
+            mx = np.maximum.reduce(logits)
+            np.exp(np.subtract(logits, mx, out=e), out=e)
+            total = np.add.reduce(e)
+            lse = mx + np.log(total)
+            if temperature != 1.0:
+                np.divide(logits, temperature, out=e)
+                np.exp(np.subtract(e, np.maximum.reduce(e), out=e), out=e)
+                total = np.add.reduce(e)
+                if not math.isfinite(total):
+                    raise _tempered_overflow(temperature)
+            np.add.accumulate(np.divide(head, total, out=head), out=head)
+            drawn = int(head.searchsorted(u[step], side="right"))
+
+            tok[step] = drawn
+            lp[step] = logits[drawn] - lse
+            if drawn == eos:
+                length = step + 1
+                break
+        return tokens, np.full(1, length, dtype=np.int64), logps
+
+    def _sample_rows(self, u, hist_proj, ctx_pre, z0_empty, temperature):
+        """The loop of :meth:`sample` for several keys, on 2-D arrays.
+
+        ``u`` is the (g, n_steps) uniforms, one row per key. Each step works
+        on the active rows only, compacted in key order: their tokens,
+        log-probs and uniforms sit in per-call buffers, and a row is copied
+        into the padded outputs when it ends.
+        """
+        g, n_steps = u.shape
+        k, eos, b_hist = self.k_history, self.eos_id, self.params["b_hist"]
         tokens = np.full((g, n_steps), -1, dtype=np.int64)
         logps = np.zeros((g, n_steps), dtype=np.float64)
         lengths = np.full(g, n_steps, dtype=np.int64)
         # the active rows in key order: the output row of each, and step-major
         # buffers of their uniforms, tokens and log-probs (buffer[step] is one step of every row)
         rows = np.arange(g)
-        u = np.ascontiguousarray(_kernels.uniforms_from_key(keys, n_steps).T)[:, :, None]
+        u = np.ascontiguousarray(u.T)[:, :, None]
         tok = np.empty((n_steps, g), dtype=np.int64)
         lp = np.empty((n_steps, g))
         # z0, the trunk's layers, exp(logits - max) and then the CDF, max, sum and lse of each active row
@@ -215,6 +290,8 @@ class TokenPolicy:
                 np.maximum.reduce(e, axis=1, keepdims=True, out=mx)
                 np.exp(np.subtract(e, mx, out=e), out=e)
                 np.add.reduce(e, axis=1, keepdims=True, out=total)
+                if not np.isfinite(total).all():
+                    raise _tempered_overflow(temperature)
             np.add.accumulate(np.divide(head, total, out=head), axis=1, out=head)
             drawn = np.add.reduce(np.less_equal(head, u[step]), axis=1)
 
@@ -233,9 +310,6 @@ class TokenPolicy:
         else:
             tokens[rows] = tok.T
             logps[rows] = lp.T
-
-        if not np.isfinite(logps).all():
-            raise ValueError("sampler produced a non-finite log-prob; check parameters and features")
         return tokens, lengths, logps
 
     # -- teacher-forced evaluation ---------------------------------------
@@ -427,6 +501,13 @@ class ValueHead:
     @property
     def n_params(self) -> int:
         return sum(v.size for v in self.params.values())
+
+
+def _tempered_overflow(temperature: float) -> ValueError:
+    return ValueError(
+        f"temperature {temperature!r} gives a non-finite sampling normaliser: the scaled logits overflow "
+        "(use a larger temperature) or are not finite (check parameters and features)"
+    )
 
 
 def _logsumexp(logits: np.ndarray) -> np.ndarray:

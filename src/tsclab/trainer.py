@@ -228,17 +228,18 @@ class ReplayBuffer:
                              f"{np.shape(rewards)} must be one 1-D response of equal lengths")
         if np.any(tokens < 0):
             raise ValueError("response holds a negative token id; a padding id would shorten its length")
-        pad = self.max_len - tokens.size
-        if pad < 0:
-            raise ValueError(f"response of {tokens.size} tokens exceeds max_len {self.max_len}")
+        n = tokens.size
+        if n > self.max_len:
+            raise ValueError(f"response of {n} tokens exceeds max_len {self.max_len}")
         row = {
             "time": time,
             "features": features,
-            "tokens": np.pad(tokens, (0, pad), constant_values=-1),
-            "logps_old": np.pad(logps_old, (0, pad)),
-            "rewards": np.pad(rewards, (0, pad)),
+            "tokens": np.full(self.max_len, -1, dtype=np.int64),
+            "logps_old": np.zeros(self.max_len),
+            "rewards": np.zeros(self.max_len),
             "v_old": v_old,
         }
+        row["tokens"][:n], row["logps_old"][:n], row["rewards"][:n] = tokens, logps_old, rewards
         for name, value in row.items():
             setattr(self, name, np.concatenate([getattr(self, name), [value]]))
 

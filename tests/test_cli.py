@@ -304,6 +304,20 @@ class TestValidationFailures:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_eval_temperature_that_overflows_the_logits(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml")
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out"), "--temperature", "1e-310"]) == 2
+        assert "error: temperature 1e-310 gives a non-finite sampling normaliser" in capsys.readouterr().err
+
+    def test_reward_hist_non_finite_reward(self, tmp_path, capsys):
+        log = tmp_path / "decisions.jsonl"
+        log.write_text('{"R_env": 1.0}\n{"R_env": Infinity}\n')
+        assert main(["reward-hist", str(log), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: decision log {log} line 2: R_env must be finite, got inf\n"
+        assert not (tmp_path / "out").exists()
+
     def test_compare_needs_two_configs(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", controller="fixed")
         assert main(["compare", "--config", cfg, "--seed", "0"]) == 2

@@ -498,3 +498,23 @@ class TestRewardHistogram:
         path.write_text("not json\n")
         with pytest.raises(ValueError, match="malformed"):
             reward_histogram(path, 0.0)
+
+    @pytest.mark.parametrize("value, shown", [("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan"),
+                                              ("true", "True"), ('"1.5"', "'1.5'")])
+    def test_bool_or_non_finite_reward_rejected(self, tmp_path, value, shown):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"R_env": 0.5}\n\n{"R_env": %s}\n' % value)
+        with pytest.raises(ValueError) as info:
+            reward_histogram(path, 0.0)
+        assert str(info.value) == f"decision log {path} line 3: R_env must be finite, got {shown}"
+
+    def test_span_of_non_finite_bin_count_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"R_env": 1e308}\n{"R_env": 0.0}\n{"R_env": -1e308}\n')
+        with pytest.raises(ValueError) as info:
+            reward_histogram(path, 0.0, bin_width=0.5)
+        assert str(info.value) == (f"decision log {path}: rewards from -1e+308 (line 3) to 1e+308 (line 1) "
+                                   "span a non-finite number of bins of width 0.5")
+        path.write_text('{"R_env": 1.7e308}\n{"R_env": -1.7e308}\n')
+        with pytest.raises(ValueError, match="span a non-finite number of bins of width 1.0"):
+            reward_histogram(path, 0.0, bin_width=1.0)

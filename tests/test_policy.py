@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsclab import _kernels
 from tsclab._kernels import derive_key, uniforms_from_key
 from tsclab.phases import feature_length
 from tsclab.policy import (
@@ -384,6 +385,12 @@ EOS_BIASES = (50.0, 2.0, 0.0, -50.0)
 @example(g=9, k_history=40, max_len=32, temperature=0.5, eos_bias=2.0, d_hidden=64, seed=1)
 @example(g=8, k_history=4, max_len=32, temperature=2.0, eos_bias=50.0, d_hidden=64, seed=2)
 @example(g=8, k_history=0, max_len=7, temperature=1.0, eos_bias=-50.0, d_hidden=6, seed=3)
+# one key runs the 1-row loop
+@example(g=1, k_history=0, max_len=1, temperature=0.5, eos_bias=50.0, d_hidden=64, seed=4)
+@example(g=1, k_history=40, max_len=32, temperature=2.0, eos_bias=-50.0, d_hidden=64, seed=5)
+@example(g=1, k_history=0, max_len=32, temperature=2.0, eos_bias=2.0, d_hidden=6, seed=6)
+@example(g=1, k_history=40, max_len=1, temperature=0.5, eos_bias=-50.0, d_hidden=6, seed=7)
+@example(g=1, k_history=4, max_len=7, temperature=0.5, eos_bias=50.0, d_hidden=64, seed=8)
 def test_sample_matches_reference_loop_bit_for_bit(
     toy8, vocab8, g, k_history, max_len, temperature, eos_bias, d_hidden, seed
 ):
@@ -456,11 +463,46 @@ class TestSampling:
         assert checked.any()
         assert np.all(np.abs(freq - p)[checked] <= 3.0 * se[checked] + 1e-9)
 
-    def test_non_finite_weight_raises(self, small_policy):
+    @pytest.mark.parametrize("g", [1, 4])
+    def test_non_finite_weight_raises(self, small_policy, g):
         small_policy.params["w_out"][0, 0] = np.nan
-        keys = [derive_key(3, i, 0) for i in range(4)]
+        keys = [derive_key(3, i, 0) for i in range(g)]
         with pytest.raises(ValueError, match="non-finite"):
             small_policy.sample(np.full(small_policy.feature_len, 1.0), keys)
+
+    @pytest.mark.parametrize("g", [1, 3])
+    def test_uniform_on_a_cdf_entry_draws_the_next_token(self, small_policy, monkeypatch, g):
+        """A uniform equal to a CDF entry counts that entry, as ``(cdf <= u).sum()`` does.
+
+        Only tokens 2, 3, 5 and 7 have mass, a quarter each, so the CDF is
+        exactly 0, 0, 0.25, 0.5, 0.5, 0.75, 0.75, 1, ... and every uniform
+        below lands on an entry."""
+        for name in POLICY_FIELDS:
+            small_policy.params[name][...] = 0.0
+        small_policy.params["b_out"][...] = -1000.0  # exp underflows to exactly 0
+        small_policy.params["b_out"][[2, 3, 5, 7]] = 0.0
+        ties = np.array([0.0, 0.25, 0.5, 0.75, 0.5, 0.25, 0.0, 0.75])
+        monkeypatch.setattr(_kernels, "uniforms_from_key", lambda keys, n: np.tile(ties[:n], (len(keys), 1)))
+        keys = [derive_key(3, i, 0) for i in range(g)]
+        tokens, lengths, _ = small_policy.sample(np.zeros(small_policy.feature_len), keys)
+        assert np.array_equal(tokens, np.tile([2, 3, 5, 7, 5, 3, 2, 7], (g, 1)))
+        assert np.all(lengths == 8)
+
+    @pytest.mark.parametrize("g", [1, 4])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_temperature_that_overflows_the_logits_raises(self, small_policy, g):
+        """At 1e-310 the scaled logits overflow and the tempered normaliser is
+        NaN; a count over that NaN CDF would draw token 0 at every step."""
+        for name in POLICY_FIELDS:
+            small_policy.params[name][...] = 0.0
+        small_policy.params["b_out"][5] = 3.0
+        features = np.zeros(small_policy.feature_len)
+        keys = [derive_key(3, i, 0) for i in range(g)]
+        tokens, _, _ = small_policy.sample(features, keys, temperature=1e-300)
+        assert np.all(tokens == 5)
+        with pytest.raises(ValueError, match="temperature 1e-310 gives a non-finite sampling normaliser"):
+            small_policy.sample(features, keys, temperature=1e-310)
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
     def test_temperature_must_be_finite_and_positive(self, small_policy, temperature):
