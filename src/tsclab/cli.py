@@ -69,8 +69,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    if args.temperature is not None:
-        check_float("validation failed: --temperature", args.temperature, 0.0, strict=True)
+    check_float("validation failed: --temperature", args.temperature, 0.0, strict=True)
     if args.checkpoint is not None:
         if cfg.controller != "policy":
             raise ValueError("validation failed: --checkpoint requires controller 'policy'")
@@ -159,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--temperature",
         type=float,
-        default=None,
-        help="sampling temperature override (small values approach greedy)",
+        default=1.0,
+        help="sampling temperature (default 1.0; small values approach greedy)",
     )
     p.set_defaults(func=cmd_eval)
 

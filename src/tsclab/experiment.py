@@ -104,7 +104,6 @@ class ExperimentConfig:
     out: Optional[str] = None
     t_fixed: float = 10.0
     default_phase: int = 0
-    action_from_extra_sample: bool = False
     holdout_eval: bool = True
     reward: RewardConfig = field(default_factory=RewardConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
@@ -120,7 +119,6 @@ class ExperimentConfig:
         check_int("seed", self.seed, 0)  # unseeded runs are not supported
         check_int("default_phase", self.default_phase, 0)  # validate_config checks the top
         check_float("t_fixed", self.t_fixed, 0.0, strict=True)
-        check_bool("action_from_extra_sample", self.action_from_extra_sample)
         check_bool("holdout_eval", self.holdout_eval)
 
     @staticmethod
@@ -319,7 +317,6 @@ class ExperimentRunner:
             "config_hash": self.hash,
             "seed": self.cfg.seed,
             "controller": self.cfg.controller,
-            "backend": _kernels.BACKEND,
             "topology": self.topo.name,
         }
         with open(self.out_dir / "run_info.json", "w", encoding="utf-8") as fh:
@@ -334,7 +331,7 @@ class ExperimentRunner:
 
     def _decide(
         self, sim: Intersection, t: int, queue: float, learn: bool,
-        temperature: Optional[float], space: int, state,
+        temperature: float, space: int, state,
     ) -> _Pending:
         """One decision: the baseline's ``decide``, or verbalize -> sample -> extract.
 
@@ -346,22 +343,17 @@ class ExperimentRunner:
             return _Pending(float(t), queue, self.baseline.decide(obs, sim.active_phase, t, self.topo))
         cfg = self.cfg
         features = verbalize(obs, sim.active_phase, self.topo)
-        g = cfg.trainer.g_responses
-        n_samples = (g + 1 if cfg.action_from_extra_sample else g) if learn else 1
+        n_samples = cfg.trainer.g_responses if learn else 1
         keys = [_kernels.derive_key(cfg.seed, space, state.decision_counter, r) for r in range(n_samples)]
-        tokens, lengths, logps = self.trainer.policy.sample(
-            features, keys, temperature=cfg.trainer.temperature if temperature is None else temperature
-        )
+        tokens, lengths, logps = self.trainer.policy.sample(features, keys, temperature=temperature)
         action_tokens = tokens[0, : lengths[0]]
         action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
         if not learn:
             return _Pending(float(t), queue, action)
-        # the G entropy responses are rows 1..G with an extra action sample and rows 0..G-1
-        # without; row 0 is extracted once, above
+        # the G entropy responses are rows 0..G-1; row 0 is the action, extracted once, above
         responses = [tokens[r, : lengths[r]] for r in range(1, n_samples)]
         counts = phase_histogram(responses, self.topo, cfg.default_phase, self.vocab)
-        if not cfg.action_from_extra_sample:
-            counts[action] += 1
+        counts[action] += 1
         return _Pending(
             float(t), queue, action,
             counts=counts,
@@ -374,7 +366,7 @@ class ExperimentRunner:
 
     def _close_pending(self, pending: _Pending, queue_now: float, learn: bool, jsonl_fh) -> None:
         cfg = self.cfg
-        r_env = env_reward(pending.queue_before, queue_now, cfg.reward.env_mode)
+        r_env = env_reward(pending.queue_before, queue_now)
         counts = pending.counts
         bundle = decision_reward(counts, pending.phase, r_env, cfg.reward)
         row = {
@@ -409,7 +401,7 @@ class ExperimentRunner:
         learn: bool,
         state,
         space: int = 0,
-        temperature: Optional[float] = None,
+        temperature: float = 1.0,
         steps: Optional[_CsvSink] = None,
         jsonl_fh=None,
         train_log: Optional[_CsvSink] = None,
@@ -449,7 +441,7 @@ class ExperimentRunner:
             if steps is not None:  # the STEP_COLUMNS row
                 steps.fh.write(f"{sim.time},{sim.active_phase},{queue},{sim.injected_count},{len(sim.completed)}\n")
 
-    def run_episode(self, learn: bool, temperature: Optional[float] = None) -> EpisodeReport:
+    def run_episode(self, learn: bool, temperature: float = 1.0) -> EpisodeReport:
         """One logged episode: its step CSV, its decision log and its row of
         ``metrics.csv``, and when learning its rows of ``train_log.csv``."""
         t0_wall = _time.perf_counter()
@@ -560,7 +552,7 @@ class ExperimentRunner:
         self._loop(sim, 0, False, SimpleNamespace(decision_counter=0), space=1)
         return sim.finalize_metrics().queue_length
 
-    def evaluate(self, episodes: Optional[int] = None, temperature: Optional[float] = None) -> List[EpisodeReport]:
+    def evaluate(self, episodes: Optional[int] = None, temperature: float = 1.0) -> List[EpisodeReport]:
         n = episodes if episodes is not None else self.cfg.episodes
         return [self.run_episode(learn=False, temperature=temperature) for _ in range(n)]
 

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-ENTROPY_MODES = ("softmax_dse", "naive_dse", "off")
-ENV_MODES = ("queue_difference", "negative_queue")
+ENTROPY_MODES = ("softmax_dse", "off")
 
 
 def check_float(name: str, value, low: float = -math.inf, strict: bool = False, high: float = math.inf) -> None:
@@ -81,7 +80,6 @@ class RewardConfig:
     tau: float = 1.0  # softmax temperature over phase counts
     beta: float = 0.05  # per-token KL weight
     entropy_mode: str = "softmax_dse"
-    env_mode: str = "queue_difference"
 
     def __post_init__(self):
         check_float("reward.h_r", self.h_r)
@@ -89,18 +87,12 @@ class RewardConfig:
         check_float("reward.tau", self.tau, 0.0, strict=True)
         check_float("reward.beta", self.beta, 0.0)
         if self.entropy_mode not in ENTROPY_MODES:
-            raise ValueError(f"entropy_mode must be one of {ENTROPY_MODES}")
-        if self.env_mode not in ENV_MODES:
-            raise ValueError(f"env_mode must be one of {ENV_MODES}")
+            raise ValueError(f"reward.entropy_mode must be one of {ENTROPY_MODES}, got {self.entropy_mode!r}")
 
 
-def env_reward(queue_prev: float, queue_curr: float, env_mode: str = "queue_difference") -> float:
-    """Queue improvement (default) or plain negative queue."""
-    if env_mode == "queue_difference":
-        return queue_prev - queue_curr
-    if env_mode == "negative_queue":
-        return -queue_curr
-    raise ValueError(f"unknown env_mode {env_mode!r}")
+def env_reward(queue_prev: float, queue_curr: float) -> float:
+    """Queue improvement over the decision interval."""
+    return queue_prev - queue_curr
 
 
 def softmax_dse_prob(counts: Sequence[float], chosen: int, tau: float) -> float:
@@ -114,15 +106,6 @@ def softmax_dse_prob(counts: Sequence[float], chosen: int, tau: float) -> float:
     c = c - c.max()
     e = np.exp(c)
     return float(e[chosen] / e.sum())
-
-
-def naive_dse_prob(counts: Sequence[float], chosen: int) -> float:
-    """Empirical agreement ratio counts[chosen] / sum(counts)."""
-    c = np.asarray(counts, dtype=np.float64)
-    total = c.sum()
-    if total <= 0:
-        raise ValueError("counts must sum to >= 1")
-    return float(c[chosen] / total)
 
 
 def gated_entropy_reward(p_chosen: float, r_env: float, h_r: float) -> float:
@@ -181,14 +164,10 @@ def decision_reward(
     was collected), the gated bonus, the gate state, and the total
     reward R_env - H_R + w_E * R_E.
     """
-    if counts is None:
+    if counts is None or cfg.entropy_mode == "off":
         p_chosen = None
-    elif cfg.entropy_mode == "softmax_dse":
-        p_chosen = softmax_dse_prob(counts, chosen, cfg.tau)
-    elif cfg.entropy_mode == "naive_dse":
-        p_chosen = naive_dse_prob(counts, chosen)
     else:
-        p_chosen = None
+        p_chosen = softmax_dse_prob(counts, chosen, cfg.tau)
     gate_open = r_env > cfg.h_r
     r_entropy = gated_entropy_reward(p_chosen, r_env, cfg.h_r) if p_chosen is not None else 0.0
     return {

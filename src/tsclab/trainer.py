@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -30,8 +32,6 @@ from .policy import (
 from .rewards import check_bool, check_float, check_int
 
 CHECKPOINT_VERSION = 2
-
-VALUE_CLIP_MODES = ("standard", "literal")
 
 # the statistics of one update, averaged over its batches; train_log.csv adds a step column
 DIAGNOSTICS = (
@@ -63,8 +63,6 @@ class TrainerConfig:
     episode_length: int = 3600
     g_responses: int = 8
     use_critic: bool = True
-    value_clip_mode: str = "standard"
-    temperature: float = 1.0
 
     def __post_init__(self):
         for name in ("episode_length", "decision_interval", "update_interval", "checkpoint_interval",
@@ -75,14 +73,12 @@ class TrainerConfig:
         # the newest record at an update was decided one decision interval before it
         if not self.buffer_window > self.decision_interval:
             raise ValueError("buffer_window must exceed decision_interval, or no record is left to train on")
-        for name in ("temperature", "eps_low", "eps_high", "eps_value", "grad_clip_policy", "grad_clip_value"):
+        for name in ("eps_low", "eps_high", "eps_value", "grad_clip_policy", "grad_clip_value"):
             check_float(f"trainer.{name}", getattr(self, name), 0.0, strict=True)
         for name in ("alpha", "actor_lr", "value_lr", "actor_weight_decay", "value_weight_decay"):
             check_float(f"trainer.{name}", getattr(self, name), 0.0)
         for name in ("gamma", "lam"):
             check_float(f"trainer.{name}", getattr(self, name), 0.0, high=1.0)
-        if self.value_clip_mode not in VALUE_CLIP_MODES:
-            raise ValueError(f"value_clip_mode must be one of {VALUE_CLIP_MODES}")
 
     def warn_if_few_responses(self, n_phases: int) -> None:
         if self.g_responses < n_phases:
@@ -139,25 +135,16 @@ def value_loss(
     v_old: np.ndarray,
     returns: np.ndarray,
     eps_value: float,
-    mode: str = "standard",
 ) -> Tuple[float, np.ndarray]:
     """Clipped value regression loss and its derivative w.r.t. v_new.
 
-    "standard" clips the value change around the rollout-time value;
-    "literal" is the printed form, which clips the error term itself; since
-    ``|clip(err)| <= |err|`` its max always selects the unclipped square, so
-    it is the plain squared error.
+    The value change is clipped around the rollout-time value ``v_old``.
     """
     err = v_new - returns
-    if mode == "literal":
-        per, dv = err**2, err
-    elif mode == "standard":
-        v_clip = v_old + np.clip(v_new - v_old, -eps_value, eps_value)
-        err_clip = v_clip - returns
-        per = np.maximum(err**2, err_clip**2)
-        dv = np.where(err**2 >= err_clip**2, err, 0.0)
-    else:
-        raise ValueError(f"unknown value_clip_mode {mode!r}")
+    v_clip = v_old + np.clip(v_new - v_old, -eps_value, eps_value)
+    err_clip = v_clip - returns
+    per = np.maximum(err**2, err_clip**2)
+    dv = np.where(err**2 >= err_clip**2, err, 0.0)
     n = per.size
     return 0.5 * float(per.mean()), dv / n
 
@@ -370,7 +357,7 @@ class PPOTrainer:
             v_new, v_cache = self.value_head.forward_batch(features)
             v_tok = np.repeat(v_new, lengths)
             vo_tok = np.repeat(v_old, lengths)
-            v_loss, dv_tok = value_loss(v_tok, vo_tok, rets[mask], cfg.eps_value, cfg.value_clip_mode)
+            v_loss, dv_tok = value_loss(v_tok, vo_tok, rets[mask], cfg.eps_value)
             dv_rec = np.zeros(B)
             splits = np.cumsum(lengths)[:-1]
             for i, part in enumerate(np.split(dv_tok, splits)):
@@ -429,10 +416,12 @@ class PPOTrainer:
 
 
 def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: dict) -> None:
-    """Write a fully resumable training snapshot.
+    """Write a fully resumable training snapshot to ``path``, as named.
 
     ``runner_meta`` carries the episode-loop state (sim state, counters)
-    owned by the caller; it round-trips unchanged.
+    owned by the caller; it round-trips unchanged. The archive is written to
+    a temporary file next to ``path`` and then renamed over it, so a write
+    that fails partway leaves any previous snapshot at ``path`` whole.
     """
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -441,7 +430,15 @@ def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: di
         "trainer_meta": trainer.state_meta(),
         "runner_meta": runner_meta,
     }
-    np.savez(path, meta=json.dumps(meta), **trainer.state_arrays())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=json.dumps(meta), **trainer.state_arrays())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:

@@ -35,7 +35,6 @@ from tsclab.policy import (
 from tsclab.rewards import (
     gated_entropy_reward,
     k3_kl,
-    naive_dse_prob,
     softmax_dse_prob,
     total_reward,
 )
@@ -103,7 +102,6 @@ TREND_TRAINER = {
     "gamma": 1.0,
     "lam": 1.0,
     "checkpoint_interval": 3600,
-    "temperature": 1.0,
 }
 
 
@@ -305,15 +303,6 @@ def test_criterion_03_softmax_dse_limits():
             for chosen in range(n_p):
                 ok = ok and softmax_dse_prob([c] * n_p, chosen, tau) == 1.0 / n_p
     detail.append("uniform counts exact 1/8")
-
-    six_of_eight = [6, 2, 0, 0, 0, 0, 0, 0]
-    ok = ok and naive_dse_prob(six_of_eight, 0) == 0.75
-    for _ in range(50):
-        counts = rng.integers(0, 9, size=n_p)
-        counts[0] += 1  # nonzero total
-        chosen = int(rng.integers(0, n_p))
-        ok = ok and naive_dse_prob(counts, chosen) == float(counts[chosen]) / float(counts.sum())
-    detail.append("naive equals counts ratio (6/8 = 0.75)")
 
     _report(3, "confidence limits", ok, "; ".join(detail))
 

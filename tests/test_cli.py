@@ -20,7 +20,7 @@ TINY_TRAINER = {
 NAN, INF = float("nan"), float("inf")
 # float knobs with a value each one's check must refuse
 BAD_TRAINER_FLOATS = [
-    ("temperature", NAN), ("eps_low", NAN), ("eps_high", NAN), ("eps_value", NAN),
+    ("eps_low", NAN), ("eps_high", NAN), ("eps_value", NAN),
     ("alpha", NAN), ("actor_lr", NAN), ("actor_lr", -1.0), ("value_lr", INF),
     ("actor_weight_decay", NAN), ("value_weight_decay", -1.0),
     ("grad_clip_policy", -1.0), ("grad_clip_value", NAN),
@@ -109,8 +109,16 @@ BAD_TOPOLOGIES = [
 ]
 BAD_TOP_TYPES = [
     ("episodes", 1.5), ("seed", 1.5), ("seed", -1), ("default_phase", 1.5), ("default_phase", True),
-    ("holdout_eval", "maybe"), ("action_from_extra_sample", 1), ("t_fixed", True),
+    ("holdout_eval", "maybe"), ("t_fixed", True),
     ("topology_overrides", [1]), ("out", 5),
+]
+# config keys and values that no longer exist, each set to what was once valid: (config change, key)
+REMOVED = [
+    ({"action_from_extra_sample": False}, "action_from_extra_sample"),
+    ({"reward": {"env_mode": "queue_difference"}}, "reward.env_mode"),
+    ({"reward": {"entropy_mode": "naive_dse"}}, "reward.entropy_mode"),
+    ({"trainer": {**TINY_TRAINER, "value_clip_mode": "standard"}}, "trainer.value_clip_mode"),
+    ({"trainer": {**TINY_TRAINER, "temperature": 1.0}}, "trainer.temperature"),
 ]
 
 # a config or decision log that is not a readable file: (id, command, YAML text of the file, or None for a directory)
@@ -266,12 +274,14 @@ class TestValidationFailures:
             ("train", {"trainer": {**TINY_TRAINER, "buffer_window": -5}}, [], "buffer_window"),
             ("eval", {}, ["--temperature", "0"], "--temperature"),
             ("eval", {}, ["--temperature", "inf"], "--temperature"),
+            ("eval", {}, ["--temperature", "nan"], "--temperature"),
             ("baseline", {"controller": "fixed", "t_fixed": INF}, [], "t_fixed"),
         ]
         + [("train", {"trainer": {**TINY_TRAINER, k: v}}, [], f"trainer.{k}") for k, v in BAD_TRAINER_FLOATS]
         + [("train", {"reward": {k: v}}, [], f"reward.{k}") for k, v in BAD_REWARD_FLOATS]
         + [("train", {"trainer": {**TINY_TRAINER, k: v}}, [], f"trainer.{k}") for k, v in BAD_TRAINER_TYPES]
         + [("train", {k: v}, [], k) for k, v in BAD_TOP_TYPES]
+        + [("train", over, [], key) for over, key in REMOVED]
         + [("train", {"policy": {"max_len": 2.5}}, [], "policy.max_len"),
            ("train", {"policy": {"max_len": 8, "d_hidden": True}}, [], "policy.d_hidden"),
            ("train", {}, ["--seed", "-2"], "--seed")]
@@ -281,11 +291,13 @@ class TestValidationFailures:
         + [("baseline", {"controller": "fixed", "demand": demand}, [], key) for demand, key in BAD_DEMAND_SPECS]
         + [("baseline", {"controller": "fixed", "topology": topo}, [], key) for topo, key in BAD_TOPOLOGIES],
         ids=["t_fixed", "n_filler_17", "n_filler_-3", "batch_size", "batches_per_update",
-             "buffer_window_0", "buffer_window_-5", "temperature", "temperature_inf", "t_fixed_inf"]
+             "buffer_window_0", "buffer_window_-5", "temperature", "temperature_inf", "temperature_nan",
+             "t_fixed_inf"]
         + [f"trainer.{k}_{v}" for k, v in BAD_TRAINER_FLOATS]
         + [f"reward.{k}_{v}" for k, v in BAD_REWARD_FLOATS]
         + [f"trainer.{k}_{v!r}" for k, v in BAD_TRAINER_TYPES]
         + [f"{k}_{v!r}" for k, v in BAD_TOP_TYPES]
+        + [f"removed:{key}" for _, key in REMOVED]
         + ["policy.max_len_2.5", "policy.d_hidden_True", "--seed_-2"]
         + [f"topology.{k}_{v!r}" for k, v in BAD_GEOMETRY]
         + [name for name, _, _ in BAD_DEMANDS]

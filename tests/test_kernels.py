@@ -127,7 +127,7 @@ class TestSamplerBackends:
 
 class TestBackendSelection:
     def test_module_exposes_contract(self):
-        # one NumPy implementation; the constants are recorded in run_info.json
+        # one NumPy implementation; the benchmark records the constants among its machine facts
         assert (_kernels.BACKEND, _kernels.COMPILED) == ("numpy", False)
         for fn in ("derive_key", "uniforms_from_key"):
             assert callable(getattr(_kernels, fn))

@@ -12,7 +12,6 @@ from tsclab.rewards import (
     env_reward,
     gated_entropy_reward,
     k3_kl,
-    naive_dse_prob,
     softmax_dse_prob,
     total_reward,
 )
@@ -73,16 +72,6 @@ class TestDse:
         for j in range(4):
             assert softmax_dse_prob(counts, j, 0.37) == pytest.approx(0.25, abs=1e-15)
 
-    def test_naive_is_exact_ratio(self):
-        counts = [3, 0, 5]
-        assert naive_dse_prob(counts, 0) == 3.0 / 8.0
-        assert naive_dse_prob(counts, 1) == 0.0
-        assert naive_dse_prob(counts, 2) == 5.0 / 8.0
-
-    def test_naive_rejects_empty(self):
-        with pytest.raises(ValueError):
-            naive_dse_prob([0, 0, 0], 1)
-
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
     def test_softmax_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError, match="tau must be finite and > 0"):
@@ -117,13 +106,6 @@ class TestEnvReward:
     def test_queue_difference(self):
         assert env_reward(5.0, 3.0) == 2.0
         assert env_reward(1.0, 4.0) == -3.0
-
-    def test_negative_queue(self):
-        assert env_reward(5.0, 3.0, "negative_queue") == -3.0
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            env_reward(1.0, 1.0, "bogus")
 
 
 class TestTokenRewards:

@@ -71,12 +71,6 @@ def main(src: Path, out: Path) -> int:
     reinforce.reward.entropy_mode, reinforce.reward.h_r, reinforce.reward.beta = "off", 0.5, 0.1
     run_config(reinforce)
 
-    # the config values no other run sets, so their code paths are digested too
-    knobs = config("toy8", "toy8_knobs", action_from_extra_sample=True)
-    knobs.reward.entropy_mode, knobs.reward.env_mode = "naive_dse", "negative_queue"
-    knobs.trainer.value_clip_mode = "literal"
-    run_config(knobs)
-
     # every response is one token, so each update trains on length-1 batches
     one_token = config("toy8", "toy8_one_token")
     one_token.policy.max_len = 1
