@@ -289,14 +289,7 @@ class TestDecisionSamples:
         the phase counts of all G. Each decision's action and counts equal one
         extract_phase call per response, and that is all the scanning the
         decision does."""
-        calls = []
-        sample = TokenPolicy.sample
-
-        def recording_sample(policy, features, keys, **kwargs):
-            result = sample(policy, features, keys, **kwargs)
-            calls.append((list(keys), result))
-            return result
-
+        calls = self._record_samples(monkeypatch)
         scans = []
 
         def counting_extract(*args):
@@ -305,7 +298,6 @@ class TestDecisionSamples:
 
         for module in (experiment, phases):  # _decide's own call and phase_histogram's
             monkeypatch.setattr(module, "extract_phase", counting_extract)
-        monkeypatch.setattr(TokenPolicy, "sample", recording_sample)
         cfg = tiny_config(policy={"d_embed": 4, "d_hidden": 8, "max_len": 32})
         runner = ExperimentRunner(cfg, out_dir=tmp_path / "run")
         report = runner.train()[0]
@@ -314,7 +306,7 @@ class TestDecisionSamples:
         assert len(rows) == len(calls) == report.decisions == 30
         assert len(scans) == 30 * g
         chosen = set()
-        for i, (row, (keys, (tokens, lengths, _))) in enumerate(zip(rows, calls)):
+        for i, (row, (keys, _, (tokens, lengths, _))) in enumerate(zip(rows, calls)):
             assert keys == [derive_key(cfg.seed, 0, i, r) for r in range(g)]
             found = [
                 extract_phase(tokens[r, : lengths[r]], runner.topo, cfg.default_phase, runner.vocab)
@@ -325,6 +317,47 @@ class TestDecisionSamples:
             assert sum(row["counts"]) == g
             chosen.add(row["chosen_phase"])
         assert len(chosen) > 1  # the responses name more than the default phase
+
+    def test_training_samples_at_temperature_one(self, tmp_path, monkeypatch):
+        """Every learning decision samples at exactly 1.0, so the log-probs
+        the sampler returns, which become logps_old, are those of the
+        distribution the tokens were drawn from."""
+        calls = self._record_samples(monkeypatch)
+        report = ExperimentRunner(tiny_config(), out_dir=tmp_path / "run").train()[0]
+        assert len(calls) == report.decisions == 30
+        assert [kwargs["temperature"] for _, kwargs, _ in calls] == [1.0] * 30
+
+    def test_eval_decision_samples_one_response(self, tmp_path, monkeypatch):
+        """An eval decision samples one response, with key index 0 at the
+        temperature evaluate was given, acts on it and logs no counts."""
+        calls = self._record_samples(monkeypatch)
+        cfg = tiny_config(policy={"d_embed": 4, "d_hidden": 8, "max_len": 32})
+        runner = ExperimentRunner(cfg, out_dir=tmp_path / "run")
+        report = runner.evaluate(episodes=1, temperature=0.5)[0]
+        rows = [json.loads(line) for line in Path(report.decisions_jsonl).read_text().splitlines()]
+        assert len(rows) == len(calls) == report.decisions == 30
+        for i, (row, (keys, kwargs, (tokens, lengths, _))) in enumerate(zip(rows, calls)):
+            assert keys == [derive_key(cfg.seed, 0, i, 0)]
+            assert kwargs["temperature"] == 0.5
+            assert tokens.shape[0] == 1
+            assert row["chosen_phase"] == extract_phase(
+                tokens[0, : lengths[0]], runner.topo, cfg.default_phase, runner.vocab
+            )
+            assert row["counts"] is None
+
+    @staticmethod
+    def _record_samples(monkeypatch):
+        """Record each TokenPolicy.sample call as (keys, kwargs, result)."""
+        calls = []
+        sample = TokenPolicy.sample
+
+        def recording_sample(policy, features, keys, **kwargs):
+            result = sample(policy, features, keys, **kwargs)
+            calls.append((list(keys), kwargs, result))
+            return result
+
+        monkeypatch.setattr(TokenPolicy, "sample", recording_sample)
+        return calls
 
 
 @settings(max_examples=30, deadline=None)

@@ -185,6 +185,17 @@ class TestValueLoss:
         assert loss == pytest.approx(0.5 * 0.64)
         assert dv[0] == 0.0
 
+    def test_clip_is_inert_within_range(self):
+        # a value change no larger than eps_value leaves v_clip == v_new, so
+        # the loss and its derivative are those of the plain squared error
+        rng = np.random.Generator(np.random.PCG64(8))
+        v_old = rng.normal(size=50)
+        v_new = v_old + rng.uniform(-0.2, 0.2, size=50)
+        rets = rng.normal(size=50)
+        loss, dv = value_loss(v_new, v_old, rets, eps_value=0.2)
+        assert loss == 0.5 * float(np.mean((v_new - rets) ** 2))
+        assert np.array_equal(dv, (v_new - rets) / 50)
+
 
 class TestStandardize:
     def test_moments(self):
