@@ -59,24 +59,16 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     if cfg.controller != "policy":
         raise ValueError("validation failed: train requires controller 'policy'")
-    if args.resume is not None:
-        check_file("checkpoint", args.resume)
-    runner = ExperimentRunner(cfg)
-    if args.resume is not None:
-        runner.restore(args.resume)
+    runner = ExperimentRunner(cfg, checkpoint=args.resume)
     return _report(runner, runner.train())
 
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     check_float("validation failed: --temperature", args.temperature, 0.0, strict=True)
-    if args.checkpoint is not None:
-        if cfg.controller != "policy":
-            raise ValueError("validation failed: --checkpoint requires controller 'policy'")
-        check_file("checkpoint", args.checkpoint)
-    runner = ExperimentRunner(cfg)
-    if args.checkpoint is not None:
-        runner.restore(args.checkpoint, fresh_episodes=True)
+    if args.checkpoint is not None and cfg.controller != "policy":
+        raise ValueError("validation failed: --checkpoint requires controller 'policy'")
+    runner = ExperimentRunner(cfg, checkpoint=args.checkpoint, fresh_episodes=True)
     return _report(runner, runner.evaluate(temperature=args.temperature))
 
 

@@ -272,16 +272,22 @@ def validate_config(cfg: ExperimentConfig) -> Tuple[Topology, DemandProfile]:
 class ExperimentRunner:
     """Builds every component from a config and drives seeded episodes."""
 
-    def __init__(self, cfg: ExperimentConfig, out_dir=None):
+    def __init__(self, cfg: ExperimentConfig, out_dir=None, checkpoint=None, fresh_episodes: bool = False):
+        """A runner writing under ``out_dir`` (default ``cfg.out``); with
+        ``checkpoint`` it starts from that snapshot, as :meth:`restore` does.
+
+        The config and the checkpoint are checked before the output
+        directory is made, so a refused run leaves no output.
+        """
         self.cfg = cfg
         # checked once, before any file is written; episodes share the demand, which they only read
         self.topo, self.demand = validate_config(cfg)
-        self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.hash = cfg.config_hash()
-
         self.vocab = Vocabulary.for_topology(self.topo, n_filler=cfg.policy.n_filler)
         self.feature_len = feature_length(self.topo)
+        snapshot = None if checkpoint is None else self._read_checkpoint(checkpoint)
+        self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
         self.trainer: Optional[PPOTrainer] = None
         self.baseline = None
@@ -307,7 +313,11 @@ class ExperimentRunner:
         self.decision_counter = 0  # global across episodes, keys the sampling streams
         self.best_queue: Optional[float] = None  # lowest held-out queue so far
         self._resume: Optional[Tuple[int, dict]] = None  # (step, sim state) of a mid-episode snapshot
+        # the run logs this runner appends to: those it has begun, or both once it resumes training
+        self._appending = set()
 
+        if snapshot is not None:
+            self._load_snapshot(*snapshot, fresh_episodes)
         self._write_run_info()
 
     # -- plumbing --------------------------------------------------------
@@ -324,6 +334,13 @@ class ExperimentRunner:
         resolved = self.out_dir / "config_resolved.yaml"
         with open(resolved, "w", encoding="utf-8") as fh:
             yaml.safe_dump(self.cfg.to_dict(), fh, sort_keys=True)
+
+    def _log(self, name: str, columns) -> _CsvSink:
+        """A sink on the run log ``name``, begun anew with its header unless
+        this runner has begun it or resumes training."""
+        append = name in self._appending
+        self._appending.add(name)
+        return _CsvSink(self.out_dir / name, columns, append=append)
 
     def _new_sim(self, *stream: int) -> Intersection:
         """A fresh intersection whose demand draws from ``stream`` under the seed."""
@@ -455,9 +472,8 @@ class ExperimentRunner:
 
         steps_path = self.out_dir / f"ep{episode:03d}_steps.csv"
         jsonl_path = self.out_dir / f"ep{episode:03d}_decisions.jsonl"
-        train_log_path = self.out_dir / "train_log.csv"
         with _CsvSink(steps_path, STEP_COLUMNS) as steps, open(jsonl_path, "w", encoding="utf-8") as jsonl_fh, (
-            _CsvSink(train_log_path, TRAIN_LOG_COLUMNS, append=True) if learn else nullcontext()
+            self._log("train_log.csv", TRAIN_LOG_COLUMNS) if learn else nullcontext()
         ) as train_log:
             decisions = self._loop(
                 sim, start_t, learn, self,
@@ -466,7 +482,7 @@ class ExperimentRunner:
 
         self.episode_index += 1
         metrics = asdict(sim.finalize_metrics())
-        with _CsvSink(self.out_dir / "metrics.csv", METRIC_COLUMNS, append=True) as sink:
+        with self._log("metrics.csv", METRIC_COLUMNS) as sink:
             sink.row({"episode": episode, "decisions": decisions, **metrics})
         return EpisodeReport(
             episode=episode,
@@ -499,11 +515,17 @@ class ExperimentRunner:
     def restore(self, path, fresh_episodes: bool = False) -> None:
         """Load a snapshot produced by :meth:`_save_checkpoint`.
 
-        With ``fresh_episodes`` a mid-episode snapshot yields full new
-        episodes from the stored parameters instead of finishing the
-        interrupted one.
+        Without ``fresh_episodes`` the runner resumes training: it finishes
+        a mid-episode snapshot's episode and appends to ``metrics.csv`` and
+        ``train_log.csv``. With it, a mid-episode snapshot yields full new
+        episodes from the stored parameters, and the logs begin anew.
         """
-        meta, arrays = load_checkpoint(path)
+        self._load_snapshot(*self._read_checkpoint(path), fresh_episodes)
+
+    def _read_checkpoint(self, path) -> Tuple[dict, dict]:
+        """The (meta, arrays) of the checkpoint at ``path``; raises ValueError
+        unless it is a readable snapshot of this config. Writes nothing."""
+        meta, arrays = load_checkpoint(check_file("checkpoint", path))
         pm = meta["policy_meta"]
         if int(pm["vocab_size"]) != self.vocab.size:
             raise ValueError(
@@ -512,13 +534,18 @@ class ExperimentRunner:
             )
         if meta["config_hash"] != self.hash:
             raise ValueError("checkpoint config hash does not match the supplied config")
+        return meta, arrays
+
+    def _load_snapshot(self, meta: dict, arrays: dict, fresh_episodes: bool) -> None:
         self.trainer.load_state(arrays, meta["trainer_meta"])
         rm = meta["runner_meta"]
         self.episode_index = int(rm["episode_index"])
         self.decision_counter = int(rm["decision_counter"])
         self.best_queue = rm["best_queue"]
-        if rm["sim_state"] is not None and not fresh_episodes:
-            self._resume = (int(rm["step"]), rm["sim_state"])
+        if not fresh_episodes:
+            self._appending.update(("metrics.csv", "train_log.csv"))
+            if rm["sim_state"] is not None:
+                self._resume = (int(rm["step"]), rm["sim_state"])
 
     # -- drivers ---------------------------------------------------------
 

@@ -29,12 +29,19 @@ g = 1 with fewer and cheaper NumPy calls per token:
   the count of entries <= u that the batched loop takes.
 
 A G > 1 call keeps the batched loop to its end, even once one row is left.
+
+A temperature T other than 1 draws from ``exp((logits - mx) / T)``, where
+``mx`` is the maximum the step already takes for the log-normaliser. For
+finite logits and T > 0 every exponent is <= 0 and the largest is 0, so
+the normaliser lies in [1, vocab_size] and never overflows; as T tends to 0
+the draw tends to the argmax. Non-finite logits, from non-finite
+parameters or features, end the call at its check of the log-probs.
 """
 
 from __future__ import annotations
 
 import copy
-import math
+from contextlib import nullcontext
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,11 +162,7 @@ class TokenPolicy:
     # -- sampling --------------------------------------------------------
 
     def sample(
-        self,
-        features: np.ndarray,
-        keys: Sequence[int],
-        temperature: float = 1.0,
-        max_len: Optional[int] = None,
+        self, features: np.ndarray, keys: Sequence[int], temperature: float = 1.0
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample ``len(keys)`` responses, one independent stream each.
 
@@ -168,11 +171,12 @@ class TokenPolicy:
         response depends only on its key. Returns (tokens, lengths, logps):
         tokens is (g, max_len) padded with -1, logps is (g, max_len) padded
         with 0 and holds the log-probs of the temperature-1 distribution, so
-        they agree with :meth:`logprobs` on the same tokens. Raises
-        ``ValueError`` if ``temperature`` is not finite and above 0, if the
-        normaliser of a tempered distribution is not finite (a temperature
-        so small that the scaled logits overflow), or if a sampled log-prob
-        is not finite, which non-finite parameters or features cause.
+        they agree with :meth:`logprobs` on the same tokens.
+
+        Any finite temperature above 0 samples (see the module docstring).
+        Raises ``ValueError`` if ``temperature`` is not finite and above 0,
+        or if a sampled log-prob is not finite, which non-finite parameters
+        or features cause.
 
         One key runs :meth:`_sample_row` on 1-D arrays, more keys run
         :meth:`_sample_rows`; both give the same bits (see the module
@@ -180,14 +184,15 @@ class TokenPolicy:
         """
         check_float("temperature", temperature, 0.0, strict=True)
         p = self.params
-        n_steps = int(max_len if max_len is not None else self.max_len)
         # the projected mean embedding of the window is the mean of projected rows
         hist_proj = p["emb"] @ p["w_hist"]
         ctx_pre = np.asarray(features, dtype=np.float64) @ p["w_ctx"] + p["b_ctx"]
         z0_empty = ctx_pre + np.zeros(self.d_hidden) + p["b_hist"]  # the first pre-activation of an empty window
-        u = _kernels.uniforms_from_key(keys, n_steps)
+        u = _kernels.uniforms_from_key(keys, self.max_len)
         loop = self._sample_row if len(keys) == 1 else self._sample_rows
-        tokens, lengths, logps = loop(u, hist_proj, ctx_pre, z0_empty, temperature)
+        # a tempered exponent below the float range rounds to -inf, whose exp is the 0 it stands for
+        with np.errstate(over="ignore") if temperature != 1.0 else nullcontext():
+            tokens, lengths, logps = loop(u, hist_proj, ctx_pre, z0_empty, temperature)
         if not np.isfinite(logps).all():
             raise ValueError("sampler produced a non-finite log-prob; check parameters and features")
         return tokens, lengths, logps
@@ -224,11 +229,8 @@ class TokenPolicy:
             total = np.add.reduce(e)
             lse = mx + np.log(total)
             if temperature != 1.0:
-                np.divide(logits, temperature, out=e)
-                np.exp(np.subtract(e, np.maximum.reduce(e), out=e), out=e)
+                np.exp(np.divide(np.subtract(logits, mx, out=e), temperature, out=e), out=e)
                 total = np.add.reduce(e)
-                if not math.isfinite(total):
-                    raise _tempered_overflow(temperature)
             np.add.accumulate(np.divide(head, total, out=head), out=head)
             drawn = int(head.searchsorted(u[step], side="right"))
 
@@ -286,12 +288,8 @@ class TokenPolicy:
             np.add.reduce(e, axis=1, keepdims=True, out=total)
             np.add(mx, np.log(total, out=lse), out=lse)
             if temperature != 1.0:
-                np.divide(logits, temperature, out=e)
-                np.maximum.reduce(e, axis=1, keepdims=True, out=mx)
-                np.exp(np.subtract(e, mx, out=e), out=e)
+                np.exp(np.divide(np.subtract(logits, mx, out=e), temperature, out=e), out=e)
                 np.add.reduce(e, axis=1, keepdims=True, out=total)
-                if not np.isfinite(total).all():
-                    raise _tempered_overflow(temperature)
             np.add.accumulate(np.divide(head, total, out=head), axis=1, out=head)
             drawn = np.add.reduce(np.less_equal(head, u[step]), axis=1)
 
@@ -501,13 +499,6 @@ class ValueHead:
     @property
     def n_params(self) -> int:
         return sum(v.size for v in self.params.values())
-
-
-def _tempered_overflow(temperature: float) -> ValueError:
-    return ValueError(
-        f"temperature {temperature!r} gives a non-finite sampling normaliser: the scaled logits overflow "
-        "(use a larger temperature) or are not finite (check parameters and features)"
-    )
 
 
 def _logsumexp(logits: np.ndarray) -> np.ndarray:

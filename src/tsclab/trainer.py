@@ -447,7 +447,7 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
             meta = json.loads(str(data["meta"]))
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
     version = meta.get("version")
     if version != CHECKPOINT_VERSION:

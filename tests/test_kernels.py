@@ -118,9 +118,10 @@ class TestSamplerBackends:
 
     def test_max_len_cap(self):
         policy = _toy8_policy()
+        policy = TokenPolicy.from_meta({**policy.meta(), "max_len": 5}, policy.params)
         policy.params["b_out"][policy.eos_id] = -50.0
         keys = [_kernels.derive_key(0, 0, 0)]
-        tokens, lengths, _ = policy.sample(np.zeros(policy.feature_len), keys, max_len=5)
+        tokens, lengths, _ = policy.sample(np.zeros(policy.feature_len), keys)
         assert lengths[0] == 5
         assert np.all(tokens[0, :5] >= 0)
 

@@ -308,7 +308,7 @@ class TestForward:
         assert logps[0, 2] == logps[1, 1] == logps[1, 2] == 0.0
 
 
-def reference_sample(policy, features, keys, temperature=1.0, max_len=None):
+def reference_sample(policy, features, keys, temperature=1.0):
     """The sampler as one loop over the padded outputs, indexed by an
     active-row index that is a plain slice until the first row ends: the
     bit-exact oracle of ``TokenPolicy.sample``."""
@@ -318,7 +318,7 @@ def reference_sample(policy, features, keys, temperature=1.0, max_len=None):
         return np.maximum(x, 0.01 * x)
 
     g = len(keys)
-    n_steps = int(max_len if max_len is not None else policy.max_len)
+    n_steps = policy.max_len
     k = policy.k_history
     uniforms = uniforms_from_key(keys, n_steps)
     hist_proj = p["emb"] @ p["w_hist"]
@@ -346,9 +346,8 @@ def reference_sample(policy, features, keys, temperature=1.0, max_len=None):
         if temperature == 1.0:
             probs = exp1 / total
         else:
-            scaled = logits / temperature
-            exp_s = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-            probs = exp_s / exp_s.sum(axis=1, keepdims=True)
+            exp_t = np.exp((logits - mx) / temperature)
+            probs = exp_t / exp_t.sum(axis=1, keepdims=True)
         cdf = np.cumsum(probs, axis=1)
         drawn = (cdf <= uniforms[rows, step][:, None]).sum(axis=1)
         drawn = np.minimum(drawn, policy.vocab_size - 1)
@@ -448,7 +447,8 @@ class TestSampling:
         features = rng.uniform(0.0, 3.0, size=small_policy.feature_len)
         n = 100_000
         keys = [derive_key(99, i, 0) for i in range(n)]
-        tokens, lengths, _ = small_policy.sample(features, keys, max_len=1)
+        one_token = TokenPolicy.from_meta({**small_policy.meta(), "max_len": 1}, small_policy.params)
+        tokens, lengths, _ = one_token.sample(features, keys)
         draws = tokens[:, 0]
 
         probe = np.zeros((1, 1), dtype=np.int64)
@@ -489,20 +489,20 @@ class TestSampling:
         assert np.all(lengths == 8)
 
     @pytest.mark.parametrize("g", [1, 4])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_temperature_that_overflows_the_logits_raises(self, small_policy, g):
-        """At 1e-310 the scaled logits overflow and the tempered normaliser is
-        NaN; a count over that NaN CDF would draw token 0 at every step."""
-        for name in POLICY_FIELDS:
-            small_policy.params[name][...] = 0.0
-        small_policy.params["b_out"][5] = 3.0
-        features = np.zeros(small_policy.feature_len)
+    def test_subnormal_temperature_draws_the_argmax(self, small_policy, g):
+        """At 1e-310 every logit but the largest scales below the float range,
+        so each step draws the argmax of its logits, the teacher-forced ones."""
+        rng = np.random.Generator(np.random.PCG64(5))
+        features = rng.uniform(0.0, 4.0, size=small_policy.feature_len)
         keys = [derive_key(3, i, 0) for i in range(g)]
-        tokens, _, _ = small_policy.sample(features, keys, temperature=1e-300)
-        assert np.all(tokens == 5)
-        with pytest.raises(ValueError, match="temperature 1e-310 gives a non-finite sampling normaliser"):
-            small_policy.sample(features, keys, temperature=1e-310)
+        tokens, lengths, logps = small_policy.sample(features, keys, temperature=1e-310)
+        assert np.isfinite(logps).all()
+        logits, _ = small_policy.forward_batch(np.tile(features, (g, 1)), tokens, lengths)
+        for r in range(g):
+            n = lengths[r]
+            assert np.array_equal(tokens[r, :n], logits[r, :n].argmax(axis=1))
+            assert np.allclose(logps[r, :n], small_policy.logprobs(features, tokens[r, :n]), atol=1e-12, rtol=0)
+        assert np.all(tokens == tokens[0])  # every key draws the same greedy response
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
     def test_temperature_must_be_finite_and_positive(self, small_policy, temperature):
@@ -513,7 +513,8 @@ class TestSampling:
     def test_greedy_low_temperature(self, small_policy):
         features = np.full(small_policy.feature_len, 2.0)
         keys = [derive_key(1, i, 0) for i in range(8)]
-        tokens, lengths, _ = small_policy.sample(features, keys, temperature=1e-6, max_len=3)
+        short = TokenPolicy.from_meta({**small_policy.meta(), "max_len": 3}, small_policy.params)
+        tokens, lengths, _ = short.sample(features, keys, temperature=1e-6)
         for r in range(1, 8):
             assert np.array_equal(tokens[r], tokens[0])
 

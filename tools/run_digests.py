@@ -12,7 +12,8 @@ held-out episode on, and reads the configs next to this tool, so two
 checkouts get the same inputs. One fixed-time run sends 2 vehicles/s into
 E_T, more than the lane holds, so its vehicles stack at the lane's entry.
 One toy8 training run has ``policy.max_len`` 1, so every update batch
-holds one-token responses.
+holds one-token responses. Two toy8 eval runs sample at temperatures 0.5
+and 1e-310, the second greedy.
 Three runs go through the command line (a baseline, and ``reward-hist``
 with the default hurdle and with a config's); what each prints goes to a
 ``*_stdout.txt`` file, so the printed reports are digested too. Diff the
@@ -80,6 +81,8 @@ def main(src: Path, out: Path) -> int:
     runner.restore("toy8/ckpt_final.npz", fresh_episodes=True)
     runner.evaluate()
     ExperimentRunner(config("toy8", "toy8_eval_t05")).evaluate(temperature=0.5)
+    # every logit but the largest scales below the float range, so each draw is the argmax
+    ExperimentRunner(config("toy8", "toy8_eval_greedy")).evaluate(temperature=1e-310)
     runner = ExperimentRunner(config("toy8", "toy8_resumed"))
     runner.restore("toy8/ckpt_ep001_t00360.npz")
     runner.train()
