@@ -12,40 +12,27 @@ import numpy as np
 from .sim import Topology
 
 
-def fixed_time_phase(t: float, t_fixed: float, n_phases: int) -> int:
-    """Cycle through phases, t_fixed seconds each."""
-    if t_fixed <= 0:
-        raise ValueError("t_fixed must be > 0")
-    return int(t // t_fixed) % n_phases
-
-
-def max_pressure_phase(observation: np.ndarray, topo: Topology) -> int:
-    """Phase with the largest total stopped queue over its lanes.
-
-    ``observation`` is :meth:`Intersection.observe`'s (n_lanes, 4) count
-    array. Downstream lanes are outside the model, so pressure reduces to
-    the stopped count. Ties go to the lowest phase index.
-    """
-    return int(np.argmax(topo.phase_lanes @ observation[:, 0]))
-
-
-def random_phase(rng: np.random.Generator, n_phases: int) -> int:
-    if n_phases < 1:
-        raise ValueError("n_phases must be >= 1")
-    return int(rng.integers(0, n_phases))
-
-
 class FixedTimeController:
+    """Cycle through phases, ``t_fixed`` seconds each."""
+
     def __init__(self, t_fixed: float = 10.0):
+        if t_fixed <= 0:
+            raise ValueError("t_fixed must be > 0")
         self.t_fixed = t_fixed
 
     def decide(self, observation, current_phase, t, topo: Topology) -> int:
-        return fixed_time_phase(t, self.t_fixed, topo.n_phases)
+        return int(t // self.t_fixed) % topo.n_phases
 
 
 class MaxPressureController:
     def decide(self, observation, current_phase, t, topo: Topology) -> int:
-        return max_pressure_phase(observation, topo)
+        """Phase with the largest total stopped queue over its lanes.
+
+        ``observation`` is :meth:`Intersection.observe`'s (n_lanes, 4) count
+        array. Downstream lanes are outside the model, so pressure reduces to
+        the stopped count. Ties go to the lowest phase index.
+        """
+        return int(np.argmax(topo.phase_lanes @ observation[:, 0]))
 
 
 class RandomController:
@@ -53,4 +40,4 @@ class RandomController:
         self.rng = rng
 
     def decide(self, observation, current_phase, t, topo: Topology) -> int:
-        return random_phase(self.rng, topo.n_phases)
+        return int(self.rng.integers(0, topo.n_phases))

@@ -66,9 +66,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     check_float("validation failed: --temperature", args.temperature, 0.0, strict=True)
-    if args.checkpoint is not None and cfg.controller != "policy":
-        raise ValueError("validation failed: --checkpoint requires controller 'policy'")
-    runner = ExperimentRunner(cfg, checkpoint=args.checkpoint, fresh_episodes=True)
+    runner = ExperimentRunner(cfg, checkpoint=args.checkpoint)
     return _report(runner, runner.evaluate(temperature=args.temperature))
 
 

@@ -6,8 +6,10 @@ steps; each decision's reward closes at the next decision point (queue
 difference over the interval), so records enter the buffer one decision
 late and the final one closes at episode end. Updates and mid-episode
 checkpoints fire on fixed timestep boundaries, and checkpoints capture the
-complete loop state so a restored run continues bit-identically. ``train``
-writes the snapshot that starts the next episode, after the held-out run.
+complete loop state so a run trained on from one continues bit-identically.
+``train`` writes the snapshot that starts the next episode, after the
+held-out run. The decision at step t of episode e samples from the streams
+keyed ``e * D + t // decision_interval``, with D decisions in every episode.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import time as _time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -249,8 +250,8 @@ def reward_histogram(jsonl_path, hurdle: float, bin_width: float = 0.5) -> dict:
     }
 
 
-def validate_config(cfg: ExperimentConfig) -> Tuple[Topology, DemandProfile]:
-    """The checks that need the built topology; returns it and the parsed demand.
+def validate_config(cfg: ExperimentConfig) -> Tuple[Topology, DemandProfile, Vocabulary]:
+    """The checks that need the built topology; returns it, the parsed demand and the vocabulary.
 
     Raises ValueError naming the check. It writes nothing, so callers run it
     before they make an output directory.
@@ -266,28 +267,26 @@ def validate_config(cfg: ExperimentConfig) -> Tuple[Topology, DemandProfile]:
         )
     demand = DemandProfile.from_dict(cfg.demand)
     demand.check_lanes(topo)
-    return topo, demand
+    return topo, demand, Vocabulary.for_topology(topo, n_filler=cfg.policy.n_filler)
 
 
 class ExperimentRunner:
     """Builds every component from a config and drives seeded episodes."""
 
-    def __init__(self, cfg: ExperimentConfig, out_dir=None, checkpoint=None, fresh_episodes: bool = False):
+    def __init__(self, cfg: ExperimentConfig, out_dir=None, checkpoint=None):
         """A runner writing under ``out_dir`` (default ``cfg.out``); with
-        ``checkpoint`` it starts from that snapshot, as :meth:`restore` does.
+        ``checkpoint`` it starts from that snapshot: :meth:`train` continues
+        it, :meth:`evaluate` runs whole new episodes from its parameters.
 
         The config and the checkpoint are checked before the output
         directory is made, so a refused run leaves no output.
         """
         self.cfg = cfg
         # checked once, before any file is written; episodes share the demand, which they only read
-        self.topo, self.demand = validate_config(cfg)
+        self.topo, self.demand, self.vocab = validate_config(cfg)
         self.hash = cfg.config_hash()
-        self.vocab = Vocabulary.for_topology(self.topo, n_filler=cfg.policy.n_filler)
         self.feature_len = feature_length(self.topo)
-        snapshot = None if checkpoint is None else self._read_checkpoint(checkpoint)
-        self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.decisions_per_episode = len(range(0, cfg.trainer.episode_length, cfg.trainer.decision_interval))
 
         self.trainer: Optional[PPOTrainer] = None
         self.baseline = None
@@ -310,14 +309,15 @@ class ExperimentRunner:
             self.baseline = BASELINES[cfg.controller](cfg)
 
         self.episode_index = 0
-        self.decision_counter = 0  # global across episodes, keys the sampling streams
         self.best_queue: Optional[float] = None  # lowest held-out queue so far
-        self._resume: Optional[Tuple[int, dict]] = None  # (step, sim state) of a mid-episode snapshot
-        # the run logs this runner appends to: those it has begun, or both once it resumes training
+        self._resume: Optional[Tuple[int, Optional[dict]]] = None  # (step, sim state) of a loaded snapshot
+        # the run logs this runner appends to: those it has begun, or both once it trains on from a snapshot
         self._appending = set()
+        if checkpoint is not None:
+            self._load_checkpoint(checkpoint)
 
-        if snapshot is not None:
-            self._load_snapshot(*snapshot, fresh_episodes)
+        self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self._write_run_info()
 
     # -- plumbing --------------------------------------------------------
@@ -337,7 +337,7 @@ class ExperimentRunner:
 
     def _log(self, name: str, columns) -> _CsvSink:
         """A sink on the run log ``name``, begun anew with its header unless
-        this runner has begun it or resumes training."""
+        this runner has begun it or trains on from a snapshot."""
         append = name in self._appending
         self._appending.add(name)
         return _CsvSink(self.out_dir / name, columns, append=append)
@@ -348,7 +348,7 @@ class ExperimentRunner:
 
     def _decide(
         self, sim: Intersection, t: int, queue: float, learn: bool,
-        temperature: float, space: int, state,
+        temperature: float, space: int, decision: int,
     ) -> _Pending:
         """One decision: the baseline's ``decide``, or verbalize -> sample -> extract.
 
@@ -361,7 +361,7 @@ class ExperimentRunner:
         cfg = self.cfg
         features = verbalize(obs, sim.active_phase, self.topo)
         n_samples = cfg.trainer.g_responses if learn else 1
-        keys = [_kernels.derive_key(cfg.seed, space, state.decision_counter, r) for r in range(n_samples)]
+        keys = [_kernels.derive_key(cfg.seed, space, decision, r) for r in range(n_samples)]
         tokens, lengths, logps = self.trainer.policy.sample(features, keys, temperature=temperature)
         action_tokens = tokens[0, : lengths[0]]
         action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
@@ -416,17 +416,16 @@ class ExperimentRunner:
         sim: Intersection,
         start_t: int,
         learn: bool,
-        state,
         space: int = 0,
         temperature: float = 1.0,
         steps: Optional[_CsvSink] = None,
         jsonl_fh=None,
         train_log: Optional[_CsvSink] = None,
-    ) -> int:
-        """Drive ``sim`` from ``start_t`` to the episode end; returns the decision count.
+    ) -> None:
+        """Drive ``sim`` from ``start_t`` to the episode end.
 
-        ``state`` holds ``decision_counter`` (the runner itself for logged
-        episodes); ``space`` is the key space of the sampling streams.
+        ``space`` is the key space of the sampling streams: 0 numbers the
+        decisions across the run's episodes, any other space from 0 in each.
         Without sinks nothing is written and decisions are not scored.
         Updates and mid-episode checkpoints run only when learning, which
         needs ``train_log``.
@@ -434,8 +433,8 @@ class ExperimentRunner:
         tcfg = self.cfg.trainer
         length = tcfg.episode_length
         offset = self.episode_index * length
+        first = 0 if space else self.episode_index * self.decisions_per_episode
         pending: Optional[_Pending] = None
-        first = state.decision_counter
         queue = sim.queue_length()  # afterwards each step returns the queue it leaves
         for t in range(start_t, length + 1):
             if t % tcfg.decision_interval == 0 or t == length:
@@ -449,10 +448,10 @@ class ExperimentRunner:
                     if t % tcfg.checkpoint_interval == 0 and t < length:
                         self._save_checkpoint(t, sim=sim)
                 if t == length:
-                    return state.decision_counter - first
-                pending = self._decide(sim, t, queue, learn, temperature, space, state)
+                    return
+                decision = first + t // tcfg.decision_interval
+                pending = self._decide(sim, t, queue, learn, temperature, space, decision)
                 sim.set_phase(pending.phase)
-                state.decision_counter += 1
 
             queue = sim.step()
             if steps is not None:  # the STEP_COLUMNS row
@@ -467,7 +466,8 @@ class ExperimentRunner:
         start_t = 0
         if self._resume is not None:
             start_t, sim_state = self._resume
-            sim.load_state_dict(sim_state)
+            if sim_state is not None:
+                sim.load_state_dict(sim_state)
             self._resume = None
 
         steps_path = self.out_dir / f"ep{episode:03d}_steps.csv"
@@ -475,19 +475,19 @@ class ExperimentRunner:
         with _CsvSink(steps_path, STEP_COLUMNS) as steps, open(jsonl_path, "w", encoding="utf-8") as jsonl_fh, (
             self._log("train_log.csv", TRAIN_LOG_COLUMNS) if learn else nullcontext()
         ) as train_log:
-            decisions = self._loop(
-                sim, start_t, learn, self,
+            self._loop(
+                sim, start_t, learn,
                 temperature=temperature, steps=steps, jsonl_fh=jsonl_fh, train_log=train_log,
             )
 
         self.episode_index += 1
         metrics = asdict(sim.finalize_metrics())
         with self._log("metrics.csv", METRIC_COLUMNS) as sink:
-            sink.row({"episode": episode, "decisions": decisions, **metrics})
+            sink.row({"episode": episode, "decisions": self.decisions_per_episode, **metrics})
         return EpisodeReport(
             episode=episode,
             metrics=metrics,
-            decisions=decisions,
+            decisions=self.decisions_per_episode,
             steps_csv=str(steps_path),
             decisions_jsonl=str(jsonl_path),
             wall_clock=_time.perf_counter() - t0_wall,
@@ -506,25 +506,19 @@ class ExperimentRunner:
         runner_meta = {
             "episode_index": self.episode_index,
             "step": t,
-            "decision_counter": self.decision_counter,
             "sim_state": None if sim is None else sim.state_dict(),
             "best_queue": self.best_queue,
         }
         save_checkpoint(path, self.trainer, self.hash, runner_meta)
 
-    def restore(self, path, fresh_episodes: bool = False) -> None:
-        """Load a snapshot produced by :meth:`_save_checkpoint`.
+    def _load_checkpoint(self, path) -> None:
+        """Start from the snapshot at ``path``, written by :meth:`_save_checkpoint`.
 
-        Without ``fresh_episodes`` the runner resumes training: it finishes
-        a mid-episode snapshot's episode and appends to ``metrics.csv`` and
-        ``train_log.csv``. With it, a mid-episode snapshot yields full new
-        episodes from the stored parameters, and the logs begin anew.
+        Raises ValueError unless the runner learns and the file is a
+        readable snapshot of this config. Writes nothing.
         """
-        self._load_snapshot(*self._read_checkpoint(path), fresh_episodes)
-
-    def _read_checkpoint(self, path) -> Tuple[dict, dict]:
-        """The (meta, arrays) of the checkpoint at ``path``; raises ValueError
-        unless it is a readable snapshot of this config. Writes nothing."""
+        if self.trainer is None:
+            raise ValueError("validation failed: --checkpoint requires controller 'policy'")
         meta, arrays = load_checkpoint(check_file("checkpoint", path))
         pm = meta["policy_meta"]
         if int(pm["vocab_size"]) != self.vocab.size:
@@ -534,26 +528,23 @@ class ExperimentRunner:
             )
         if meta["config_hash"] != self.hash:
             raise ValueError("checkpoint config hash does not match the supplied config")
-        return meta, arrays
-
-    def _load_snapshot(self, meta: dict, arrays: dict, fresh_episodes: bool) -> None:
         self.trainer.load_state(arrays, meta["trainer_meta"])
         rm = meta["runner_meta"]
         self.episode_index = int(rm["episode_index"])
-        self.decision_counter = int(rm["decision_counter"])
         self.best_queue = rm["best_queue"]
-        if not fresh_episodes:
-            self._appending.update(("metrics.csv", "train_log.csv"))
-            if rm["sim_state"] is not None:
-                self._resume = (int(rm["step"]), rm["sim_state"])
+        self._resume = (int(rm["step"]), rm["sim_state"])
 
     # -- drivers ---------------------------------------------------------
 
     def train(self, episodes: Optional[int] = None) -> List[EpisodeReport]:
+        """Train up to episode ``episodes`` (default ``cfg.episodes``); from a snapshot, first
+        finish its episode, appending to ``metrics.csv`` and ``train_log.csv``."""
         if self.trainer is None:
             raise ValueError("train requires controller: policy")
         n = episodes if episodes is not None else self.cfg.episodes
         tcfg = self.cfg.trainer
+        if self._resume is not None:
+            self._appending.update(("metrics.csv", "train_log.csv"))
         reports = []
         while self.episode_index < n:
             reports.append(self.run_episode(learn=True))
@@ -571,16 +562,19 @@ class ExperimentRunner:
         """Average queue of a held-out eval episode on its own demand seed.
 
         The held-out demand and sampling keys (key space 1, decision index
-        from 0) are fixed across calls so successive checkpoints are judged
-        on the same episode. It writes nothing and leaves the runner's
-        episode index and decision counter alone.
+        ``t // decision_interval``) are fixed across calls so successive
+        checkpoints are judged on the same episode. It writes nothing and
+        leaves the runner's episode index alone.
         """
         sim = self._new_sim(STREAM_HOLDOUT)
-        self._loop(sim, 0, False, SimpleNamespace(decision_counter=0), space=1)
+        self._loop(sim, 0, False, space=1)
         return sim.finalize_metrics().queue_length
 
     def evaluate(self, episodes: Optional[int] = None, temperature: float = 1.0) -> List[EpisodeReport]:
+        """Run ``episodes`` (default ``cfg.episodes``) whole episodes without learning; from a
+        snapshot they start at its episode index, with its parameters, and begin the logs anew."""
         n = episodes if episodes is not None else self.cfg.episodes
+        self._resume = None
         return [self.run_episode(learn=False, temperature=temperature) for _ in range(n)]
 
 

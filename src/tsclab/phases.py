@@ -41,8 +41,9 @@ class Vocabulary:
         tokens += [SIGNAL_OPEN, SIGNAL_CLOSE, EOS]
         tokens += [str(d) for d in range(10)]
         tokens += list(FILLER_WORDS[:n_filler])
-        if len(set(tokens)) != len(tokens):
-            raise ValueError("vocabulary tokens must be unique")
+        repeated = sorted({tok for tok in tokens if tokens.count(tok) > 1})
+        if repeated:
+            raise ValueError(f"vocabulary tokens must be unique; repeated: {repeated}")
         self.tokens: Tuple[str, ...] = tuple(tokens)
         self.index: Dict[str, int] = {tok: i for i, tok in enumerate(tokens)}
         self.eos_id = self.index[EOS]

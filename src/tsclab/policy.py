@@ -470,10 +470,8 @@ class ValueHead:
                 "b2": np.zeros(1),
             }
 
-    def value(self, features: Optional[np.ndarray]) -> float:
-        """Scalar value; the terminal sentinel (None) is exactly 0."""
-        if features is None:
-            return 0.0
+    def value(self, features: np.ndarray) -> float:
+        """Scalar value of one feature vector."""
         v, _ = self.forward_batch(np.asarray(features, dtype=np.float64)[None, :])
         return float(v[0])
 

@@ -15,8 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-ENTROPY_MODES = ("softmax_dse", "off")
-
 
 def check_float(name: str, value, low: float = -math.inf, strict: bool = False, high: float = math.inf) -> None:
     """Raise ValueError unless ``value`` is a finite number >= ``low`` (> ``low`` if ``strict``) and <= ``high``.
@@ -79,15 +77,12 @@ class RewardConfig:
     w_e: float = 1.0  # uncertainty-bonus weight
     tau: float = 1.0  # softmax temperature over phase counts
     beta: float = 0.05  # per-token KL weight
-    entropy_mode: str = "softmax_dse"
 
     def __post_init__(self):
         check_float("reward.h_r", self.h_r)
         check_float("reward.w_e", self.w_e, 0.0)
         check_float("reward.tau", self.tau, 0.0, strict=True)
         check_float("reward.beta", self.beta, 0.0)
-        if self.entropy_mode not in ENTROPY_MODES:
-            raise ValueError(f"reward.entropy_mode must be one of {ENTROPY_MODES}, got {self.entropy_mode!r}")
 
 
 def env_reward(queue_prev: float, queue_curr: float) -> float:
@@ -160,14 +155,10 @@ def decision_reward(
 ) -> dict:
     """Full sequence-level reward bundle for one decision.
 
-    Returns p_chosen (None when entropy is off or no response ensemble
-    was collected), the gated bonus, the gate state, and the total
-    reward R_env - H_R + w_E * R_E.
+    Returns p_chosen (None when no response ensemble was collected), the
+    gated bonus, the gate state, and the total reward R_env - H_R + w_E * R_E.
     """
-    if counts is None or cfg.entropy_mode == "off":
-        p_chosen = None
-    else:
-        p_chosen = softmax_dse_prob(counts, chosen, cfg.tau)
+    p_chosen = None if counts is None else softmax_dse_prob(counts, chosen, cfg.tau)
     gate_open = r_env > cfg.h_r
     r_entropy = gated_entropy_reward(p_chosen, r_env, cfg.h_r) if p_chosen is not None else 0.0
     return {

@@ -561,15 +561,10 @@ def test_criterion_09_baseline_ordering(tmp_path):
 
 def _trend_config(variant: str, seed: int) -> ExperimentConfig:
     reward = {
-        "untrained": {"h_r": TREND_HURDLE, "w_e": 0.0, "entropy_mode": "off"},
-        "env-only": {"h_r": 0.0, "w_e": 0.0, "entropy_mode": "off"},
-        "hurdle": {"h_r": TREND_HURDLE, "w_e": 0.0, "entropy_mode": "off"},
-        "hurdle-dse": {
-            "h_r": TREND_HURDLE,
-            "w_e": 1.0,
-            "entropy_mode": "softmax_dse",
-            "tau": 1.0,
-        },
+        "untrained": {"h_r": TREND_HURDLE, "w_e": 0.0},
+        "env-only": {"h_r": 0.0, "w_e": 0.0},
+        "hurdle": {"h_r": TREND_HURDLE, "w_e": 0.0},
+        "hurdle-dse": {"h_r": TREND_HURDLE, "w_e": 1.0, "tau": 1.0},
     }[variant]
     reward["beta"] = TREND_BETA
     return ExperimentConfig.from_dict(
@@ -720,11 +715,9 @@ def test_criterion_12_checkpoint_round_trip(tmp_path):
     runner_a = ExperimentRunner(cfg, out_dir=dir_a)
     runner_a.train()
 
-    # continuation: restore the end-of-episode-0 snapshot and train the rest
+    # continuation: train on from the end-of-episode-0 snapshot
     dir_b = tmp_path / "resumed"
-    runner_b = ExperimentRunner(cfg, out_dir=dir_b)
-    runner_b.restore(dir_a / "ckpt_ep001_t00000.npz")
-    runner_b.train()
+    ExperimentRunner(cfg, out_dir=dir_b, checkpoint=dir_a / "ckpt_ep001_t00000.npz").train()
 
     same_steps = (dir_a / "ep001_steps.csv").read_bytes() == (
         dir_b / "ep001_steps.csv"
@@ -737,13 +730,11 @@ def test_criterion_12_checkpoint_round_trip(tmp_path):
     rows_per_episode = 720 // 360
     same_log = log_b[1:] == log_a[1 + rows_per_episode :] and len(log_b) == 1 + rows_per_episode
 
-    # greedy rollouts: two fresh restores of the final snapshot must match
+    # greedy rollouts: two runners started from the final snapshot must match
     greedy = []
     for name in ("greedy1", "greedy2"):
         d = tmp_path / name
-        r = ExperimentRunner(cfg, out_dir=d)
-        r.restore(dir_a / "ckpt_final.npz")
-        r.evaluate(1, temperature=1e-6)
+        ExperimentRunner(cfg, out_dir=d, checkpoint=dir_a / "ckpt_final.npz").evaluate(1, temperature=1e-6)
         greedy.append(
             (
                 (d / "ep002_steps.csv").read_bytes(),

@@ -116,7 +116,7 @@ BAD_TOP_TYPES = [
 REMOVED = [
     ({"action_from_extra_sample": False}, "action_from_extra_sample"),
     ({"reward": {"env_mode": "queue_difference"}}, "reward.env_mode"),
-    ({"reward": {"entropy_mode": "naive_dse"}}, "reward.entropy_mode"),
+    ({"reward": {"entropy_mode": "softmax_dse"}}, "reward.entropy_mode"),
     ({"trainer": {**TINY_TRAINER, "value_clip_mode": "standard"}}, "trainer.value_clip_mode"),
     ({"trainer": {**TINY_TRAINER, "temperature": 1.0}}, "trainer.temperature"),
 ]
@@ -258,6 +258,16 @@ class TestValidationFailures:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_compare_rejects_a_repeated_vocabulary_token_before_making_its_output(self, tmp_path, capsys):
+        """A phase mnemonic equal to a filler word repeats a vocabulary token."""
+        topology = pair(phases=({"mnemonic": "the"}, {}))
+        a = write_config(tmp_path / "a.yaml", controller="fixed", topology=topology)
+        b = write_config(tmp_path / "b.yaml", controller="maxpressure", topology=topology)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", a, "--config", b, "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: vocabulary tokens must be unique; repeated: ['the']\n"
+        assert not out.exists()
 
     def test_compare_rejects_configs_sharing_a_file_stem(self, tmp_path, capsys):
         (tmp_path / "x").mkdir()

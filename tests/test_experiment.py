@@ -162,25 +162,23 @@ class TestRunnerOutputs:
         cfg = tiny_config()
         runner = ExperimentRunner(cfg, out_dir=tmp_path / "run")
         runner.train()
-        twin = ExperimentRunner(cfg, out_dir=tmp_path / "twin")
-        twin.restore(tmp_path / "run" / "ckpt_final.npz")
+        twin = ExperimentRunner(cfg, out_dir=tmp_path / "twin", checkpoint=tmp_path / "run" / "ckpt_final.npz")
         for k, v in runner.trainer.policy.params.items():
             assert np.array_equal(twin.trainer.policy.params[k], v)
         for k, v in runner.trainer.value_head.params.items():
             assert np.array_equal(twin.trainer.value_head.params[k], v)
-        assert twin.decision_counter == runner.decision_counter
 
     def test_restore_rejects_other_config(self, tmp_path):
         runner = ExperimentRunner(tiny_config(), out_dir=tmp_path / "run")
         runner.train()
         other = tiny_config(reward={"h_r": 0.125})
-        twin = ExperimentRunner(other, out_dir=tmp_path / "twin")
         with pytest.raises(ValueError, match="hash"):
-            twin.restore(tmp_path / "run" / "ckpt_final.npz")
+            ExperimentRunner(other, out_dir=tmp_path / "twin", checkpoint=tmp_path / "run" / "ckpt_final.npz")
+        assert not (tmp_path / "twin").exists()
 
     def test_snapshot_with_history_still_resumes(self, tmp_path):
         """Snapshots once kept the last (summary, action) pairs in
-        runner_meta["history"]; restore ignores them, so such a snapshot
+        runner_meta["history"]; loading ignores them, so such a snapshot
         finishes the run exactly as the same snapshot without them."""
         cfg = tiny_config()
         ExperimentRunner(cfg, out_dir=tmp_path / "run").train()
@@ -192,9 +190,7 @@ class TestRunnerOutputs:
         np.savez(legacy, meta=json.dumps(meta), **arrays)
         outputs = []
         for name, path in (("current", current), ("legacy", legacy)):
-            runner = ExperimentRunner(cfg, out_dir=tmp_path / name)
-            runner.restore(path)
-            runner.train()
+            ExperimentRunner(cfg, out_dir=tmp_path / name, checkpoint=path).train()
             outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
         assert "ckpt_final.npz" in outputs[0]
         assert outputs[0] == outputs[1]
@@ -211,11 +207,44 @@ class TestRunnerOutputs:
             runner.train()
 
 
+class TestMidEpisodeSnapshot:
+    """A run started from ckpt_ep000_t00100.npz, a third of the way into episode 0."""
+
+    @staticmethod
+    def _snapshot(tmp_path):
+        ExperimentRunner(tiny_config(), out_dir=tmp_path / "run").train()
+        return tmp_path / "run" / "ckpt_ep000_t00100.npz"
+
+    def test_training_on_reports_every_decision_of_the_episode(self, tmp_path):
+        """The resumed episode reports all 30 decisions of a whole episode,
+        not the 20 it took after the snapshot."""
+        snapshot = self._snapshot(tmp_path)
+        report = ExperimentRunner(tiny_config(), out_dir=tmp_path / "on", checkpoint=snapshot).train()[0]
+        assert report.decisions == 30
+        rows = (tmp_path / "on" / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[-1] == "30"
+
+    def test_evaluate_runs_a_whole_new_episode(self, tmp_path, monkeypatch):
+        """evaluate from the snapshot runs all of episode 0 from time 1, keyed
+        from decision 0, and begins metrics.csv anew in the training run's
+        directory."""
+        snapshot = self._snapshot(tmp_path)
+        cfg = tiny_config()
+        calls = TestDecisionSamples._record_samples(monkeypatch)
+        report = ExperimentRunner(cfg, out_dir=tmp_path / "run", checkpoint=snapshot).evaluate(1)[0]
+        steps = Path(report.steps_csv).read_text().splitlines()[1:]
+        assert len(steps) == cfg.trainer.episode_length
+        assert [float(row.split(",")[0]) for row in (steps[0], steps[-1])] == [1.0, 300.0]
+        assert [keys for keys, _, _ in calls] == [[derive_key(cfg.seed, 0, i, 0)] for i in range(30)]
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,") and rows[1].endswith(",30")
+
+
 class TestHoldout:
     def test_holdout_queue_pinned(self, tmp_path):
         """The held-out queue after each of three one-episode training
         rounds on toy8; the held-out run writes nothing and leaves the
-        runner's episode and key state alone."""
+        runner's episode index alone."""
         raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
         raw["trainer"].update(
             {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
@@ -226,16 +255,15 @@ class TestHoldout:
         for n in (1, 2, 3):
             runner.train(episodes=n)
             files = {p: p.read_bytes() for p in (tmp_path / "run").iterdir()}
-            state = (runner.episode_index, runner.decision_counter)
             queues.append(runner._holdout_queue())
             assert {p: p.read_bytes() for p in (tmp_path / "run").iterdir()} == files
-            assert (runner.episode_index, runner.decision_counter) == state
+            assert runner.episode_index == n
         assert queues == [1.5170138888888889, 1.6940972222222221, 1.6590277777777778]
 
     def test_best_checkpoint_survives_calls_and_resume(self, tmp_path):
         """Same runs as above: the first held-out queue stays the lowest, so
         ckpt_best.npz keeps episode index 1 after later train() calls and
-        after a restore from ckpt_final.npz."""
+        after a run trained on from ckpt_final.npz."""
         raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
         raw["trainer"].update(
             {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
@@ -252,8 +280,7 @@ class TestHoldout:
             assert runner_meta("ckpt_best.npz")["episode_index"] == 1
         assert runner_meta("ckpt_ep000_t00360.npz")["best_queue"] is None  # before any held-out run
         assert runner_meta("ckpt_final.npz")["best_queue"] == 1.5170138888888889
-        resumed = ExperimentRunner(cfg, out_dir=out)
-        resumed.restore(out / "ckpt_final.npz")
+        resumed = ExperimentRunner(cfg, out_dir=out, checkpoint=out / "ckpt_final.npz")
         assert resumed.best_queue == 1.5170138888888889
         resumed.train(episodes=3)
         assert runner_meta("ckpt_best.npz")["episode_index"] == 1
@@ -276,9 +303,7 @@ class TestHoldout:
         ExperimentRunner(cfg, out_dir=out).train(episodes=1)
         assert runner_meta("ckpt_ep001_t00000.npz")["best_queue"] == 1.5170138888888889
         assert (out / "ckpt_ep001_t00000.npz").read_bytes() == (out / "ckpt_best.npz").read_bytes()
-        resumed = ExperimentRunner(cfg, out_dir=out)
-        resumed.restore(out / "ckpt_ep001_t00000.npz")
-        resumed.train(episodes=2)
+        ExperimentRunner(cfg, out_dir=out, checkpoint=out / "ckpt_ep001_t00000.npz").train(episodes=2)
         assert runner_meta("ckpt_best.npz")["episode_index"] == 1
         assert runner_meta("ckpt_ep002_t00000.npz")["best_queue"] == 1.5170138888888889
 

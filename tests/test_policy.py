@@ -288,8 +288,10 @@ class TestForward:
         logits, cache = small_policy.forward_batch(feats, tokens, np.array([1]))
         assert np.all(cache["m"][0, 0] == 0.0)
 
-    def test_value_head_terminal_sentinel(self, small_value):
-        assert small_value.value(None) == 0.0
+    def test_value_is_the_one_row_batch_value(self, small_value):
+        features = np.random.Generator(np.random.PCG64(5)).uniform(0.0, 3.0, size=small_value.feature_len)
+        v, _ = small_value.forward_batch(features[None, :])
+        assert small_value.value(features) == float(v[0])
 
     def test_oov_token_rejected(self, small_policy):
         with pytest.raises(ValueError):

@@ -153,10 +153,10 @@ class TestDecisionReward:
         assert out["r_entropy"] == 0.0
         assert out["r_total"] == 3.0 - 3.0
 
-    def test_entropy_off(self):
-        cfg = RewardConfig(entropy_mode="off", h_r=1.0)
+    def test_zero_weight_pays_no_bonus(self):
+        cfg = RewardConfig(w_e=0.0, h_r=1.0)
         out = decision_reward([4, 4], 0, r_env=5.0, cfg=cfg)
-        assert out["p_chosen"] is None
+        assert out["p_chosen"] == 0.5 and out["gate_open"] is True
         assert out["r_total"] == 4.0
 
     def test_no_ensemble(self):
@@ -168,7 +168,5 @@ class TestDecisionReward:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RewardConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            RewardConfig(entropy_mode="typo")
         with pytest.raises(ValueError):
             RewardConfig(beta=-0.1)

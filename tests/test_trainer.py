@@ -421,7 +421,7 @@ class TestTrainerUpdate:
         r_env = np.random.Generator(np.random.PCG64(44)).normal(size=8)
         steps = []
         for h_r in (0.0, 3.0):
-            cfg = RewardConfig(h_r=h_r, w_e=0.0, entropy_mode="off")
+            cfg = RewardConfig(h_r=h_r, w_e=0.0)
             finals = np.array([decision_reward(None, 0, r, cfg)["r_total"] for r in r_env])
             trainer = _make_trainer(toy8, vocab8, **kw)
             for rec in _records_from_policy(trainer, 8, r_final=finals):

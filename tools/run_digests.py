@@ -13,7 +13,9 @@ checkouts get the same inputs. One fixed-time run sends 2 vehicles/s into
 E_T, more than the lane holds, so its vehicles stack at the lane's entry.
 One toy8 training run has ``policy.max_len`` 1, so every update batch
 holds one-token responses. Two toy8 eval runs sample at temperatures 0.5
-and 1e-310, the second greedy.
+and 1e-310, the second greedy. Two more start from the toy8 run's final and
+mid-episode snapshots, and one training run trains on from the mid-episode
+one.
 Three runs go through the command line (a baseline, and ``reward-hist``
 with the default hurdle and with a config's); what each prints goes to a
 ``*_stdout.txt`` file, so the printed reports are digested too. Diff the
@@ -69,7 +71,7 @@ def main(src: Path, out: Path) -> int:
 
     reinforce = config("toy8", "toy8_reinforce")
     reinforce.trainer.use_critic, reinforce.trainer.gamma, reinforce.trainer.lam = False, 1.0, 1.0
-    reinforce.reward.entropy_mode, reinforce.reward.h_r, reinforce.reward.beta = "off", 0.5, 0.1
+    reinforce.reward.w_e, reinforce.reward.h_r, reinforce.reward.beta = 0.0, 0.5, 0.1
     run_config(reinforce)
 
     # every response is one token, so each update trains on length-1 batches
@@ -77,15 +79,13 @@ def main(src: Path, out: Path) -> int:
     one_token.policy.max_len = 1
     run_config(one_token)
 
-    runner = ExperimentRunner(config("toy8", "toy8_eval_restored"))
-    runner.restore("toy8/ckpt_final.npz", fresh_episodes=True)
-    runner.evaluate()
+    ExperimentRunner(config("toy8", "toy8_eval_restored"), checkpoint="toy8/ckpt_final.npz").evaluate()
+    # whole episodes from a mid-episode snapshot's parameters, keyed by episode and step
+    ExperimentRunner(config("toy8", "toy8_eval_mid_snapshot"), checkpoint="toy8/ckpt_ep001_t00360.npz").evaluate()
     ExperimentRunner(config("toy8", "toy8_eval_t05")).evaluate(temperature=0.5)
     # every logit but the largest scales below the float range, so each draw is the argmax
     ExperimentRunner(config("toy8", "toy8_eval_greedy")).evaluate(temperature=1e-310)
-    runner = ExperimentRunner(config("toy8", "toy8_resumed"))
-    runner.restore("toy8/ckpt_ep001_t00360.npz")
-    runner.train()
+    ExperimentRunner(config("toy8", "toy8_resumed"), checkpoint="toy8/ckpt_ep001_t00360.npz").train()
     baselines = [config("toy8_fixed", "compare"), config("toy8_maxpressure", "compare")]
     compare(baselines, [3, 4], "compare", labels=["fixed", "maxpressure"])
 
