@@ -3,10 +3,14 @@
 One runner owns the simulator, the token pipeline, the trainer, and all
 output sinks. The episode loop takes a decision every ``decision_interval``
 steps; each decision's reward closes at the next decision point (queue
-difference over the interval), so records enter the buffer one decision
-late and the final one closes at episode end. Updates and mid-episode
-checkpoints fire on fixed timestep boundaries, and checkpoints capture the
-complete loop state so a run trained on from one continues bit-identically.
+difference over the interval), and the final one closes at episode end.
+A learning decision acts on one response sampled alone; its other G - 1
+responses wait for the flush of its update window, before the next update,
+checkpoint or episode end, which samples those of every decision closed
+since the last flush in one call and then logs and buffers the decisions
+in order. Updates and mid-episode checkpoints fire on fixed timestep
+boundaries, after the flush, and checkpoints capture the complete loop
+state so a run trained on from one continues bit-identically.
 ``train`` writes the snapshot that starts the next episode, after the
 held-out run. The decision at step t of episode e samples from the streams
 keyed ``e * D + t // decision_interval``, with D decisions in every episode.
@@ -179,17 +183,23 @@ class _CsvSink:
 
 @dataclass
 class _Pending:
-    """A decision awaiting its reward at the next decision boundary."""
+    """A decision awaiting its reward at the next decision boundary.
+
+    A learning decision also awaits the G - 1 entropy responses of ``keys``,
+    which the flush of its update window samples.
+    """
 
     time: float  # episode-local
     queue_before: float
     phase: int
+    r_env: Optional[float] = None  # set when the decision closes
     features: Optional[np.ndarray] = None
     tokens: Optional[np.ndarray] = None
     logps: Optional[np.ndarray] = None
     ref_logps: Optional[np.ndarray] = None
     v_old: float = 0.0
-    counts: Optional[list] = None
+    keys: Sequence[int] = ()
+    counts: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -352,8 +362,9 @@ class ExperimentRunner:
     ) -> _Pending:
         """One decision: the baseline's ``decide``, or verbalize -> sample -> extract.
 
-        Returns it as a pending record; only a learning decision fills the
-        training fields.
+        The action is the response of key 0, sampled alone. Returns the
+        decision as a pending record; only a learning decision fills the
+        training fields and the keys 1..G-1 of its entropy responses.
         """
         obs = sim.observe()
         if self.baseline is not None:
@@ -362,52 +373,66 @@ class ExperimentRunner:
         features = verbalize(obs, sim.active_phase, self.topo)
         n_samples = cfg.trainer.g_responses if learn else 1
         keys = [_kernels.derive_key(cfg.seed, space, decision, r) for r in range(n_samples)]
-        tokens, lengths, logps = self.trainer.policy.sample(features, keys, temperature=temperature)
+        tokens, lengths, logps = self.trainer.policy.sample(features, keys[:1], temperature=temperature)
         action_tokens = tokens[0, : lengths[0]]
         action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
         if not learn:
             return _Pending(float(t), queue, action)
-        # the G entropy responses are rows 0..G-1; row 0 is the action, extracted once, above
-        responses = [tokens[r, : lengths[r]] for r in range(1, n_samples)]
-        counts = phase_histogram(responses, self.topo, cfg.default_phase, self.vocab)
-        counts[action] += 1
         return _Pending(
             float(t), queue, action,
-            counts=counts,
             features=features,
             tokens=np.array(action_tokens),
             logps=np.array(logps[0, : lengths[0]]),
             ref_logps=np.asarray(self.trainer.reference.logprobs(features, action_tokens)),
             v_old=self.trainer.value_head.value(features) if cfg.trainer.use_critic else 0.0,
+            keys=keys[1:],
         )
 
-    def _close_pending(self, pending: _Pending, queue_now: float, learn: bool, jsonl_fh) -> None:
+    def _close_pending(self, closed: List[_Pending], learn: bool, jsonl_fh) -> None:
+        """Score the closed decisions in decision order, then forget them: each
+        one's decision-log row and, when learning, its buffer record.
+
+        Learning decisions first get their phase counts. The policy is the
+        same from one update to the next, so the entropy responses of all of
+        them are sampled in one :meth:`TokenPolicy.sample_window` call; the
+        action adds the last count.
+        """
         cfg = self.cfg
-        r_env = env_reward(pending.queue_before, queue_now)
-        counts = pending.counts
-        bundle = decision_reward(counts, pending.phase, r_env, cfg.reward)
-        row = {
-            "time": pending.time,
-            "chosen_phase": pending.phase,
-            "counts": None if counts is None else [int(c) for c in counts],
-            "p_chosen": bundle["p_chosen"],
-            "R_env": r_env,
-            "R_total": bundle["r_total"],
-            "gate_open": bundle["gate_open"],
-        }
-        jsonl_fh.write(json.dumps(row, sort_keys=True) + "\n")
         if learn:
-            rewards = assemble_token_rewards(
-                pending.logps, pending.ref_logps, bundle["r_total"], cfg.reward.beta
-            )
-            self.trainer.buffer.add(
-                time=self.episode_index * cfg.trainer.episode_length + pending.time,  # global time
-                features=pending.features,
-                tokens=pending.tokens,
-                logps_old=pending.logps,
-                rewards=rewards,
-                v_old=pending.v_old,
-            )
+            g = cfg.trainer.g_responses - 1
+            features = np.repeat([pending.features for pending in closed], g, axis=0)
+            keys = [key for pending in closed for key in pending.keys]
+            tokens, lengths, _ = self.trainer.policy.sample_window(features, keys)
+            for i, pending in enumerate(closed):
+                responses = [tokens[r, : lengths[r]] for r in range(i * g, i * g + g)]
+                pending.counts = phase_histogram(responses, self.topo, cfg.default_phase, self.vocab)
+                pending.counts[pending.phase] += 1
+        for pending in closed:
+            counts = pending.counts
+            bundle = decision_reward(counts, pending.phase, pending.r_env, cfg.reward)
+            row = {
+                "time": pending.time,
+                "chosen_phase": pending.phase,
+                "counts": None if counts is None else [int(c) for c in counts],
+                "p_chosen": bundle["p_chosen"],
+                "R_env": pending.r_env,
+                "R_total": bundle["r_total"],
+                "gate_open": bundle["gate_open"],
+            }
+            jsonl_fh.write(json.dumps(row, sort_keys=True) + "\n")
+            if learn:
+                rewards = assemble_token_rewards(
+                    pending.logps, pending.ref_logps, bundle["r_total"], cfg.reward.beta
+                )
+                self.trainer.buffer.add(
+                    time=self.episode_index * cfg.trainer.episode_length + pending.time,  # global time
+                    features=pending.features,
+                    tokens=pending.tokens,
+                    logps_old=pending.logps,
+                    rewards=rewards,
+                    v_old=pending.v_old,
+                )
+        closed.clear()
 
     # -- the episode loop ------------------------------------------------
 
@@ -428,18 +453,25 @@ class ExperimentRunner:
         decisions across the run's episodes, any other space from 0 in each.
         Without sinks nothing is written and decisions are not scored.
         Updates and mid-episode checkpoints run only when learning, which
-        needs ``train_log``.
+        needs ``train_log``. A decision closes at the next decision point;
+        a learning one is scored at the flush before the next update,
+        checkpoint or episode end, so no snapshot holds an unscored one.
         """
         tcfg = self.cfg.trainer
         length = tcfg.episode_length
         offset = self.episode_index * length
         first = 0 if space else self.episode_index * self.decisions_per_episode
         pending: Optional[_Pending] = None
+        closed: List[_Pending] = []  # closed decisions not yet scored
         queue = sim.queue_length()  # afterwards each step returns the queue it leaves
         for t in range(start_t, length + 1):
             if t % tcfg.decision_interval == 0 or t == length:
                 if pending is not None and jsonl_fh is not None:
-                    self._close_pending(pending, queue, learn, jsonl_fh)
+                    pending.r_env = env_reward(pending.queue_before, queue)
+                    closed.append(pending)
+                if closed and (not learn or t == length or t % tcfg.update_interval == 0
+                               or t % tcfg.checkpoint_interval == 0):
+                    self._close_pending(closed, learn, jsonl_fh)
                 if learn and t > start_t:
                     if t % tcfg.update_interval == 0:
                         self.trainer.buffer.evict(offset + t)

@@ -21,8 +21,10 @@ SIGNAL_OPEN = "<signal>"
 SIGNAL_CLOSE = "</signal>"
 EOS = "<eos>"
 
-# Filler tokens stand in for free-form reasoning text. None of them contain
-# a mnemonic or a full phase description, so they never trip the extractor.
+# Filler tokens stand in for free-form reasoning text. A filler, structural or
+# numeral token that holds a phase's mnemonic or description in any case
+# would name that phase to the extractor's case-insensitive scan, so
+# Vocabulary.for_topology refuses such a topology.
 FILLER_WORDS = (
     "the", "traffic", "flow", "wait", "heavy", "light", "queue", "move",
     "stop", "clear", "now", "next", "keep", "shift", "plan", "so",
@@ -57,7 +59,21 @@ class Vocabulary:
 
     @staticmethod
     def for_topology(topo: Topology, n_filler: int = 16) -> "Vocabulary":
-        return Vocabulary([p.mnemonic for p in topo.phases], n_filler=n_filler)
+        """The vocabulary of ``topo``'s phases.
+
+        Raises ValueError, naming both, if a phase mnemonic or description
+        occurs, ignoring case, inside a structural, numeral or filler token.
+        """
+        vocab = Vocabulary([p.mnemonic for p in topo.phases], n_filler=n_filler)
+        for token in vocab.tokens[topo.n_phases :]:
+            for phase in topo.phases:
+                for name in (phase.mnemonic, phase.description):
+                    if name.lower() in token.lower():
+                        raise ValueError(
+                            f"phase {phase.mnemonic!r}: {name!r} occurs in the vocabulary token {token!r}, "
+                            "so a response holding that token would name the phase"
+                        )
+        return vocab
 
 
 def feature_length(topo: Topology) -> int:

@@ -6,19 +6,21 @@ genuine token-level process with position-dependent distributions. All
 gradients are computed by hand-derived reverse-mode passes; the finite-
 difference suite in the tests pins them to the analytic contract.
 
-Sampling and the teacher-forced batch paths share one trunk; the
-sampler batches all responses of a decision, and the random streams come
-from the counter-based keys in ``_kernels``.
+Sampling and the teacher-forced batch paths share one trunk; the random
+streams come from the counter-based keys in ``_kernels``.
 
 The sampler's outputs are exact to the bit, and one rule keeps them so:
 each decoding step runs on exactly the rows still active, compacted in
 their original order. A lone active row keeps NumPy's 1-row (gemv) matmul
 path, whose last bits differ from those of the same row inside a larger
-(gemm) batch, so rows are never padded, and rows of different calls are
-never merged into one batch.
+(gemm) batch, so rows are never padded, and a row's bits are fixed by the
+call it is drawn in. :meth:`TokenPolicy.sample` draws the responses of one
+decision; :meth:`TokenPolicy.sample_window` draws rows of many decisions
+in one batch by design, each with its own features: a training run's
+entropy responses of one update window, where the parameters do not change.
 
-A call with one key (every eval decision and the held-out episode) runs a
-1-row loop on 1-D arrays, which gives the bits of the batched loop at
+A call with one key (every decision's action and the held-out episode) runs
+a 1-row loop on 1-D arrays, which gives the bits of the batched loop at
 g = 1 with fewer and cheaper NumPy calls per token:
 
 - a 1-D row times a matrix is the same gemv as the (1, d) batch;
@@ -184,20 +186,41 @@ class TokenPolicy:
         """
         check_float("temperature", temperature, 0.0, strict=True)
         p = self.params
+        ctx_pre = np.asarray(features, dtype=np.float64) @ p["w_ctx"] + p["b_ctx"]
+        if len(keys) == 1:
+            return self._draw(self._sample_row, ctx_pre, keys, temperature)
+        return self._draw(self._sample_rows, np.broadcast_to(ctx_pre, (len(keys), self.d_hidden)), keys, temperature)
+
+    def sample_window(self, features: np.ndarray, keys: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample one response per key at temperature 1, row ``i`` reading ``features[i]``.
+
+        ``features`` is (len(keys), feature_len). Returns what :meth:`sample`
+        does, one row per key, and raises as it does. All rows run in one
+        :meth:`_sample_rows` batch, each with its own context row, so the
+        responses of many decisions share every step's matmuls.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        if features.shape != (len(keys), self.feature_len):
+            raise ValueError(f"features of shape {features.shape} for {len(keys)} keys; "
+                             f"expected one row of {self.feature_len} per key")
+        p = self.params
+        return self._draw(self._sample_rows, features @ p["w_ctx"] + p["b_ctx"], keys, 1.0)
+
+    def _draw(self, loop, ctx_pre, keys, temperature):
+        """Runs ``loop`` over the keys' uniforms from the context pre-activation ``ctx_pre``,
+        one row per key or, for one key, 1-D; raises on a non-finite log-prob."""
+        p = self.params
         # the projected mean embedding of the window is the mean of projected rows
         hist_proj = p["emb"] @ p["w_hist"]
-        ctx_pre = np.asarray(features, dtype=np.float64) @ p["w_ctx"] + p["b_ctx"]
-        z0_empty = ctx_pre + np.zeros(self.d_hidden) + p["b_hist"]  # the first pre-activation of an empty window
         u = _kernels.uniforms_from_key(keys, self.max_len)
-        loop = self._sample_row if len(keys) == 1 else self._sample_rows
         # a tempered exponent below the float range rounds to -inf, whose exp is the 0 it stands for
         with np.errstate(over="ignore") if temperature != 1.0 else nullcontext():
-            tokens, lengths, logps = loop(u, hist_proj, ctx_pre, z0_empty, temperature)
+            tokens, lengths, logps = loop(u, hist_proj, ctx_pre, temperature)
         if not np.isfinite(logps).all():
             raise ValueError("sampler produced a non-finite log-prob; check parameters and features")
         return tokens, lengths, logps
 
-    def _sample_row(self, u, hist_proj, ctx_pre, z0_empty, temperature):
+    def _sample_row(self, u, hist_proj, ctx_pre, temperature):
         """The loop of :meth:`sample` for one key, on 1-D arrays.
 
         ``u`` is the (1, n_steps) uniforms of the key. Each step runs the
@@ -206,6 +229,7 @@ class TokenPolicy:
         log-prob go straight into the padded outputs.
         """
         k, eos, b_hist = self.k_history, self.eos_id, self.params["b_hist"]
+        z0_empty = ctx_pre + np.zeros(self.d_hidden) + b_hist  # the first pre-activation of an empty window
         u = u[0]
         n_steps = u.size
         tokens = np.full((1, n_steps), -1, dtype=np.int64)
@@ -241,13 +265,14 @@ class TokenPolicy:
                 break
         return tokens, np.full(1, length, dtype=np.int64), logps
 
-    def _sample_rows(self, u, hist_proj, ctx_pre, z0_empty, temperature):
+    def _sample_rows(self, u, hist_proj, ctx_pre, temperature):
         """The loop of :meth:`sample` for several keys, on 2-D arrays.
 
-        ``u`` is the (g, n_steps) uniforms, one row per key. Each step works
-        on the active rows only, compacted in key order: their tokens,
-        log-probs and uniforms sit in per-call buffers, and a row is copied
-        into the padded outputs when it ends.
+        ``u`` is the (g, n_steps) uniforms and ``ctx_pre`` the (g, d_hidden)
+        context rows, one row per key. Each step works on the active rows
+        only, compacted in key order: their tokens, log-probs, uniforms and
+        context rows sit in per-call buffers, and a row is copied into the
+        padded outputs when it ends.
         """
         g, n_steps = u.shape
         k, eos, b_hist = self.k_history, self.eos_id, self.params["b_hist"]
@@ -260,14 +285,16 @@ class TokenPolicy:
         u = np.ascontiguousarray(u.T)[:, :, None]
         tok = np.empty((n_steps, g), dtype=np.int64)
         lp = np.empty((n_steps, g))
-        # z0, the trunk's layers, exp(logits - max) and then the CDF, max, sum and lse of each active row
-        buffers = (np.empty((g, self.d_hidden)), *self._layers((g,)), np.empty((g, self.vocab_size)),
-                   *(np.empty((g, 1)) for _ in range(3)))
+        # z0, one embedding row, the activation and the pre-activation of each active row, its
+        # logits, exp(logits - max) and then the CDF, and its max, sum and lse
+        buffers = (*(np.empty((g, self.d_hidden)) for _ in range(4)),
+                   *(np.empty((g, self.vocab_size)) for _ in range(2)), *(np.empty((g, 1)) for _ in range(3)))
         n = -1
         for step in range(n_steps):
             if n != rows.size:  # rows ended: slice the buffers to the active ones
                 n = rows.size
-                z0, *layers, e, mx, total, lse = (b[:n] for b in buffers)
+                z0, row, h, z, logits, e, mx, total, lse = (b[:n] for b in buffers)
+                layers = (h, z, z, logits)  # the trunk reads z1 into h before it writes z2
                 pick, lse_flat = np.arange(n), lse[:, 0]
                 # the CDF but its last column: the count of its entries <= u is the
                 # count over the whole CDF capped at vocab_size - 1, as the CDF is
@@ -275,13 +302,16 @@ class TokenPolicy:
                 head = e[:, :-1]
             if step and k:
                 window = tok[max(0, step - k) : step]
-                np.add.reduce(hist_proj.take(window, axis=0), axis=0, out=z0)
+                # the window's sum, one projected row at a time in np.add.reduce's order
+                # along axis 0; "clip" writes straight into the buffer, and ids are in range
+                hist_proj.take(window[0], axis=0, out=z0, mode="clip")
+                for ids in window[1:]:
+                    np.add(z0, hist_proj.take(ids, axis=0, out=row, mode="clip"), out=z0)
                 np.divide(z0, window.shape[0], out=z0)
-                np.add(ctx_pre, z0, out=z0)
-                np.add(z0, b_hist, out=z0)
-            else:
-                z0[...] = z0_empty
-            logits = self._trunk(z0, layers)
+            else:  # the mean of an empty window
+                z0[...] = 0.0
+            np.add(ctx_pre, z0, out=z0)
+            logits = self._trunk(np.add(z0, b_hist, out=z0), layers)
 
             np.maximum.reduce(logits, axis=1, keepdims=True, out=mx)
             np.exp(np.subtract(logits, mx, out=e), out=e)
@@ -303,6 +333,7 @@ class TokenPolicy:
                 lengths[done] = step + 1
                 live = ~ended
                 rows, u, tok, lp = rows[live], u[:, live], tok[:, live], lp[:, live]
+                ctx_pre = ctx_pre[live]
                 if not rows.size:
                     break
         else:

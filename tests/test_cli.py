@@ -269,6 +269,20 @@ class TestValidationFailures:
         assert capsys.readouterr().err == "error: vocabulary tokens must be unique; repeated: ['the']\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mnemonic, token", [("THE", "the"), ("LOW", "flow"), ("SIG", "<signal>")])
+    def test_phase_name_inside_a_vocabulary_token_rejected_before_any_output(self, tmp_path, capsys, mnemonic, token):
+        """A mnemonic that a filler or structural token holds in another case
+        passes the uniqueness check, yet the extractor would read that token
+        as naming the phase."""
+        cfg = write_config(tmp_path / "c.yaml", topology=pair(phases=({}, {"mnemonic": mnemonic})))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: phase '{mnemonic}': '{mnemonic}' occurs in the vocabulary token '{token}', "
+            "so a response holding that token would name the phase\n"
+        )
+        assert not out.exists()
+
     def test_compare_rejects_configs_sharing_a_file_stem(self, tmp_path, capsys):
         (tmp_path / "x").mkdir()
         (tmp_path / "y").mkdir()

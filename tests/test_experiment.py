@@ -235,9 +235,21 @@ class TestMidEpisodeSnapshot:
         steps = Path(report.steps_csv).read_text().splitlines()[1:]
         assert len(steps) == cfg.trainer.episode_length
         assert [float(row.split(",")[0]) for row in (steps[0], steps[-1])] == [1.0, 300.0]
-        assert [keys for keys, _, _ in calls] == [[derive_key(cfg.seed, 0, i, 0)] for i in range(30)]
+        assert [keys for keys, *_ in calls] == [[derive_key(cfg.seed, 0, i, 0)] for i in range(30)]
         rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("0,") and rows[1].endswith(",30")
+
+    def test_mid_window_snapshot_trains_on_exactly(self, tmp_path):
+        """At checkpoint_interval 50 and update_interval 100 the snapshot at
+        t = 50 falls inside an update window. The window's five decisions are
+        scored before it is written, so training on from it into a fresh
+        directory ends at the uninterrupted run's ckpt_final.npz, byte for
+        byte."""
+        cfg = tiny_config(trainer={**TINY_TRAINER, "checkpoint_interval": 50})
+        run, on = tmp_path / "run", tmp_path / "on"
+        ExperimentRunner(cfg, out_dir=run).train()
+        ExperimentRunner(cfg, out_dir=on, checkpoint=run / "ckpt_ep000_t00050.npz").train()
+        assert (on / "ckpt_final.npz").read_bytes() == (run / "ckpt_final.npz").read_bytes()
 
 
 class TestHoldout:
@@ -310,11 +322,13 @@ class TestHoldout:
 
 class TestDecisionSamples:
     def test_action_from_first_sample(self, tmp_path, monkeypatch):
-        """A learning decision samples G responses, acts on the first and logs
-        the phase counts of all G. Each decision's action and counts equal one
+        """A learning decision samples its action alone, from key 0, and the
+        other G - 1 responses, keys 1..G-1, in its update window's one
+        sample_window call. Each decision's action and counts equal one
         extract_phase call per response, and that is all the scanning the
         decision does."""
         calls = self._record_samples(monkeypatch)
+        windows = self._record_windows(monkeypatch)
         scans = []
 
         def counting_extract(*args):
@@ -330,13 +344,20 @@ class TestDecisionSamples:
         g = cfg.trainer.g_responses
         assert len(rows) == len(calls) == report.decisions == 30
         assert len(scans) == 30 * g
+        # one window per update interval of 10 decisions, its rows in decision order
+        assert [len(keys) for _, keys, _, _ in windows] == [10 * (g - 1)] * 3
+        window_keys = [key for _, keys, _, _ in windows for key in keys]
+        window_features = np.concatenate([features for features, _, _, _ in windows])
+        tokens = np.concatenate([result[0] for _, _, _, result in windows])
+        lengths = np.concatenate([result[1] for _, _, _, result in windows])
         chosen = set()
-        for i, (row, (keys, _, (tokens, lengths, _))) in enumerate(zip(rows, calls)):
-            assert keys == [derive_key(cfg.seed, 0, i, r) for r in range(g)]
-            found = [
-                extract_phase(tokens[r, : lengths[r]], runner.topo, cfg.default_phase, runner.vocab)
-                for r in range(g)
-            ]
+        for i, (row, (keys, _, (action, action_length, _), features)) in enumerate(zip(rows, calls)):
+            assert keys == [derive_key(cfg.seed, 0, i, 0)]
+            mine = range(i * (g - 1), (i + 1) * (g - 1))
+            assert [window_keys[r] for r in mine] == [derive_key(cfg.seed, 0, i, r) for r in range(1, g)]
+            assert all(np.array_equal(window_features[r], features) for r in mine)
+            responses = [action[0, : action_length[0]]] + [tokens[r, : lengths[r]] for r in mine]
+            found = [extract_phase(tokens_, runner.topo, cfg.default_phase, runner.vocab) for tokens_ in responses]
             assert row["chosen_phase"] == found[0]
             assert row["counts"] == np.bincount(found, minlength=runner.topo.n_phases).tolist()
             assert sum(row["counts"]) == g
@@ -344,13 +365,23 @@ class TestDecisionSamples:
         assert len(chosen) > 1  # the responses name more than the default phase
 
     def test_training_samples_at_temperature_one(self, tmp_path, monkeypatch):
-        """Every learning decision samples at exactly 1.0, so the log-probs
-        the sampler returns, which become logps_old, are those of the
-        distribution the tokens were drawn from."""
+        """Every learning decision samples its action at exactly 1.0, so the
+        log-probs the sampler returns, which become logps_old, are those of
+        the distribution the tokens were drawn from. Each window's rows are
+        the temperature-1 draws of their decisions' features and keys, with
+        the parameters of the window."""
         calls = self._record_samples(monkeypatch)
-        report = ExperimentRunner(tiny_config(), out_dir=tmp_path / "run").train()[0]
+        windows = self._record_windows(monkeypatch)
+        cfg = tiny_config()
+        report = ExperimentRunner(cfg, out_dir=tmp_path / "run").train()[0]
         assert len(calls) == report.decisions == 30
-        assert [kwargs["temperature"] for _, kwargs, _ in calls] == [1.0] * 30
+        assert [kwargs["temperature"] for _, kwargs, *_ in calls] == [1.0] * 30
+        g = cfg.trainer.g_responses
+        for features, keys, policy, (tokens, lengths, _) in windows:
+            for start in range(0, len(keys), g - 1):
+                mine = slice(start, start + g - 1)
+                own = TokenPolicy.sample(policy, features[start], keys[mine], temperature=1.0)
+                assert np.array_equal(own[0], tokens[mine]) and np.array_equal(own[1], lengths[mine])
 
     def test_eval_decision_samples_one_response(self, tmp_path, monkeypatch):
         """An eval decision samples one response, with key index 0 at the
@@ -361,7 +392,7 @@ class TestDecisionSamples:
         report = runner.evaluate(episodes=1, temperature=0.5)[0]
         rows = [json.loads(line) for line in Path(report.decisions_jsonl).read_text().splitlines()]
         assert len(rows) == len(calls) == report.decisions == 30
-        for i, (row, (keys, kwargs, (tokens, lengths, _))) in enumerate(zip(rows, calls)):
+        for i, (row, (keys, kwargs, (tokens, lengths, _), _)) in enumerate(zip(rows, calls)):
             assert keys == [derive_key(cfg.seed, 0, i, 0)]
             assert kwargs["temperature"] == 0.5
             assert tokens.shape[0] == 1
@@ -372,17 +403,33 @@ class TestDecisionSamples:
 
     @staticmethod
     def _record_samples(monkeypatch):
-        """Record each TokenPolicy.sample call as (keys, kwargs, result)."""
+        """Record each TokenPolicy.sample call as (keys, kwargs, result, features)."""
         calls = []
         sample = TokenPolicy.sample
 
         def recording_sample(policy, features, keys, **kwargs):
             result = sample(policy, features, keys, **kwargs)
-            calls.append((list(keys), kwargs, result))
+            calls.append((list(keys), kwargs, result, np.array(features)))
             return result
 
         monkeypatch.setattr(TokenPolicy, "sample", recording_sample)
         return calls
+
+    @staticmethod
+    def _record_windows(monkeypatch):
+        """Record each TokenPolicy.sample_window call as (features, keys, a
+        copy of the policy as it was, result)."""
+        windows = []
+        sample_window = TokenPolicy.sample_window
+
+        def recording_window(policy, features, keys):
+            result = sample_window(policy, features, keys)
+            frozen = TokenPolicy.from_meta(policy.meta(), {k: v.copy() for k, v in policy.params.items()})
+            windows.append((np.array(features), list(keys), frozen, result))
+            return result
+
+        monkeypatch.setattr(TokenPolicy, "sample_window", recording_window)
+        return windows
 
 
 @settings(max_examples=30, deadline=None)

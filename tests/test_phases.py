@@ -14,7 +14,7 @@ from tsclab.phases import (
     phase_histogram,
     verbalize,
 )
-from tsclab.sim import STREAM_DEMAND, DemandProfile, Intersection, stream_rng
+from tsclab.sim import STREAM_DEMAND, DemandProfile, Intersection, build_topology, stream_rng
 
 CASES_PATH = Path(__file__).parent / "data" / "extraction_cases.tsv"
 
@@ -67,6 +67,39 @@ class TestVocabulary:
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError):
             Vocabulary(["AA", "AA"])
+
+    @staticmethod
+    def _pair(**second):
+        """Two lanes A and B; phase 0 is AX, phase 1 serves B with ``second``'s names."""
+        phases = [{"mnemonic": "AX", "allowed_lanes": ["A"]}, {"mnemonic": "BX", "allowed_lanes": ["B"], **second}]
+        return build_topology({"name": "pair", "lanes": [{"lane_id": "A"}, {"lane_id": "B"}], "phases": phases})
+
+    @pytest.mark.parametrize(
+        "names, token, text",
+        [
+            ({"mnemonic": "THE"}, "the", "the traffic"),
+            ({"mnemonic": "LOW"}, "flow", "flow the"),
+            ({"mnemonic": "SIG"}, SIGNAL_OPEN, f"{SIGNAL_OPEN} 7"),
+            ({"description": "Now"}, "now", "stop now"),
+        ],
+        ids=["THE", "LOW", "SIG", "description"],
+    )
+    def test_phase_name_inside_a_token_rejected(self, names, token, text):
+        """A mnemonic or description inside a filler, structural or numeral
+        token, in any case, would let that token alone name its phase."""
+        topo = self._pair(**names)
+        assert extract_phase(text, topo, 0) == 1
+        name = next(iter(names.values()))
+        message = f"phase '{topo.phases[1].mnemonic}': '{name}' occurs in the vocabulary token '{token}'"
+        with pytest.raises(ValueError, match=message):
+            Vocabulary.for_topology(topo)
+
+    def test_phase_name_inside_an_unused_filler_accepted(self):
+        """``flow`` is the third filler word, so two fillers leave LOW unambiguous."""
+        topo = self._pair(mnemonic="LOW")
+        assert Vocabulary.for_topology(topo, n_filler=2).tokens[-2:] == FILLER_WORDS[:2]
+        with pytest.raises(ValueError, match="'flow'"):
+            Vocabulary.for_topology(topo, n_filler=3)
 
 
 class TestExtraction:

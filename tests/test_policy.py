@@ -521,6 +521,59 @@ class TestSampling:
             assert np.array_equal(tokens[r], tokens[0])
 
 
+class TestSampleWindow:
+    """One response per (features row, key) in one batch at temperature 1:
+    the entropy responses of five decisions, seven each."""
+
+    G = 7
+
+    @classmethod
+    def _window(cls, policy, n_decisions=5, seed=11):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        decisions = rng.uniform(0.0, 6.0, size=(n_decisions, policy.feature_len))
+        keys = [derive_key(seed, 0, i, r) for i in range(n_decisions) for r in range(1, cls.G + 1)]
+        return decisions, np.repeat(decisions, cls.G, axis=0), keys
+
+    def test_rows_are_well_formed_and_match_logprobs(self, small_policy):
+        """Each row ends at EOS or at max_len, is padded with -1 and 0, and its
+        log-probs are TokenPolicy.logprobs on its own features to 1e-9."""
+        _, features, keys = self._window(small_policy)
+        tokens, lengths, logps = small_policy.sample_window(features, keys)
+        max_len, eos = small_policy.max_len, small_policy.eos_id
+        assert tokens.shape == logps.shape == (len(keys), max_len) and lengths.shape == (len(keys),)
+        for r in range(len(keys)):
+            n = lengths[r]
+            assert 1 <= n <= max_len
+            assert (tokens[r, : n - 1] != eos).all() and (tokens[r, :n] >= 0).all()
+            assert n == max_len or tokens[r, n - 1] == eos
+            assert (tokens[r, n:] == -1).all() and (logps[r, n:] == 0.0).all()
+            ref = small_policy.logprobs(features[r], tokens[r, :n])
+            assert np.abs(ref - logps[r, :n]).max() <= 1e-9
+        assert (lengths < max_len).any() and (lengths == max_len).any()  # rows end both ways
+
+    def test_tokens_are_each_decisions_own_draws(self, small_policy):
+        """Each decision's rows hold the tokens a G-key call on its features draws."""
+        decisions, features, keys = self._window(small_policy)
+        tokens, lengths, _ = small_policy.sample_window(features, keys)
+        for i, row in enumerate(decisions):
+            rows = slice(i * self.G, (i + 1) * self.G)
+            own_tokens, own_lengths, _ = small_policy.sample(row, keys[rows])
+            assert np.array_equal(own_tokens, tokens[rows]) and np.array_equal(own_lengths, lengths[rows])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_row_raises(self, small_policy, value):
+        _, features, keys = self._window(small_policy)
+        features[9, 2] = value
+        # an inf feature leaves inf - inf, a NaN, in the matmuls, which numpy reports; the sampler refuses it
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            small_policy.sample_window(features, keys)
+
+    def test_one_feature_row_per_key(self, small_policy):
+        _, features, keys = self._window(small_policy)
+        with pytest.raises(ValueError, match="one row of"):
+            small_policy.sample_window(features[1:], keys)
+
+
 class TestParamUtils:
     def test_flatten_roundtrip(self, small_policy):
         flat = flatten_params(small_policy.params, POLICY_FIELDS)

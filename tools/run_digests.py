@@ -15,7 +15,9 @@ One toy8 training run has ``policy.max_len`` 1, so every update batch
 holds one-token responses. Two toy8 eval runs sample at temperatures 0.5
 and 1e-310, the second greedy. Two more start from the toy8 run's final and
 mid-episode snapshots, and one training run trains on from the mid-episode
-one.
+one. One more toy8 training run has ``checkpoint_interval`` 240, so its
+first snapshot falls inside an update window, and one run trains on from
+that snapshot.
 Three runs go through the command line (a baseline, and ``reward-hist``
 with the default hurdle and with a config's); what each prints goes to a
 ``*_stdout.txt`` file, so the printed reports are digested too. Diff the
@@ -86,6 +88,11 @@ def main(src: Path, out: Path) -> int:
     # every logit but the largest scales below the float range, so each draw is the argmax
     ExperimentRunner(config("toy8", "toy8_eval_greedy")).evaluate(temperature=1e-310)
     ExperimentRunner(config("toy8", "toy8_resumed"), checkpoint="toy8/ckpt_ep001_t00360.npz").train()
+    # a snapshot inside an update window (t = 240 of 360), and a run trained on from it
+    mid_window, mid_window_on = config("toy8", "toy8_mid_window"), config("toy8", "toy8_mid_window_on")
+    mid_window.trainer.checkpoint_interval = mid_window_on.trainer.checkpoint_interval = 240
+    run_config(mid_window)
+    ExperimentRunner(mid_window_on, checkpoint="toy8_mid_window/ckpt_ep000_t00240.npz").train()
     baselines = [config("toy8_fixed", "compare"), config("toy8_maxpressure", "compare")]
     compare(baselines, [3, 4], "compare", labels=["fixed", "maxpressure"])
 
