@@ -22,9 +22,10 @@ SIGNAL_CLOSE = "</signal>"
 EOS = "<eos>"
 
 # Filler tokens stand in for free-form reasoning text. A filler, structural or
-# numeral token that holds a phase's mnemonic or description in any case
-# would name that phase to the extractor's case-insensitive scan, so
-# Vocabulary.for_topology refuses such a topology.
+# numeral token that holds a phase's mnemonic or description in any case, or
+# tokens that spell one across their boundary, would name that phase to the
+# extractor's case-insensitive scan, so Vocabulary.for_topology refuses such
+# a topology.
 FILLER_WORDS = (
     "the", "traffic", "flow", "wait", "heavy", "light", "queue", "move",
     "stop", "clear", "now", "next", "keep", "shift", "plan", "so",
@@ -61,19 +62,48 @@ class Vocabulary:
     def for_topology(topo: Topology, n_filler: int = 16) -> "Vocabulary":
         """The vocabulary of ``topo``'s phases.
 
-        Raises ValueError, naming both, if a phase mnemonic or description
-        occurs, ignoring case, inside a structural, numeral or filler token.
+        Raises ValueError, naming the phase and the tokens, if a phase
+        mnemonic or description is empty, occurs, ignoring case, inside a
+        structural, numeral or filler token, or can be spelled, ignoring
+        case, by vocabulary tokens across a token boundary (see
+        :func:`_spelling`).
         """
         vocab = Vocabulary([p.mnemonic for p in topo.phases], n_filler=n_filler)
-        for token in vocab.tokens[topo.n_phases :]:
-            for phase in topo.phases:
-                for name in (phase.mnemonic, phase.description):
+        for phase in topo.phases:
+            for kind, name in (("mnemonic", phase.mnemonic), ("description", phase.description)):
+                if not name:
+                    raise ValueError(f"phase {phase.mnemonic!r}: the {kind} is empty, "
+                                     "and the extractor finds an empty name in every response")
+                for token in vocab.tokens[topo.n_phases :]:
                     if name.lower() in token.lower():
                         raise ValueError(
                             f"phase {phase.mnemonic!r}: {name!r} occurs in the vocabulary token {token!r}, "
                             "so a response holding that token would name the phase"
                         )
+                spelling = _spelling(name, vocab.tokens)
+                if spelling:
+                    raise ValueError(
+                        f"phase {phase.mnemonic!r}: {name!r} is spelled across the vocabulary tokens "
+                        f"{' '.join(map(repr, spelling))}, so a response holding them would name the phase"
+                    )
         return vocab
+
+
+def _spelling(name: str, tokens: Sequence[str]) -> Optional[Tuple[str, ...]]:
+    """Tokens whose decoded text holds ``name`` across a token boundary, ignoring case, or None.
+
+    A decoded response joins its tokens with single spaces, so ``name``
+    split at its spaces is spelled when its first part ends a token, each
+    inner part is a whole token and its last part begins a token. A name
+    without a space crosses no boundary.
+    """
+    if " " not in name:
+        return None
+    first, *inner, last = name.lower().split(" ")
+    spelling = [next((t for t in tokens if t.lower().endswith(first)), None)]
+    spelling += [next((t for t in tokens if t.lower() == part), None) for part in inner]
+    spelling.append(next((t for t in tokens if t.lower().startswith(last)), None))
+    return None if None in spelling else tuple(spelling)
 
 
 def feature_length(topo: Topology) -> int:
@@ -94,8 +124,9 @@ def extract_phase(text_or_tokens, topo: Topology, default_code: int, vocab: Opti
 
     Resolution order: (1) the last ``<signal>...</signal>`` span whose
     content is a valid mnemonic; (2) the mnemonic or phase description
-    with the last case-insensitive occurrence anywhere in the text;
-    (3) ``default_code``. Total by construction.
+    whose last case-insensitive occurrence anywhere in the text ends
+    last, the longer on a tie; (3) ``default_code``. Total by
+    construction.
     """
     if not 0 <= default_code < topo.n_phases:
         raise ValueError(f"default_code {default_code} out of range")
@@ -112,13 +143,15 @@ def extract_phase(text_or_tokens, topo: Topology, default_code: int, vocab: Opti
         if phase is not None:
             return phase
 
+    # the needle whose last occurrence ends last, and on a tie the longer one, so a
+    # mnemonic that holds another phase's mnemonic reads as its own phase
     lowered = text.lower()
-    best_pos = -1
+    best = (0, 0)
     best_phase = default_code
     for needle, phase in needles:
         pos = lowered.rfind(needle)
-        if pos > best_pos:
-            best_pos = pos
+        if pos >= 0 and (pos + len(needle), len(needle)) > best:
+            best = (pos + len(needle), len(needle))
             best_phase = phase
     return best_phase
 

@@ -6,8 +6,9 @@ genuine token-level process with position-dependent distributions. All
 gradients are computed by hand-derived reverse-mode passes; the finite-
 difference suite in the tests pins them to the analytic contract.
 
-Sampling and the teacher-forced batch paths share one trunk; the random
-streams come from the counter-based keys in ``_kernels``.
+The batched sampler and the teacher-forced batch paths share one trunk,
+which the one-key sampler writes out in its loop; the random streams come
+from the counter-based keys in ``_kernels``.
 
 The sampler's outputs are exact to the bit, and one rule keeps them so:
 each decoding step runs on exactly the rows still active, compacted in
@@ -23,7 +24,13 @@ A call with one key (every decision's action and the held-out episode) runs
 a 1-row loop on 1-D arrays, which gives the bits of the batched loop at
 g = 1 with fewer and cheaper NumPy calls per token:
 
-- a 1-D row times a matrix is the same gemv as the (1, d) batch;
+- a 1-D row times a C-contiguous matrix is the same gemv as the (1, d)
+  batch, and ``np.dot`` calls that gemv as ``np.matmul`` does, with less
+  dispatch, so the loop runs the trunk's layers itself through ``np.dot``;
+- ``np.add.reduce`` along axis 0 of the window's (w, d) rows adds them one
+  row after another, so the loop adds the window's per-token rows in that
+  order; the mean of a one-row window is the row, as x / 1 is x;
+- a 0-d array operand holds the value of the scalar it stands for;
 - a reduction over a contiguous 1-D row is the same loop as one along
   axis 1 of a (1, V) array;
 - the CDF is nondecreasing, and NaN from its first NaN on, which
@@ -133,24 +140,15 @@ class TokenPolicy:
             "b_out": np.zeros(V),
         }
 
-    # -- the trunk, shared by sampling and teacher forcing ---------------
-
-    def _layers(self, lead: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
-        """Empty arrays for the trunk (h, z1, z2, logits) over leading shape ``lead``.
-
-        ``h`` holds each hidden activation in turn; ``z1`` and ``z2`` are the
-        pre-activations of the second and third hidden layers.
-        """
-        d_h = self.d_hidden
-        return (*(np.empty((*lead, d_h)) for _ in range(3)), np.empty((*lead, self.vocab_size)))
+    # -- the trunk, shared by batched sampling and teacher forcing -------
 
     def _trunk(self, z0: np.ndarray, layers: Tuple[np.ndarray, ...]) -> np.ndarray:
         """Runs the hidden layers from the first pre-activation ``z0`` up to the logits.
 
-        Writes into ``layers`` (h, z1, z2, logits, as :meth:`_layers` makes
-        them) and returns the logits. ``h`` holds h0, then h1, then h2, each
-        ``_leaky`` of its pre-activation (``z0``, ``z1``, ``z2``), so the
-        pre-activations are all :meth:`backward_from_dlogits` needs.
+        Writes into ``layers``, the arrays (h, z1, z2, logits), and returns
+        the logits. ``h`` holds h0, then h1, then h2, each ``_leaky`` of its
+        pre-activation (``z0``, ``z1``, ``z2``), so the pre-activations are
+        all :meth:`backward_from_dlogits` needs.
         """
         p = self.params
         h, z1, z2, logits = layers
@@ -223,47 +221,61 @@ class TokenPolicy:
     def _sample_row(self, u, hist_proj, ctx_pre, temperature):
         """The loop of :meth:`sample` for one key, on 1-D arrays.
 
-        ``u`` is the (1, n_steps) uniforms of the key. Each step runs the
-        trunk on one (d_hidden,) row, reduces the (vocab_size,) logits to
-        scalars and draws by a binary search of the CDF; the token and its
-        log-prob go straight into the padded outputs.
+        ``u`` is the (1, n_steps) uniforms of the key. Each step sums the
+        window's projected rows, runs the trunk's layers on one
+        (d_hidden,) row with ``np.dot``, reduces the (vocab_size,) logits to
+        scalars and draws by a binary search of the CDF. The tokens and
+        log-probs go into lists, written into the padded outputs once.
         """
-        k, eos, b_hist = self.k_history, self.eos_id, self.params["b_hist"]
-        z0_empty = ctx_pre + np.zeros(self.d_hidden) + b_hist  # the first pre-activation of an empty window
-        u = u[0]
-        n_steps = u.size
-        tokens = np.full((1, n_steps), -1, dtype=np.int64)
-        logps = np.zeros((1, n_steps), dtype=np.float64)
-        tok, lp = tokens[0], logps[0]
-        length = n_steps
-        z0, layers, e = np.empty(self.d_hidden), self._layers(()), np.empty(self.vocab_size)
+        p = self.params
+        w_h1, b_h1, w_h2, b_h2, w_out, b_out = (p[f] for f in ("w_h1", "b_h1", "w_h2", "b_h2", "w_out", "b_out"))
+        k, eos, b_hist = self.k_history, self.eos_id, p["b_hist"]
+        add, divide, dot, exp, log, maximum, multiply, subtract = (
+            np.add, np.divide, np.dot, np.exp, np.log, np.maximum, np.multiply, np.subtract)
+        max_reduce, sum_reduce, accumulate = np.maximum.reduce, np.add.reduce, np.add.accumulate
+        # the pre-activation of an empty window, which steps with a window overwrite with theirs
+        z0 = ctx_pre + np.zeros(self.d_hidden) + b_hist
+        h, z = np.empty(self.d_hidden), np.empty(self.d_hidden)
+        slope, mx = np.array(0.01), np.empty(())  # 0-d arrays, cheaper operands than scalars
+        logits, e = np.empty(self.vocab_size), np.empty(self.vocab_size)
         head = e[:-1]  # the CDF but its last entry, as in _sample_rows
-        for step in range(n_steps):
+        tok, lp, picked = [], [], []  # the drawn tokens, their log-probs and their projected rows
+        for step, u_step in enumerate(u[0]):
             if step and k:
-                window = tok[max(0, step - k) : step]
-                np.add.reduce(hist_proj.take(window, axis=0), axis=0, out=z0)
-                np.divide(z0, window.size, out=z0)
-                np.add(ctx_pre, z0, out=z0)
-                logits = self._trunk(np.add(z0, b_hist, out=z0), layers)
-            else:
-                logits = self._trunk(z0_empty, layers)
+                window = picked[-k:]
+                if len(window) == 1:  # the mean of one row is the row
+                    add(ctx_pre, window[0], out=z0)
+                else:  # the window's sum, one row at a time in np.add.reduce's order along axis 0
+                    add(window[0], window[1], out=z0)
+                    for row in window[2:]:
+                        add(z0, row, out=z0)
+                    add(ctx_pre, divide(z0, float(len(window)), out=z0), out=z0)
+                add(z0, b_hist, out=z0)
+            maximum(z0, multiply(z0, slope, out=h), out=h)
+            add(dot(h, w_h1, out=z), b_h1, out=z)
+            maximum(z, multiply(z, slope, out=h), out=h)
+            add(dot(h, w_h2, out=z), b_h2, out=z)
+            maximum(z, multiply(z, slope, out=h), out=h)
+            add(dot(h, w_out, out=logits), b_out, out=logits)
 
-            mx = np.maximum.reduce(logits)
-            np.exp(np.subtract(logits, mx, out=e), out=e)
-            total = np.add.reduce(e)
-            lse = mx + np.log(total)
+            max_reduce(logits, out=mx)
+            exp(subtract(logits, mx, out=e), out=e)
+            total = sum_reduce(e)
+            lse = mx[()] + log(total)
             if temperature != 1.0:
-                np.exp(np.divide(np.subtract(logits, mx, out=e), temperature, out=e), out=e)
-                total = np.add.reduce(e)
-            np.add.accumulate(np.divide(head, total, out=head), out=head)
-            drawn = int(head.searchsorted(u[step], side="right"))
+                exp(divide(subtract(logits, mx, out=e), temperature, out=e), out=e)
+                total = sum_reduce(e)
+            accumulate(divide(head, total, out=head), out=head)
+            drawn = int(head.searchsorted(u_step, side="right"))
 
-            tok[step] = drawn
-            lp[step] = logits[drawn] - lse
+            tok.append(drawn)
+            lp.append(logits[drawn] - lse)
             if drawn == eos:
-                length = step + 1
                 break
-        return tokens, np.full(1, length, dtype=np.int64), logps
+            picked.append(hist_proj[drawn])
+        tokens, logps = np.full((1, u.shape[1]), -1, dtype=np.int64), np.zeros((1, u.shape[1]))
+        tokens[0, : len(tok)], logps[0, : len(lp)] = tok, lp
+        return tokens, np.full(1, len(tok), dtype=np.int64), logps
 
     def _sample_rows(self, u, hist_proj, ctx_pre, temperature):
         """The loop of :meth:`sample` for several keys, on 2-D arrays.
@@ -372,8 +384,8 @@ class TokenPolicy:
         z0 = m @ p["w_hist"]
         np.add(ctx_pre[:, None, :], z0, out=z0)
         np.add(z0, p["b_hist"], out=z0)
-        _, z1, z2, logits = layers = self._layers((B, L))
-        self._trunk(z0, layers)
+        z1, z2 = np.empty_like(z0), np.empty_like(z0)
+        logits = self._trunk(z0, (np.empty_like(z0), z1, z2, np.empty((B, L, self.vocab_size))))
 
         cache = {
             "features": features,

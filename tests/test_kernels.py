@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tsclab import _kernels
 from tsclab.phases import Vocabulary, feature_length
@@ -79,6 +80,7 @@ class TestGoldenStream:
     Responses end at EOS and at the 32-token cap.
     """
 
+    @pytest.mark.filterwarnings("error")  # a deprecated or warning NumPy call in the sampler fails
     def test_matches_golden_stream(self):
         policy = _toy8_policy()
         gold = np.load(GOLDEN)

@@ -102,6 +102,39 @@ class TestVocabulary:
             Vocabulary.for_topology(topo, n_filler=3)
 
 
+    @pytest.mark.parametrize(
+        "description, text, spelling",
+        [
+            ("heavy traffic", "heavy traffic", "'heavy' 'traffic'"),
+            ("vy traffic fl", "heavy traffic flow", "'heavy' 'traffic' 'flow'"),
+            ("AX now", "ax now", "'AX' 'now'"),
+            (" traffic", "so traffic", "'AX' 'traffic'"),
+        ],
+        ids=["two-tokens", "inner-token", "mnemonic", "leading-space"],
+    )
+    def test_description_spelled_across_tokens_rejected(self, description, text, spelling):
+        """Tokens joined by single spaces that spell a description, in any
+        case, would name its phase though no one token holds it."""
+        topo = self._pair(description=description)
+        assert extract_phase(text, topo, 0) == 1
+        message = f"phase 'BX': '{description}' is spelled across the vocabulary tokens {spelling}"
+        with pytest.raises(ValueError, match=message):
+            Vocabulary.for_topology(topo)
+
+    def test_description_no_spacing_can_spell_accepted(self):
+        """Decoding puts one space between tokens, so two spaces, or a
+        part no token begins, spell nothing."""
+        for description in ("heavy  traffic", "heavy trafficx"):
+            assert Vocabulary.for_topology(self._pair(description=description)).size == 2 + 3 + 10 + 16
+
+    def test_empty_description_rejected(self):
+        """An empty description occurs at the end of every response."""
+        topo = self._pair(description="")
+        assert extract_phase("so", topo, 0) == 1
+        with pytest.raises(ValueError, match="phase 'BX': the description is empty"):
+            Vocabulary.for_topology(topo)
+
+
 class TestExtraction:
     def test_corpus(self, toy8):
         cases = load_extraction_cases(CASES_PATH)
@@ -139,6 +172,17 @@ class TestExtraction:
         # its phase index is smaller
         assert extract_phase("WTWL then NTST", toy8, 5) == 0
         assert extract_phase("NTST then WTWL", toy8, 5) == 7
+
+    def test_mnemonic_holding_another_reads_as_its_phase(self):
+        """With phases AX and AXB, the token AXB names phase 1 by mention as by
+        tag: the needle that ends last wins, and on a tie the longer one."""
+        topo = TestVocabulary._pair(mnemonic="AXB")
+        vocab = Vocabulary.for_topology(topo)
+        assert extract_phase([vocab.index["AXB"]], topo, 0, vocab) == 1
+        assert extract_phase("<signal>AXB</signal>", topo, 0) == 1
+        assert extract_phase("so AXB", topo, 0) == 1
+        assert extract_phase("AXB then AX", topo, 1) == 0
+        assert extract_phase("AX then AXB", topo, 0) == 1
 
     def test_histogram_sums_to_g(self, toy8, vocab8):
         responses = [

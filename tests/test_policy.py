@@ -372,6 +372,7 @@ def reference_sample(policy, features, keys, temperature=1.0):
 EOS_BIASES = (50.0, 2.0, 0.0, -50.0)
 
 
+@pytest.mark.filterwarnings("error")  # a deprecated or warning NumPy call in the sampler fails
 @settings(max_examples=150, deadline=None)
 @given(
     g=st.integers(1, 9),
@@ -407,8 +408,8 @@ def test_sample_matches_reference_loop_bit_for_bit(
     got = policy.sample(features, keys, temperature=temperature)
     want = reference_sample(policy, features, keys, temperature=temperature)
     for a, b in zip(got, want):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bit for bit: -0.0 is not 0.0 here
     lengths = got[1]
     if eos_bias == EOS_BIASES[0]:
         assert np.all(lengths == 1)
