@@ -11,9 +11,9 @@ since the last flush in one call and then logs and buffers the decisions
 in order. Updates and mid-episode checkpoints fire on fixed timestep
 boundaries, after the flush, and checkpoints capture the complete loop
 state so a run trained on from one continues bit-identically.
-``train`` writes the snapshot that starts the next episode, after the
-held-out run. The decision at step t of episode e samples from the streams
-keyed ``e * D + t // decision_interval``, with D decisions in every episode.
+After each episode ``train`` writes the snapshot that starts the next one.
+The decision at step t of episode e samples from the streams keyed
+``e * D + t // decision_interval``, with D decisions in every episode.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .policy import TokenPolicy, ValueHead
 from .rewards import (
     RewardConfig,
     assemble_token_rewards,
-    check_bool,
     check_float,
     check_int,
     check_keys,
@@ -47,7 +46,6 @@ from .rewards import (
 from .sim import (
     STREAM_CONTROLLER,
     STREAM_DEMAND,
-    STREAM_HOLDOUT,
     STREAM_INIT,
     STREAM_SHUFFLE,
     DemandProfile,
@@ -109,7 +107,6 @@ class ExperimentConfig:
     out: Optional[str] = None
     t_fixed: float = 10.0
     default_phase: int = 0
-    holdout_eval: bool = True
     reward: RewardConfig = field(default_factory=RewardConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     policy: PolicyShape = field(default_factory=PolicyShape)
@@ -124,7 +121,6 @@ class ExperimentConfig:
         check_int("seed", self.seed, 0)  # unseeded runs are not supported
         check_int("default_phase", self.default_phase, 0)  # validate_config checks the top
         check_float("t_fixed", self.t_fixed, 0.0, strict=True)
-        check_bool("holdout_eval", self.holdout_eval)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -157,7 +153,7 @@ class ExperimentConfig:
         budget keep the same identity.
         """
         payload = self.to_dict()
-        for key in ("seed", "out", "episodes", "holdout_eval"):
+        for key in ("seed", "out", "episodes"):
             payload.pop(key)
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -319,7 +315,6 @@ class ExperimentRunner:
             self.baseline = BASELINES[cfg.controller](cfg)
 
         self.episode_index = 0
-        self.best_queue: Optional[float] = None  # lowest held-out queue so far
         self._resume: Optional[Tuple[int, Optional[dict]]] = None  # (step, sim state) of a loaded snapshot
         # the run logs this runner appends to: those it has begun, or both once it trains on from a snapshot
         self._appending = set()
@@ -352,13 +347,9 @@ class ExperimentRunner:
         self._appending.add(name)
         return _CsvSink(self.out_dir / name, columns, append=append)
 
-    def _new_sim(self, *stream: int) -> Intersection:
-        """A fresh intersection whose demand draws from ``stream`` under the seed."""
-        return Intersection(self.topo, self.demand, stream_rng(self.cfg.seed, *stream))
-
     def _decide(
         self, sim: Intersection, t: int, queue: float, learn: bool,
-        temperature: float, space: int, decision: int,
+        temperature: float, decision: int,
     ) -> _Pending:
         """One decision: the baseline's ``decide``, or verbalize -> sample -> extract.
 
@@ -372,7 +363,7 @@ class ExperimentRunner:
         cfg = self.cfg
         features = verbalize(obs, sim.active_phase, self.topo)
         n_samples = cfg.trainer.g_responses if learn else 1
-        keys = [_kernels.derive_key(cfg.seed, space, decision, r) for r in range(n_samples)]
+        keys = [_kernels.derive_key(cfg.seed, 0, decision, r) for r in range(n_samples)]
         tokens, lengths, logps = self.trainer.policy.sample(features, keys[:1], temperature=temperature)
         action_tokens = tokens[0, : lengths[0]]
         action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
@@ -441,17 +432,15 @@ class ExperimentRunner:
         sim: Intersection,
         start_t: int,
         learn: bool,
-        space: int = 0,
-        temperature: float = 1.0,
-        steps: Optional[_CsvSink] = None,
-        jsonl_fh=None,
-        train_log: Optional[_CsvSink] = None,
+        temperature: float,
+        steps: _CsvSink,
+        jsonl_fh,
+        train_log: Optional[_CsvSink],
     ) -> None:
-        """Drive ``sim`` from ``start_t`` to the episode end.
+        """Drive ``sim`` from ``start_t`` to the episode end, writing its
+        step rows to ``steps`` and its decisions to ``jsonl_fh``.
 
-        ``space`` is the key space of the sampling streams: 0 numbers the
-        decisions across the run's episodes, any other space from 0 in each.
-        Without sinks nothing is written and decisions are not scored.
+        The sampling keys number the decisions across the run's episodes.
         Updates and mid-episode checkpoints run only when learning, which
         needs ``train_log``. A decision closes at the next decision point;
         a learning one is scored at the flush before the next update,
@@ -460,13 +449,13 @@ class ExperimentRunner:
         tcfg = self.cfg.trainer
         length = tcfg.episode_length
         offset = self.episode_index * length
-        first = 0 if space else self.episode_index * self.decisions_per_episode
+        first = self.episode_index * self.decisions_per_episode
         pending: Optional[_Pending] = None
         closed: List[_Pending] = []  # closed decisions not yet scored
         queue = sim.queue_length()  # afterwards each step returns the queue it leaves
         for t in range(start_t, length + 1):
             if t % tcfg.decision_interval == 0 or t == length:
-                if pending is not None and jsonl_fh is not None:
+                if pending is not None:
                     pending.r_env = env_reward(pending.queue_before, queue)
                     closed.append(pending)
                 if closed and (not learn or t == length or t % tcfg.update_interval == 0
@@ -482,19 +471,19 @@ class ExperimentRunner:
                 if t == length:
                     return
                 decision = first + t // tcfg.decision_interval
-                pending = self._decide(sim, t, queue, learn, temperature, space, decision)
+                pending = self._decide(sim, t, queue, learn, temperature, decision)
                 sim.set_phase(pending.phase)
 
             queue = sim.step()
-            if steps is not None:  # the STEP_COLUMNS row
-                steps.fh.write(f"{sim.time},{sim.active_phase},{queue},{sim.injected_count},{len(sim.completed)}\n")
+            # the STEP_COLUMNS row
+            steps.fh.write(f"{sim.time},{sim.active_phase},{queue},{sim.injected_count},{len(sim.completed)}\n")
 
     def run_episode(self, learn: bool, temperature: float = 1.0) -> EpisodeReport:
         """One logged episode: its step CSV, its decision log and its row of
         ``metrics.csv``, and when learning its rows of ``train_log.csv``."""
         t0_wall = _time.perf_counter()
         episode = self.episode_index
-        sim = self._new_sim(STREAM_DEMAND, episode)
+        sim = Intersection(self.topo, self.demand, stream_rng(self.cfg.seed, STREAM_DEMAND, episode))
         start_t = 0
         if self._resume is not None:
             start_t, sim_state = self._resume
@@ -507,10 +496,7 @@ class ExperimentRunner:
         with _CsvSink(steps_path, STEP_COLUMNS) as steps, open(jsonl_path, "w", encoding="utf-8") as jsonl_fh, (
             self._log("train_log.csv", TRAIN_LOG_COLUMNS) if learn else nullcontext()
         ) as train_log:
-            self._loop(
-                sim, start_t, learn,
-                temperature=temperature, steps=steps, jsonl_fh=jsonl_fh, train_log=train_log,
-            )
+            self._loop(sim, start_t, learn, temperature, steps, jsonl_fh, train_log)
 
         self.episode_index += 1
         metrics = asdict(sim.finalize_metrics())
@@ -539,7 +525,6 @@ class ExperimentRunner:
             "episode_index": self.episode_index,
             "step": t,
             "sim_state": None if sim is None else sim.state_dict(),
-            "best_queue": self.best_queue,
         }
         save_checkpoint(path, self.trainer, self.hash, runner_meta)
 
@@ -563,7 +548,6 @@ class ExperimentRunner:
         self.trainer.load_state(arrays, meta["trainer_meta"])
         rm = meta["runner_meta"]
         self.episode_index = int(rm["episode_index"])
-        self.best_queue = rm["best_queue"]
         self._resume = (int(rm["step"]), rm["sim_state"])
 
     # -- drivers ---------------------------------------------------------
@@ -580,27 +564,10 @@ class ExperimentRunner:
         reports = []
         while self.episode_index < n:
             reports.append(self.run_episode(learn=True))
-            if self.cfg.holdout_eval:
-                holdout_queue = self._holdout_queue()
-                if self.best_queue is None or holdout_queue < self.best_queue:
-                    self.best_queue = holdout_queue
-                    self._save_checkpoint(0, path=self.out_dir / "ckpt_best.npz")
             if tcfg.episode_length % tcfg.checkpoint_interval == 0:  # the episode-end snapshot
                 self._save_checkpoint(0)
         self._save_checkpoint(0, path=self.out_dir / "ckpt_final.npz")
         return reports
-
-    def _holdout_queue(self) -> float:
-        """Average queue of a held-out eval episode on its own demand seed.
-
-        The held-out demand and sampling keys (key space 1, decision index
-        ``t // decision_interval``) are fixed across calls so successive
-        checkpoints are judged on the same episode. It writes nothing and
-        leaves the runner's episode index alone.
-        """
-        sim = self._new_sim(STREAM_HOLDOUT)
-        self._loop(sim, 0, False, space=1)
-        return sim.finalize_metrics().queue_length
 
     def evaluate(self, episodes: Optional[int] = None, temperature: float = 1.0) -> List[EpisodeReport]:
         """Run ``episodes`` (default ``cfg.episodes``) whole episodes without learning; from a

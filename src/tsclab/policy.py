@@ -20,7 +20,7 @@ decision; :meth:`TokenPolicy.sample_window` draws rows of many decisions
 in one batch by design, each with its own features: a training run's
 entropy responses of one update window, where the parameters do not change.
 
-A call with one key (every decision's action and the held-out episode) runs
+A call with one key (every decision's action, in training and eval) runs
 a 1-row loop on 1-D arrays, which gives the bits of the batched loop at
 g = 1 with fewer and cheaper NumPy calls per token:
 

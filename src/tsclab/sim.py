@@ -34,7 +34,6 @@ STREAM_DEMAND = 0
 STREAM_SHUFFLE = 1
 STREAM_CONTROLLER = 2
 STREAM_INIT = 3
-STREAM_HOLDOUT = 4
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -574,8 +574,6 @@ def _trend_config(variant: str, seed: int) -> ExperimentConfig:
             "controller": "policy",
             "episodes": TREND_EPISODES,
             "seed": seed,
-            # criteria 10 and 11 never open ckpt_best.npz, the held-out episode's only output
-            "holdout_eval": False,
             "reward": reward,
             "trainer": dict(TREND_TRAINER),
         }

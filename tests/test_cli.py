@@ -109,12 +109,12 @@ BAD_TOPOLOGIES = [
 ]
 BAD_TOP_TYPES = [
     ("episodes", 1.5), ("seed", 1.5), ("seed", -1), ("default_phase", 1.5), ("default_phase", True),
-    ("holdout_eval", "maybe"), ("t_fixed", True),
-    ("topology_overrides", [1]), ("out", 5),
+    ("t_fixed", True), ("topology_overrides", [1]), ("out", 5),
 ]
 # config keys and values that no longer exist, each set to what was once valid: (config change, key)
 REMOVED = [
     ({"action_from_extra_sample": False}, "action_from_extra_sample"),
+    ({"holdout_eval": True}, "holdout_eval"),
     ({"reward": {"env_mode": "queue_difference"}}, "reward.env_mode"),
     ({"reward": {"entropy_mode": "softmax_dse"}}, "reward.entropy_mode"),
     ({"trainer": {**TINY_TRAINER, "value_clip_mode": "standard"}}, "trainer.value_clip_mode"),
@@ -145,7 +145,6 @@ def write_config(path, **over):
         "controller": "policy",
         "episodes": 1,
         "seed": 0,
-        "holdout_eval": False,
         "trainer": dict(TINY_TRAINER),
         "policy": {"d_embed": 4, "d_hidden": 8, "max_len": 8},
     }

@@ -46,7 +46,6 @@ def tiny_config(**over):
         "controller": "policy",
         "episodes": 1,
         "seed": 0,
-        "holdout_eval": False,
         "trainer": dict(TINY_TRAINER),
         "policy": {"d_embed": 4, "d_hidden": 8, "max_len": 8},
     }
@@ -176,16 +175,22 @@ class TestRunnerOutputs:
             ExperimentRunner(other, out_dir=tmp_path / "twin", checkpoint=tmp_path / "run" / "ckpt_final.npz")
         assert not (tmp_path / "twin").exists()
 
-    def test_snapshot_with_history_still_resumes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("history", [["queue 1.00", 3]]), ("best_queue", 1.5170138888888889)],
+        ids=["history", "best_queue"],
+    )
+    def test_snapshot_with_an_older_runner_meta_key_still_resumes(self, tmp_path, key, value):
         """Snapshots once kept the last (summary, action) pairs in
-        runner_meta["history"]; loading ignores them, so such a snapshot
-        finishes the run exactly as the same snapshot without them."""
+        runner_meta["history"], and the lowest held-out queue so far in
+        runner_meta["best_queue"]; loading ignores both, so such a snapshot
+        finishes the run exactly as the same snapshot without the key."""
         cfg = tiny_config()
         ExperimentRunner(cfg, out_dir=tmp_path / "run").train()
         current = tmp_path / "run" / "ckpt_ep000_t00100.npz"
         meta, arrays = load_checkpoint(current)
-        assert "history" not in meta["runner_meta"]
-        meta["runner_meta"]["history"] = [["queue 1.00", 3]]
+        assert key not in meta["runner_meta"]
+        meta["runner_meta"][key] = value
         legacy = tmp_path / "legacy.npz"
         np.savez(legacy, meta=json.dumps(meta), **arrays)
         outputs = []
@@ -194,6 +199,16 @@ class TestRunnerOutputs:
             outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
         assert "ckpt_final.npz" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    def test_train_writes_one_snapshot_per_checkpoint_and_a_final_one(self, tmp_path):
+        """Two episodes write their mid-episode snapshots, the snapshot that
+        starts episode 1 and ckpt_final.npz; no ckpt_best.npz."""
+        ExperimentRunner(tiny_config(episodes=2), out_dir=tmp_path / "run").train()
+        assert sorted(p.name for p in (tmp_path / "run").glob("ckpt_*")) == [
+            "ckpt_ep000_t00100.npz", "ckpt_ep000_t00200.npz", "ckpt_ep001_t00000.npz",
+            "ckpt_ep001_t00100.npz", "ckpt_ep001_t00200.npz", "ckpt_ep002_t00000.npz",
+            "ckpt_final.npz",
+        ]
 
     def test_eval_uses_single_response(self, tmp_path):
         runner = ExperimentRunner(tiny_config(), out_dir=tmp_path / "run")
@@ -252,72 +267,35 @@ class TestMidEpisodeSnapshot:
         assert (on / "ckpt_final.npz").read_bytes() == (run / "ckpt_final.npz").read_bytes()
 
 
-class TestHoldout:
-    def test_holdout_queue_pinned(self, tmp_path):
-        """The held-out queue after each of three one-episode training
-        rounds on toy8; the held-out run writes nothing and leaves the
-        runner's episode index alone."""
+class TestAcrossBlasKernels:
+    def test_run_files_keep_their_bytes_under_another_kernel(self, tmp_path):
+        """A short toy8 training run under the default OpenBLAS kernel and
+        under Nehalem (SSE only), each in its own process: the step logs,
+        decision logs and metrics.csv are byte-equal. train_log.csv and the
+        checkpoints come from BLAS products, so their last bits may differ
+        and they are not compared. Where numpy's BLAS is not a DYNAMIC_ARCH
+        OpenBLAS, both runs use the same kernel."""
         raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
-        raw["trainer"].update(
-            {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
-        )
-        runner = ExperimentRunner(ExperimentConfig.from_dict(raw), out_dir=tmp_path / "run")
-        assert runner.cfg.holdout_eval
-        queues = []
-        for n in (1, 2, 3):
-            runner.train(episodes=n)
-            files = {p: p.read_bytes() for p in (tmp_path / "run").iterdir()}
-            queues.append(runner._holdout_queue())
-            assert {p: p.read_bytes() for p in (tmp_path / "run").iterdir()} == files
-            assert runner.episode_index == n
-        assert queues == [1.5170138888888889, 1.6940972222222221, 1.6590277777777778]
-
-    def test_best_checkpoint_survives_calls_and_resume(self, tmp_path):
-        """Same runs as above: the first held-out queue stays the lowest, so
-        ckpt_best.npz keeps episode index 1 after later train() calls and
-        after a run trained on from ckpt_final.npz."""
-        raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
-        raw["trainer"].update(
-            {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
-        )
-        cfg = ExperimentConfig.from_dict(raw)
-        out = tmp_path / "run"
-
-        def runner_meta(name):
-            return load_checkpoint(out / name)[0]["runner_meta"]
-
-        runner = ExperimentRunner(cfg, out_dir=out)
-        for n in (1, 2):
-            runner.train(episodes=n)
-            assert runner_meta("ckpt_best.npz")["episode_index"] == 1
-        assert runner_meta("ckpt_ep000_t00360.npz")["best_queue"] is None  # before any held-out run
-        assert runner_meta("ckpt_final.npz")["best_queue"] == 1.5170138888888889
-        resumed = ExperimentRunner(cfg, out_dir=out, checkpoint=out / "ckpt_final.npz")
-        assert resumed.best_queue == 1.5170138888888889
-        resumed.train(episodes=3)
-        assert runner_meta("ckpt_best.npz")["episode_index"] == 1
-        assert runner_meta("ckpt_final.npz")["episode_index"] == 3
-
-    def test_episode_end_snapshot_keeps_latest_holdout(self, tmp_path):
-        """run_episode writes the snapshot that starts episode 1 before episode
-        0's held-out run. It still ends up with that run's best queue, so a
-        resume from it does not put the worse episode 2 in ckpt_best.npz."""
-        raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
-        raw["trainer"].update(
-            {"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360}
-        )
-        cfg = ExperimentConfig.from_dict(raw)
-        out = tmp_path / "run"
-
-        def runner_meta(name):
-            return load_checkpoint(out / name)[0]["runner_meta"]
-
-        ExperimentRunner(cfg, out_dir=out).train(episodes=1)
-        assert runner_meta("ckpt_ep001_t00000.npz")["best_queue"] == 1.5170138888888889
-        assert (out / "ckpt_ep001_t00000.npz").read_bytes() == (out / "ckpt_best.npz").read_bytes()
-        ExperimentRunner(cfg, out_dir=out, checkpoint=out / "ckpt_ep001_t00000.npz").train(episodes=2)
-        assert runner_meta("ckpt_best.npz")["episode_index"] == 1
-        assert runner_meta("ckpt_ep002_t00000.npz")["best_queue"] == 1.5170138888888889
+        raw["episodes"] = 2
+        raw["trainer"].update({"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360})
+        cfg = tmp_path / "toy8_short.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        src = Path(experiment.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        runs = {}
+        for name, coretype in (("default", None), ("nehalem", "Nehalem")):
+            child_env = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from tsclab.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "train", "--config", str(cfg), "--out", str(out)],
+                env=child_env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            files = [f for pattern in ("ep*_steps.csv", "ep*_decisions.jsonl", "metrics.csv") for f in out.glob(pattern)]
+            runs[name] = {f.name: f.read_bytes() for f in files}
+        assert len(runs["default"]) == 5
+        assert runs["nehalem"] == runs["default"]
 
 
 class TestDecisionSamples:

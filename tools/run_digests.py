@@ -7,10 +7,10 @@ The runs go under OUT, and OUT/digests.txt gets one ``sha256  path`` line
 per file, sorted by path, and each ``.npz`` also gets one
 ``sha256  path::member`` line per zip member, so a change that alters only
 checkpoint meta shows as ``meta.npy`` lines alone. Every library run has 2
-episodes of 720 steps, update and checkpoint intervals of 360 and the
-held-out episode on, and reads the configs next to this tool, so two
-checkouts get the same inputs. One fixed-time run sends 2 vehicles/s into
-E_T, more than the lane holds, so its vehicles stack at the lane's entry.
+episodes of 720 steps and update and checkpoint intervals of 360, and reads
+the configs next to this tool, so two checkouts get the same inputs. One
+fixed-time run sends 2 vehicles/s into E_T, more than the lane holds, so
+its vehicles stack at the lane's entry.
 One toy8 training run has ``policy.max_len`` 1, so every update batch
 holds one-token responses. Two toy8 eval runs sample at temperatures 0.5
 and 1e-310, the second greedy. Two more start from the toy8 run's final and
@@ -23,9 +23,16 @@ with the default hurdle and with a config's); what each prints goes to a
 ``*_stdout.txt`` file, so the printed reports are digested too. Diff the
 digests.txt of a parent checkout against a change's: a change that keeps
 same-config, same-seed runs byte-identical shows no difference.
+
+digests.txt starts with one ``#`` line naming the numpy version and the
+OpenBLAS that numpy loaded: its config string and the name of the kernel it
+picked (``OPENBLAS_CORETYPE`` overrides the pick). The training logs and
+checkpoints depend on that kernel, so a diff of digests from two machines
+shows on its first line whether their kernels differ.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import os
 import sys
@@ -35,8 +42,40 @@ from pathlib import Path
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def blas_facts(maps: str = "/proc/self/maps") -> str:
+    """The OpenBLAS mapped into this process: its config string and kernel name.
+
+    Found as ``tsclab._use_one_blas_thread`` finds it, by the library's path
+    in the memory map, then asked through ``ctypes``; the getters carry the
+    ``scipy_`` prefix and ``64_`` suffix in numpy's wheels.
+    """
+    try:
+        with open(maps, encoding="utf-8", errors="replace") as fh:
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return "OpenBLAS unknown (no memory map)"
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        facts = []
+        for what in ("config", "corename"):
+            for name in (f"scipy_openblas_get_{what}64_", f"scipy_openblas_get_{what}",
+                         f"openblas_get_{what}64_", f"openblas_get_{what}"):
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_char_p
+                    facts.append(getter().decode(errors="replace").strip())
+                    break
+        if len(facts) == 2:
+            return f"{facts[0]}; core {facts[1]}"
+    return "OpenBLAS not loaded"
+
+
 def main(src: Path, out: Path) -> int:
     sys.path.insert(0, str(src))
+    import numpy as np
     import tsclab
     from tsclab import cli
     from tsclab.experiment import ExperimentConfig, ExperimentRunner, compare, run_config
@@ -46,7 +85,7 @@ def main(src: Path, out: Path) -> int:
 
     def config(name, out_name, **changes):
         cfg = ExperimentConfig.from_yaml(CONFIGS / f"{name}.yaml")
-        cfg.episodes, cfg.holdout_eval, cfg.out = 2, True, out_name
+        cfg.episodes, cfg.out = 2, out_name
         tcfg = cfg.trainer
         tcfg.episode_length, tcfg.update_interval, tcfg.checkpoint_interval = 720, 360, 360
         for key, value in changes.items():
@@ -111,7 +150,7 @@ def main(src: Path, out: Path) -> int:
         return hashlib.sha256(data).hexdigest()
 
     files = sorted(p for p in Path(".").rglob("*") if p.is_file())
-    lines = []
+    lines = [f"# numpy {np.__version__}; {blas_facts()}"]
     for p in files:
         lines.append(f"{sha(p.read_bytes())}  {p.as_posix()}")
         if p.suffix == ".npz":
@@ -119,7 +158,7 @@ def main(src: Path, out: Path) -> int:
                 for member in sorted(archive.namelist()):
                     lines.append(f"{sha(archive.read(member))}  {p.as_posix()}::{member}")
     Path("digests.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(files)} files ({len(lines)} digests) into {out / 'digests.txt'}")
+    print(f"{len(files)} files ({len(lines) - 1} digests) into {out / 'digests.txt'}")
     return 0
 
 
