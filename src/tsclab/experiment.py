@@ -5,13 +5,13 @@ output sinks. The episode loop takes a decision every ``decision_interval``
 steps; each decision's reward closes at the next decision point (queue
 difference over the interval), and the final one closes at episode end.
 A learning decision acts on one response sampled alone; its other G - 1
-responses wait for the flush of its update window, before the next update,
-checkpoint or episode end, which samples those of every decision closed
-since the last flush in one call and then logs and buffers the decisions
-in order. Updates and mid-episode checkpoints fire on fixed timestep
-boundaries, after the flush, and checkpoints capture the complete loop
-state so a run trained on from one continues bit-identically.
-After each episode ``train`` writes the snapshot that starts the next one.
+responses wait for the flush of its update window, before the next update
+or the episode end, which samples those of every decision closed since the
+last flush in one call and then logs and buffers the decisions in order.
+Updates fire on fixed timestep boundaries, after the flush.
+The episode is the unit of persistence: after each one ``train`` writes the
+snapshot that starts the next, and a run trained on from it, in place or in
+a fresh directory, continues bit-identically.
 The decision at step t of episode e samples from the streams keyed
 ``e * D + t // decision_interval``, with D decisions in every episode.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time as _time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -71,6 +72,7 @@ TRAIN_LOG_COLUMNS = ("step", *DIAGNOSTICS)
 METRICS = tuple(f.name for f in fields(Metrics))  # an episode's metrics, in column order
 # wall-clock time stays out of the CSVs so same-seed runs are bit-identical
 METRIC_COLUMNS = ("episode", *METRICS, "decisions")
+RUN_LOGS = ("metrics.csv", "train_log.csv")  # the logs a run appends to; a snapshot records their lengths
 
 
 def check_file(what: str, path) -> Path:
@@ -161,10 +163,9 @@ class ExperimentConfig:
 class _CsvSink:
     def __init__(self, path, columns, append=False):
         self.path = Path(path)
-        exists = self.path.exists() and append
         self.fh = open(self.path, "a" if append else "w", encoding="utf-8", newline="")
         self.columns = columns
-        if not exists:
+        if self.fh.tell() == 0:  # a new or empty file
             self.fh.write(",".join(columns) + "\n")
 
     def __enter__(self) -> "_CsvSink":
@@ -315,7 +316,7 @@ class ExperimentRunner:
             self.baseline = BASELINES[cfg.controller](cfg)
 
         self.episode_index = 0
-        self._resume: Optional[Tuple[int, Optional[dict]]] = None  # (step, sim state) of a loaded snapshot
+        self._log_sizes: dict = {}  # byte length of each run log at a loaded snapshot, until train cuts it
         # the run logs this runner appends to: those it has begun, or both once it trains on from a snapshot
         self._appending = set()
         if checkpoint is not None:
@@ -430,21 +431,20 @@ class ExperimentRunner:
     def _loop(
         self,
         sim: Intersection,
-        start_t: int,
         learn: bool,
         temperature: float,
         steps: _CsvSink,
         jsonl_fh,
         train_log: Optional[_CsvSink],
     ) -> None:
-        """Drive ``sim`` from ``start_t`` to the episode end, writing its
-        step rows to ``steps`` and its decisions to ``jsonl_fh``.
+        """Drive ``sim`` through a whole episode, writing its step rows to
+        ``steps`` and its decisions to ``jsonl_fh``.
 
         The sampling keys number the decisions across the run's episodes.
-        Updates and mid-episode checkpoints run only when learning, which
-        needs ``train_log``. A decision closes at the next decision point;
-        a learning one is scored at the flush before the next update,
-        checkpoint or episode end, so no snapshot holds an unscored one.
+        Updates run only when learning, which needs ``train_log``. A
+        decision closes at the next decision point; a learning one is scored
+        at the flush before the next update or the episode end, so the
+        episode ends with none open.
         """
         tcfg = self.cfg.trainer
         length = tcfg.episode_length
@@ -453,21 +453,17 @@ class ExperimentRunner:
         pending: Optional[_Pending] = None
         closed: List[_Pending] = []  # closed decisions not yet scored
         queue = sim.queue_length()  # afterwards each step returns the queue it leaves
-        for t in range(start_t, length + 1):
+        for t in range(length + 1):
             if t % tcfg.decision_interval == 0 or t == length:
                 if pending is not None:
                     pending.r_env = env_reward(pending.queue_before, queue)
                     closed.append(pending)
-                if closed and (not learn or t == length or t % tcfg.update_interval == 0
-                               or t % tcfg.checkpoint_interval == 0):
+                if closed and (not learn or t == length or t % tcfg.update_interval == 0):
                     self._close_pending(closed, learn, jsonl_fh)
-                if learn and t > start_t:
-                    if t % tcfg.update_interval == 0:
-                        self.trainer.buffer.evict(offset + t)
-                        if len(self.trainer.buffer):
-                            train_log.row(self.trainer.update(offset + t))
-                    if t % tcfg.checkpoint_interval == 0 and t < length:
-                        self._save_checkpoint(t, sim=sim)
+                if learn and t > 0 and t % tcfg.update_interval == 0:
+                    self.trainer.buffer.evict(offset + t)
+                    if len(self.trainer.buffer):
+                        train_log.row(self.trainer.update(offset + t))
                 if t == length:
                     return
                 decision = first + t // tcfg.decision_interval
@@ -484,19 +480,12 @@ class ExperimentRunner:
         t0_wall = _time.perf_counter()
         episode = self.episode_index
         sim = Intersection(self.topo, self.demand, stream_rng(self.cfg.seed, STREAM_DEMAND, episode))
-        start_t = 0
-        if self._resume is not None:
-            start_t, sim_state = self._resume
-            if sim_state is not None:
-                sim.load_state_dict(sim_state)
-            self._resume = None
-
         steps_path = self.out_dir / f"ep{episode:03d}_steps.csv"
         jsonl_path = self.out_dir / f"ep{episode:03d}_decisions.jsonl"
         with _CsvSink(steps_path, STEP_COLUMNS) as steps, open(jsonl_path, "w", encoding="utf-8") as jsonl_fh, (
             self._log("train_log.csv", TRAIN_LOG_COLUMNS) if learn else nullcontext()
         ) as train_log:
-            self._loop(sim, start_t, learn, temperature, steps, jsonl_fh, train_log)
+            self._loop(sim, learn, temperature, steps, jsonl_fh, train_log)
 
         self.episode_index += 1
         metrics = asdict(sim.finalize_metrics())
@@ -513,19 +502,15 @@ class ExperimentRunner:
 
     # -- checkpointing ---------------------------------------------------
 
-    def _save_checkpoint(self, t: int, sim: "Intersection" = None, path=None) -> None:
-        """Snapshot at a decision boundary with no pending decision.
-
-        ``t`` is the episode-local step. ``train`` takes the episode-end
-        snapshot at t = 0 of the next episode, so a resume starts it fresh.
-        """
+    def _save_checkpoint(self, path=None) -> None:
+        """Snapshot between episodes, by default as ``ckpt_epNNN_t00000.npz``
+        for the episode a resume starts: the trainer, that episode's index
+        and the byte length of each run log (0 for a missing one)."""
         if path is None:
-            path = self.out_dir / f"ckpt_ep{self.episode_index:03d}_t{t:05d}.npz"
-        runner_meta = {
-            "episode_index": self.episode_index,
-            "step": t,
-            "sim_state": None if sim is None else sim.state_dict(),
-        }
+            path = self.out_dir / f"ckpt_ep{self.episode_index:03d}_t00000.npz"
+        logs = [self.out_dir / name for name in RUN_LOGS]
+        sizes = {log.name: log.stat().st_size if log.exists() else 0 for log in logs}
+        runner_meta = {"episode_index": self.episode_index, "log_sizes": sizes}
         save_checkpoint(path, self.trainer, self.hash, runner_meta)
 
     def _load_checkpoint(self, path) -> None:
@@ -544,36 +529,46 @@ class ExperimentRunner:
                 f"the configured topology's {self.vocab.size}"
             )
         if meta["config_hash"] != self.hash:
-            raise ValueError("checkpoint config hash does not match the supplied config")
+            raise ValueError(
+                f"checkpoint config hash does not match the supplied config: "
+                f"{meta['config_hash'][:12]} in the checkpoint, {self.hash[:12]} from the config"
+            )
         self.trainer.load_state(arrays, meta["trainer_meta"])
         rm = meta["runner_meta"]
         self.episode_index = int(rm["episode_index"])
-        self._resume = (int(rm["step"]), rm["sim_state"])
+        self._log_sizes = {name: int(size) for name, size in rm["log_sizes"].items()}
 
     # -- drivers ---------------------------------------------------------
 
     def train(self, episodes: Optional[int] = None) -> List[EpisodeReport]:
-        """Train up to episode ``episodes`` (default ``cfg.episodes``); from a snapshot, first
-        finish its episode, appending to ``metrics.csv`` and ``train_log.csv``."""
+        """Train up to episode ``episodes`` (default ``cfg.episodes``), writing the
+        snapshot that starts the next episode after each one, then ``ckpt_final.npz``.
+
+        From a snapshot, each run log longer than it was at the snapshot is
+        cut back to that length, a missing one is begun anew, and the new
+        rows are appended; so a resume in place rebuilds the directory of
+        the run that was not interrupted.
+        """
         if self.trainer is None:
             raise ValueError("train requires controller: policy")
         n = episodes if episodes is not None else self.cfg.episodes
-        tcfg = self.cfg.trainer
-        if self._resume is not None:
-            self._appending.update(("metrics.csv", "train_log.csv"))
+        for name, size in self._log_sizes.items():
+            path = self.out_dir / name
+            if path.exists() and path.stat().st_size > size:
+                os.truncate(path, size)
+            self._appending.add(name)
+        self._log_sizes = {}
         reports = []
         while self.episode_index < n:
             reports.append(self.run_episode(learn=True))
-            if tcfg.episode_length % tcfg.checkpoint_interval == 0:  # the episode-end snapshot
-                self._save_checkpoint(0)
-        self._save_checkpoint(0, path=self.out_dir / "ckpt_final.npz")
+            self._save_checkpoint()
+        self._save_checkpoint(path=self.out_dir / "ckpt_final.npz")
         return reports
 
     def evaluate(self, episodes: Optional[int] = None, temperature: float = 1.0) -> List[EpisodeReport]:
         """Run ``episodes`` (default ``cfg.episodes``) whole episodes without learning; from a
         snapshot they start at its episode index, with its parameters, and begin the logs anew."""
         n = episodes if episodes is not None else self.cfg.episodes
-        self._resume = None
         return [self.run_episode(learn=False, temperature=temperature) for _ in range(n)]
 
 

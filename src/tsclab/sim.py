@@ -658,7 +658,7 @@ class Intersection:
             throughput=len(self.completed),
         )
 
-    # -- serialization (resumable checkpoints) ---------------------------
+    # -- serialization (a fork into a fresh Intersection) ----------------
 
     def state_dict(self) -> dict:
         def pack(veh: Vehicle) -> list:
@@ -672,7 +672,6 @@ class Intersection:
             "vehicles": {lid: [pack(v) for v in vs] for lid, vs in self.vehicles.items()},
             "completed": [pack(v) for v in self.completed],
             "injected_count": self.injected_count,
-            "next_vid": self.injected_count,  # kept, as the key is part of the checkpoint bytes
             "last_departure": {
                 lid: (None if math.isinf(t) else t) for lid, t in self._last_departure.items()
             },

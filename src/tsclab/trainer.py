@@ -58,15 +58,14 @@ class TrainerConfig:
     grad_clip_value: float = 5.0
     update_interval: int = 360
     buffer_window: int = 400
-    checkpoint_interval: int = 720
     decision_interval: int = 10
     episode_length: int = 3600
     g_responses: int = 8
     use_critic: bool = True
 
     def __post_init__(self):
-        for name in ("episode_length", "decision_interval", "update_interval", "checkpoint_interval",
-                     "batch_size", "batches_per_update", "g_responses"):
+        for name in ("episode_length", "decision_interval", "update_interval", "batch_size",
+                     "batches_per_update", "g_responses"):
             check_int(f"trainer.{name}", getattr(self, name), 1)
         check_int("trainer.buffer_window", self.buffer_window)
         check_bool("trainer.use_critic", self.use_critic)
@@ -418,10 +417,11 @@ class PPOTrainer:
 def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: dict) -> None:
     """Write a fully resumable training snapshot to ``path``, as named.
 
-    ``runner_meta`` carries the episode-loop state (sim state, counters)
-    owned by the caller; it round-trips unchanged. The archive is written to
-    a temporary file next to ``path`` and then renamed over it, so a write
-    that fails partway leaves any previous snapshot at ``path`` whole.
+    ``runner_meta`` carries the caller's state between episodes (the next
+    episode's index, the lengths of the run logs); it round-trips
+    unchanged. The archive is written to a temporary file next to ``path``
+    and then renamed over it, so a write that fails partway leaves any
+    previous snapshot at ``path`` whole.
     """
     meta = {
         "version": CHECKPOINT_VERSION,

@@ -101,7 +101,6 @@ TREND_TRAINER = {
     "use_critic": False,
     "gamma": 1.0,
     "lam": 1.0,
-    "checkpoint_interval": 3600,
 }
 
 
@@ -699,7 +698,6 @@ def _roundtrip_config(seed: int) -> ExperimentConfig:
             "trainer": {
                 "episode_length": 720,
                 "update_interval": 360,
-                "checkpoint_interval": 720,
                 "actor_lr": TREND_LR,
             },
         }

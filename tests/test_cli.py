@@ -9,7 +9,6 @@ from tsclab.cli import main
 TINY_TRAINER = {
     "episode_length": 200,
     "update_interval": 100,
-    "checkpoint_interval": 100,
     "decision_interval": 10,
     "buffer_window": 120,
     "g_responses": 8,
@@ -29,7 +28,7 @@ BAD_REWARD_FLOATS = [("tau", NAN), ("beta", NAN), ("w_e", NAN), ("h_r", NAN), ("
 # integer and boolean knobs with a value of the wrong type, or a bool taken for a number
 BAD_TRAINER_TYPES = [
     ("episode_length", 100.5), ("g_responses", 2.5), ("decision_interval", 10.5), ("update_interval", True),
-    ("checkpoint_interval", "720"), ("buffer_window", 120.0), ("batch_size", 6.5), ("batches_per_update", 1.5),
+    ("buffer_window", 120.0), ("batch_size", 6.5), ("batches_per_update", 1.5),
     ("eps_low", True), ("use_critic", 0.5), ("use_critic", 1), ("gamma", True), ("lam", False),
 ]
 # topology geometry must lie in (0, inf) and yellow_duration in [0, inf), neither a bool
@@ -119,6 +118,7 @@ REMOVED = [
     ({"reward": {"entropy_mode": "softmax_dse"}}, "reward.entropy_mode"),
     ({"trainer": {**TINY_TRAINER, "value_clip_mode": "standard"}}, "trainer.value_clip_mode"),
     ({"trainer": {**TINY_TRAINER, "temperature": 1.0}}, "trainer.temperature"),
+    ({"trainer": {**TINY_TRAINER, "checkpoint_interval": 720}}, "trainer.checkpoint_interval"),
 ]
 
 # a config or decision log that is not a readable file: (id, command, YAML text of the file, or None for a directory)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from tsclab import experiment, phases
 from tsclab._kernels import derive_key
 from tsclab.experiment import (
+    METRIC_COLUMNS,
+    TRAIN_LOG_COLUMNS,
     ExperimentConfig,
     ExperimentRunner,
     compare,
@@ -30,7 +33,6 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TINY_TRAINER = {
     "episode_length": 300,
     "update_interval": 100,
-    "checkpoint_interval": 100,
     "decision_interval": 10,
     "buffer_window": 120,
     "g_responses": 8,
@@ -130,8 +132,7 @@ class TestRunnerOutputs:
         assert log[0].startswith("step,mean_ratio")
         assert len(log) == 4  # updates at 100, 200, 300
         cks = sorted(p.name for p in (tmp_path / "run").glob("ckpt_*.npz"))
-        assert "ckpt_final.npz" in cks
-        assert "ckpt_ep000_t00100.npz" in cks
+        assert cks == ["ckpt_ep001_t00000.npz", "ckpt_final.npz"]
         rows = [json.loads(l) for l in (tmp_path / "run" / "ep000_decisions.jsonl").read_text().splitlines()]
         assert all(sum(r["counts"]) == 8 for r in rows)
         assert all(0.0 < r["p_chosen"] <= 1.0 for r in rows)
@@ -168,10 +169,12 @@ class TestRunnerOutputs:
             assert np.array_equal(twin.trainer.value_head.params[k], v)
 
     def test_restore_rejects_other_config(self, tmp_path):
+        """The refusal names both hashes by their first 12 hex digits."""
         runner = ExperimentRunner(tiny_config(), out_dir=tmp_path / "run")
         runner.train()
         other = tiny_config(reward={"h_r": 0.125})
-        with pytest.raises(ValueError, match="hash"):
+        ours, theirs = runner.hash[:12], other.config_hash()[:12]
+        with pytest.raises(ValueError, match=f"config hash does not match.*{ours} in the checkpoint, {theirs} from"):
             ExperimentRunner(other, out_dir=tmp_path / "twin", checkpoint=tmp_path / "run" / "ckpt_final.npz")
         assert not (tmp_path / "twin").exists()
 
@@ -185,9 +188,9 @@ class TestRunnerOutputs:
         runner_meta["history"], and the lowest held-out queue so far in
         runner_meta["best_queue"]; loading ignores both, so such a snapshot
         finishes the run exactly as the same snapshot without the key."""
-        cfg = tiny_config()
+        cfg = tiny_config(episodes=2)
         ExperimentRunner(cfg, out_dir=tmp_path / "run").train()
-        current = tmp_path / "run" / "ckpt_ep000_t00100.npz"
+        current = tmp_path / "run" / "ckpt_ep001_t00000.npz"
         meta, arrays = load_checkpoint(current)
         assert key not in meta["runner_meta"]
         meta["runner_meta"][key] = value
@@ -201,13 +204,11 @@ class TestRunnerOutputs:
         assert outputs[0] == outputs[1]
 
     def test_train_writes_one_snapshot_per_checkpoint_and_a_final_one(self, tmp_path):
-        """Two episodes write their mid-episode snapshots, the snapshot that
-        starts episode 1 and ckpt_final.npz; no ckpt_best.npz."""
+        """Two episodes write the snapshots that start episodes 1 and 2 and
+        ckpt_final.npz; nothing inside an episode and no ckpt_best.npz."""
         ExperimentRunner(tiny_config(episodes=2), out_dir=tmp_path / "run").train()
         assert sorted(p.name for p in (tmp_path / "run").glob("ckpt_*")) == [
-            "ckpt_ep000_t00100.npz", "ckpt_ep000_t00200.npz", "ckpt_ep001_t00000.npz",
-            "ckpt_ep001_t00100.npz", "ckpt_ep001_t00200.npz", "ckpt_ep002_t00000.npz",
-            "ckpt_final.npz",
+            "ckpt_ep001_t00000.npz", "ckpt_ep002_t00000.npz", "ckpt_final.npz",
         ]
 
     def test_eval_uses_single_response(self, tmp_path):
@@ -222,49 +223,59 @@ class TestRunnerOutputs:
             runner.train()
 
 
-class TestMidEpisodeSnapshot:
-    """A run started from ckpt_ep000_t00100.npz, a third of the way into episode 0."""
-
+class TestEpisodeSnapshot:
     @staticmethod
-    def _snapshot(tmp_path):
-        ExperimentRunner(tiny_config(), out_dir=tmp_path / "run").train()
-        return tmp_path / "run" / "ckpt_ep000_t00100.npz"
-
-    def test_training_on_reports_every_decision_of_the_episode(self, tmp_path):
-        """The resumed episode reports all 30 decisions of a whole episode,
-        not the 20 it took after the snapshot."""
-        snapshot = self._snapshot(tmp_path)
-        report = ExperimentRunner(tiny_config(), out_dir=tmp_path / "on", checkpoint=snapshot).train()[0]
-        assert report.decisions == 30
-        rows = (tmp_path / "on" / "metrics.csv").read_text().splitlines()
-        assert len(rows) == 2 and rows[1].split(",")[-1] == "30"
+    def _toy8_run(tmp_path):
+        """A 3-episode configs/toy8.yaml run of 720 steps, updating every 360."""
+        raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
+        raw["episodes"] = 3
+        raw["trainer"].update({"episode_length": 720, "update_interval": 360})
+        cfg = ExperimentConfig.from_dict(raw)
+        ExperimentRunner(cfg, out_dir=tmp_path / "run").train()
+        return cfg, tmp_path / "run"
 
     def test_evaluate_runs_a_whole_new_episode(self, tmp_path, monkeypatch):
-        """evaluate from the snapshot runs all of episode 0 from time 1, keyed
-        from decision 0, and begins metrics.csv anew in the training run's
-        directory."""
-        snapshot = self._snapshot(tmp_path)
+        """evaluate from the snapshot that starts episode 1 runs all of it
+        from time 1, keyed from decision 30, and begins metrics.csv anew in
+        the training run's directory."""
         cfg = tiny_config()
+        ExperimentRunner(cfg, out_dir=tmp_path / "run").train()
         calls = TestDecisionSamples._record_samples(monkeypatch)
+        snapshot = tmp_path / "run" / "ckpt_ep001_t00000.npz"
         report = ExperimentRunner(cfg, out_dir=tmp_path / "run", checkpoint=snapshot).evaluate(1)[0]
+        assert report.steps_csv.endswith("ep001_steps.csv")
         steps = Path(report.steps_csv).read_text().splitlines()[1:]
         assert len(steps) == cfg.trainer.episode_length
         assert [float(row.split(",")[0]) for row in (steps[0], steps[-1])] == [1.0, 300.0]
-        assert [keys for keys, *_ in calls] == [[derive_key(cfg.seed, 0, i, 0)] for i in range(30)]
+        assert [keys for keys, *_ in calls] == [[derive_key(cfg.seed, 0, 30 + i, 0)] for i in range(30)]
         rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
-        assert len(rows) == 2 and rows[1].startswith("0,") and rows[1].endswith(",30")
+        assert len(rows) == 2 and rows[1].startswith("1,") and rows[1].endswith(",30")
 
-    def test_mid_window_snapshot_trains_on_exactly(self, tmp_path):
-        """At checkpoint_interval 50 and update_interval 100 the snapshot at
-        t = 50 falls inside an update window. The window's five decisions are
-        scored before it is written, so training on from it into a fresh
-        directory ends at the uninterrupted run's ckpt_final.npz, byte for
-        byte."""
-        cfg = tiny_config(trainer={**TINY_TRAINER, "checkpoint_interval": 50})
-        run, on = tmp_path / "run", tmp_path / "on"
-        ExperimentRunner(cfg, out_dir=run).train()
-        ExperimentRunner(cfg, out_dir=on, checkpoint=run / "ckpt_ep000_t00050.npz").train()
-        assert (on / "ckpt_final.npz").read_bytes() == (run / "ckpt_final.npz").read_bytes()
+    def test_training_in_place_from_each_snapshot_rebuilds_the_run(self, tmp_path):
+        """A copy of the run's directory, trained on in place from each of
+        its snapshots as after a crash, ends byte-equal to the run in every
+        file: each run log is cut back to its length at the snapshot, so no
+        row is written twice."""
+        cfg, run = self._toy8_run(tmp_path)
+        files = {p.name: p.read_bytes() for p in run.iterdir()}
+        for snapshot in ("ckpt_ep001_t00000.npz", "ckpt_ep002_t00000.npz", "ckpt_final.npz"):
+            copy = tmp_path / snapshot
+            shutil.copytree(run, copy)
+            ExperimentRunner(cfg, out_dir=copy, checkpoint=copy / snapshot).train()
+            resumed = {p.name: p.read_bytes() for p in copy.iterdir()}
+            assert sorted(n for n in files.keys() | resumed.keys() if files.get(n) != resumed.get(n)) == [], snapshot
+
+    def test_training_into_a_fresh_directory_begins_each_log_with_its_header(self, tmp_path):
+        """Trained on into a fresh directory from the snapshot that starts
+        episode 1, each run log holds its header and then the run's rows of
+        episodes 1 and 2."""
+        cfg, run = self._toy8_run(tmp_path)
+        fresh = tmp_path / "fresh"
+        ExperimentRunner(cfg, out_dir=fresh, checkpoint=run / "ckpt_ep001_t00000.npz").train()
+        for name, columns, kept in (("metrics.csv", METRIC_COLUMNS, 1), ("train_log.csv", TRAIN_LOG_COLUMNS, 2)):
+            ours, theirs = ((d / name).read_text().splitlines() for d in (run, fresh))
+            assert theirs[0] == ",".join(columns)
+            assert theirs[1:] == ours[1 + kept :], name
 
 
 class TestAcrossBlasKernels:
@@ -277,7 +288,7 @@ class TestAcrossBlasKernels:
         OpenBLAS, both runs use the same kernel."""
         raw = ExperimentConfig.from_yaml(CONFIGS / "toy8.yaml").to_dict()
         raw["episodes"] = 2
-        raw["trainer"].update({"episode_length": 720, "update_interval": 360, "checkpoint_interval": 360})
+        raw["trainer"].update({"episode_length": 720, "update_interval": 360})
         cfg = tmp_path / "toy8_short.yaml"
         cfg.write_text(yaml.safe_dump(raw))
         src = Path(experiment.__file__).resolve().parents[1]

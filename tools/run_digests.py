@@ -7,17 +7,17 @@ The runs go under OUT, and OUT/digests.txt gets one ``sha256  path`` line
 per file, sorted by path, and each ``.npz`` also gets one
 ``sha256  path::member`` line per zip member, so a change that alters only
 checkpoint meta shows as ``meta.npy`` lines alone. Every library run has 2
-episodes of 720 steps and update and checkpoint intervals of 360, and reads
-the configs next to this tool, so two checkouts get the same inputs. One
+episodes of 720 steps and an update interval of 360, and reads the configs
+next to this tool, so two checkouts get the same inputs. One
 fixed-time run sends 2 vehicles/s into E_T, more than the lane holds, so
 its vehicles stack at the lane's entry.
 One toy8 training run has ``policy.max_len`` 1, so every update batch
 holds one-token responses. Two toy8 eval runs sample at temperatures 0.5
-and 1e-310, the second greedy. Two more start from the toy8 run's final and
-mid-episode snapshots, and one training run trains on from the mid-episode
-one. One more toy8 training run has ``checkpoint_interval`` 240, so its
-first snapshot falls inside an update window, and one run trains on from
-that snapshot.
+and 1e-310, the second greedy, and one starts from the toy8 run's final
+snapshot. Two runs train on from the snapshot that starts the toy8 run's
+episode 1: one into a fresh directory, and one in place in a copy of the
+toy8 run's directory, which must equal the toy8 run's file for file (the
+tool exits with an error otherwise).
 Three runs go through the command line (a baseline, and ``reward-hist``
 with the default hurdle and with a config's); what each prints goes to a
 ``*_stdout.txt`` file, so the printed reports are digested too. Diff the
@@ -35,6 +35,7 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import shutil
 import sys
 import zipfile
 from pathlib import Path
@@ -86,8 +87,7 @@ def main(src: Path, out: Path) -> int:
     def config(name, out_name, **changes):
         cfg = ExperimentConfig.from_yaml(CONFIGS / f"{name}.yaml")
         cfg.episodes, cfg.out = 2, out_name
-        tcfg = cfg.trainer
-        tcfg.episode_length, tcfg.update_interval, tcfg.checkpoint_interval = 720, 360, 360
+        cfg.trainer.episode_length, cfg.trainer.update_interval = 720, 360
         for key, value in changes.items():
             setattr(cfg, key, value)
         return cfg
@@ -121,17 +121,18 @@ def main(src: Path, out: Path) -> int:
     run_config(one_token)
 
     ExperimentRunner(config("toy8", "toy8_eval_restored"), checkpoint="toy8/ckpt_final.npz").evaluate()
-    # whole episodes from a mid-episode snapshot's parameters, keyed by episode and step
-    ExperimentRunner(config("toy8", "toy8_eval_mid_snapshot"), checkpoint="toy8/ckpt_ep001_t00360.npz").evaluate()
     ExperimentRunner(config("toy8", "toy8_eval_t05")).evaluate(temperature=0.5)
     # every logit but the largest scales below the float range, so each draw is the argmax
     ExperimentRunner(config("toy8", "toy8_eval_greedy")).evaluate(temperature=1e-310)
-    ExperimentRunner(config("toy8", "toy8_resumed"), checkpoint="toy8/ckpt_ep001_t00360.npz").train()
-    # a snapshot inside an update window (t = 240 of 360), and a run trained on from it
-    mid_window, mid_window_on = config("toy8", "toy8_mid_window"), config("toy8", "toy8_mid_window_on")
-    mid_window.trainer.checkpoint_interval = mid_window_on.trainer.checkpoint_interval = 240
-    run_config(mid_window)
-    ExperimentRunner(mid_window_on, checkpoint="toy8_mid_window/ckpt_ep000_t00240.npz").train()
+    ExperimentRunner(config("toy8", "toy8_resumed"), checkpoint="toy8/ckpt_ep001_t00000.npz").train()
+    # toy8's own config, as after a crash that followed the snapshot: each run log is cut back to its length then
+    shutil.copytree("toy8", "toy8_resumed_in_place")
+    ExperimentRunner(config("toy8", "toy8"), out_dir="toy8_resumed_in_place",
+                     checkpoint="toy8_resumed_in_place/ckpt_ep001_t00000.npz").train()
+    toy8, in_place = ({p.name: p.read_bytes() for p in Path(d).iterdir()} for d in ("toy8", "toy8_resumed_in_place"))
+    differ = sorted(name for name in toy8.keys() | in_place.keys() if toy8.get(name) != in_place.get(name))
+    if differ:
+        raise SystemExit(f"toy8_resumed_in_place differs from toy8 in {differ}")
     baselines = [config("toy8_fixed", "compare"), config("toy8_maxpressure", "compare")]
     compare(baselines, [3, 4], "compare", labels=["fixed", "maxpressure"])
 
