@@ -272,6 +272,11 @@ def validate_config(cfg: ExperimentConfig) -> Tuple[Topology, DemandProfile, Voc
             f"yellow interval {topo.yellow_duration:g}; a decision could not "
             "take effect before the next one"
         )
+    if cfg.controller == "policy" and cfg.trainer.update_interval % cfg.trainer.decision_interval:
+        raise ValueError(
+            f"trainer.update_interval {cfg.trainer.update_interval} is not a multiple of "
+            f"trainer.decision_interval {cfg.trainer.decision_interval}; updates run only at decisions"
+        )
     demand = DemandProfile.from_dict(cfg.demand)
     demand.check_lanes(topo)
     return topo, demand, Vocabulary.for_topology(topo, n_filler=cfg.policy.n_filler)

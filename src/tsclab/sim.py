@@ -14,6 +14,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -384,13 +385,17 @@ class Intersection:
         self.completed: List[Vehicle] = []
         self.injected_count = 0  # also the id of the next vehicle
         self._last_departure: Dict[str, float] = {lid: -math.inf for lid in topo.lane_ids}
-        # per lane, how many front vehicles did not move in the last step; derived, never saved
+        # per lane, how many front vehicles did not move in the last step
         self._settled: Dict[str, int] = dict.fromkeys(topo.lane_ids, 0)
         self._spawn_cursor = 0
         self._queue_samples: List[float] = []
         self._lanes: Dict[str, Lane] = {lane.lane_id: lane for lane in topo.lanes}
         self._served = [frozenset(phase.allowed_lanes) for phase in topo.phases]
-        self._forget_arrivals()
+        # (lane id, rate) of the lanes with a positive arrival rate for t in _arrivals_span
+        self._arrivals: List[Tuple[str, float]] = []
+        self._arrivals_span = (math.inf, -math.inf)  # empty, so the first step fills it
+        self._block: List[List[str]] = []  # one row per step: the lane id of each arrival, in _arrivals order
+        self._block_row = 0  # rows of _block used by the steps taken
 
     # -- control ---------------------------------------------------------
 
@@ -535,34 +540,11 @@ class Intersection:
         lane order with repeats.
         """
         lane_ids, rates = zip(*self._arrivals)
-        self._block_state = self.rng.bit_generator.state
         counts = self.rng.poisson(rates, size=(n_steps, len(rates)))
         arrivals = np.repeat(np.tile(np.array(lane_ids, dtype=object), n_steps), counts.ravel()).tolist()
         ends = np.cumsum(counts.sum(axis=1)).tolist()
         self._block = [arrivals[lo:hi] for lo, hi in zip([0, *ends], ends)]
         self._block_row = 0
-
-    def _forget_arrivals(self) -> None:
-        """Drop the rate cache and the drawn block; the next step rebuilds both."""
-        # (lane id, rate) of the lanes with a positive arrival rate for t in _arrivals_span
-        self._arrivals: List[Tuple[str, float]] = []
-        self._arrivals_span = (math.inf, -math.inf)  # empty, so the next step fills it
-        self._block: List[List[str]] = []  # one row per step: the lane id of each arrival, in _arrivals order
-        self._block_row = 0  # rows of _block used by the steps taken
-        self._block_state: Optional[dict] = None  # generator state before _block was drawn
-
-    def _rng_state(self) -> dict:
-        """The generator state after the arrivals of the steps taken.
-
-        The live generator has drawn the whole block, so the used rows are
-        drawn again on a copy set to the state from before the block.
-        """
-        if self._block_row == len(self._block):
-            return self.rng.bit_generator.state
-        replay = np.random.Generator(type(self.rng.bit_generator)(0))
-        replay.bit_generator.state = self._block_state
-        replay.poisson([rate for _, rate in self._arrivals], size=(self._block_row, len(self._arrivals)))
-        return replay.bit_generator.state
 
     def _cache_arrivals(self, t: float) -> None:
         """Cache the lanes whose ``rate_at(lane, t)`` is positive, with their rates.
@@ -658,54 +640,28 @@ class Intersection:
             throughput=len(self.completed),
         )
 
-    # -- serialization (a fork into a fresh Intersection) ----------------
+    # -- fork ------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        def pack(veh: Vehicle) -> list:
-            return [veh.vid, veh.lane, veh.position, veh.speed, veh.spawn_time, veh.completion_time]
+    def fork(self) -> "Intersection":
+        """An independent intersection that steps exactly as this one would from here.
 
-        return {
-            "time": self.time,
-            "active_phase": self.active_phase,
-            "pending_phase": self.pending_phase,
-            "yellow_remaining": self.yellow_remaining,
-            "vehicles": {lid: [pack(v) for v in vs] for lid, vs in self.vehicles.items()},
-            "completed": [pack(v) for v in self.completed],
-            "injected_count": self.injected_count,
-            "last_departure": {
-                lid: (None if math.isinf(t) else t) for lid, t in self._last_departure.items()
-            },
-            "spawn_cursor": self._spawn_cursor,
-            "queue_samples": list(self._queue_samples),
-            "rng_state": self._rng_state(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        def unpack(row: list) -> Vehicle:
-            return Vehicle(
-                vid=int(row[0]),
-                lane=row[1],
-                position=float(row[2]),
-                speed=float(row[3]),
-                spawn_time=float(row[4]),
-                completion_time=None if row[5] is None else float(row[5]),
-            )
-
-        self.time = float(state["time"])
-        self.active_phase = int(state["active_phase"])
-        self.pending_phase = None if state["pending_phase"] is None else int(state["pending_phase"])
-        self.yellow_remaining = float(state["yellow_remaining"])
-        self.vehicles = {lid: [unpack(r) for r in rows] for lid, rows in state["vehicles"].items()}
-        self.completed = [unpack(r) for r in state["completed"]]
-        self.injected_count = int(state["injected_count"])
-        self._last_departure = {
-            lid: (-math.inf if t is None else float(t)) for lid, t in state["last_departure"].items()
-        }
-        self._settled = dict.fromkeys(self.vehicles, 0)
-        self._spawn_cursor = int(state["spawn_cursor"])
-        self._queue_samples = [float(q) for q in state["queue_samples"]]
-        self.rng.bit_generator.state = state["rng_state"]
-        self._forget_arrivals()
+        It copies what a step changes in place: each lane's vehicle list and
+        its vehicles, the list of completed vehicles, ``_last_departure``,
+        ``_settled``, ``_queue_samples`` and the generator with its live state.
+        It shares the rest: the read-only topology and demand, ``_lanes`` and
+        ``_served``, the completed vehicles (nothing changes a vehicle after it
+        departs), and ``_arrivals`` and ``_block``, which a step replaces when
+        they change and never changes in place. A field added later that a
+        step changes in place must be copied here too.
+        """
+        twin = copy.copy(self)
+        twin.vehicles = {lid: [Vehicle(**vars(veh)) for veh in queue] for lid, queue in self.vehicles.items()}
+        twin.completed = list(self.completed)
+        twin._last_departure = dict(self._last_departure)
+        twin._settled = dict(self._settled)
+        twin._queue_samples = list(self._queue_samples)
+        twin.rng = copy.deepcopy(self.rng)
+        return twin
 
 
 @dataclass(frozen=True)

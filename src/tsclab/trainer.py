@@ -444,7 +444,8 @@ def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: di
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a snapshot; returns (meta, arrays). Errors name the problem."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load given a path leaves the file open when the zip archive in it is broken
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
             meta = json.loads(str(data["meta"]))
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:

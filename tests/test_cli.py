@@ -395,6 +395,16 @@ class TestValidationFailures:
         assert err.startswith("error: decision_interval 3 is shorter than the yellow interval 5")
         assert not (tmp_path / "out").exists()
 
+    def test_update_interval_not_a_multiple_of_decision_interval(self, tmp_path, capsys):
+        """Updates run only at decisions, so an update interval of 15 s with a
+        decision every 10 s would update every 30 s; train refuses it."""
+        trainer = {**TINY_TRAINER, "episode_length": 95, "update_interval": 15}
+        cfg = write_config(tmp_path / "c.yaml", trainer=trainer)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trainer.update_interval 15 is not a multiple of trainer.decision_interval 10")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "field, value, low", [("max_len", 0, 1), ("k_history", -1, 0), ("d_embed", 0, 1), ("d_hidden", 0, 1)]
     )

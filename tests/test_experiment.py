@@ -123,6 +123,30 @@ class TestRunnerOutputs:
             expect = qs[t] - qs[min(t + 10.0, 300.0)]
             assert row["R_env"] == pytest.approx(expect, abs=1e-12)
 
+    def test_a_fork_at_each_decision_steps_as_the_run(self, tmp_path, monkeypatch):
+        """A fork of the simulator taken at each decision, set to the chosen
+        phase and stepped one decision interval, gives the queues of the
+        run's step log bit for bit. Arrivals do not depend on the phase, so
+        forks set to other phases see the same arrivals."""
+        forked = {}  # decision time -> the queues of its fork
+        decide = ExperimentRunner._decide
+
+        def forking_decide(self, sim, t, *args):
+            pending = decide(self, sim, t, *args)
+            fork = sim.fork()
+            fork.set_phase(pending.phase)
+            forked[t] = [fork.step() for _ in range(self.cfg.trainer.decision_interval)]
+            return pending
+
+        monkeypatch.setattr(ExperimentRunner, "_decide", forking_decide)
+        demand = {"kind": "poisson", "base_rate": 0.1, "surges": [{"start": 95, "end": 205, "rate": 0.4, "lanes": ["E_L"]}]}
+        rep = ExperimentRunner(tiny_config(controller="maxpressure", demand=demand), out_dir=tmp_path / "run").evaluate()[0]
+        queues = [float(line.split(",")[2]) for line in Path(rep.steps_csv).read_text().splitlines()[1:]]
+        assert list(forked) == list(range(0, 300, 10))
+        assert [q for qs in forked.values() for q in qs] == queues
+        chosen = {json.loads(line)["chosen_phase"] for line in Path(rep.decisions_jsonl).read_text().splitlines()}
+        assert len(chosen) > 2 and max(queues) > 1.0
+
     def test_policy_training_writes_logs_and_checkpoints(self, tmp_path):
         cfg = tiny_config()
         runner = ExperimentRunner(cfg, out_dir=tmp_path / "run")

@@ -415,46 +415,42 @@ _EDGE = st.one_of(st.integers(0, 300).map(float), st.floats(0.0, 300.0))
 def test_fused_step_matches_two_pass_reference(rates, surges, seed, yellow, free_flow_speed, switches, spawns):
     """The step's own queue count, its cached arrival rates and its lean lane
     update match a two-pass reference: the same queue and vehicles after
-    every step, also after a mid-surge state_dict is loaded into a fresh
-    intersection. The arrivals are drawn a block of steps ahead, so the
-    live generator runs ahead of the reference; the state that state_dict
-    reports, which a resume starts from, matches the reference's."""
+    every step, also on a fork taken mid-surge. The arrivals are drawn a
+    block of steps ahead, so the live generator runs ahead of the
+    reference's until the block is used up, and then matches it."""
     topo = build_topology("toy8", yellow_duration=yellow, free_flow_speed=free_flow_speed)
     surges = [(min(a, b), max(a, b), lane_rates) for a, b, lane_rates in surges]
 
-    def new_sim(rng_seed):
+    def new_sim():
         demand = DemandProfile(
             rates=dict(zip(LANES8, rates)),
             surges=surges,
             spawns=sorted([(0.0, "N_T")] + [(float(t), lid) for t, lid in spawns]),
         )
-        return Intersection(topo, demand, stream_rng(rng_seed, STREAM_DEMAND, 0))
+        return Intersection(topo, demand, stream_rng(seed, STREAM_DEMAND, 0))
 
-    sim, ref = new_sim(seed), new_sim(seed)
+    sim, ref = new_sim(), new_sim()
     start, end, _ = surges[0]
     snapshot_at = min(max(int((start + end) / 2), 1), 299)
-    resumed = None
+    forked = None
     for t in range(300):
         if t == snapshot_at:
-            state = sim.state_dict()
-            assert state["rng_state"] == sim._rng_state()  # so the checks below may read it directly
-            resumed = new_sim(seed + 1)
-            resumed.load_state_dict(state)
-        for s in (sim, ref, resumed):
+            forked = sim.fork()
+        for s in (sim, ref, forked):
             if s is not None and t in switches:
                 s.set_phase(switches[t])
         queue = sim.step()
         assert queue == sim.queue_length()
         assert queue == reference_step(ref)
         assert _vehicles(sim) == _vehicles(ref)
-        rng_state = sim._rng_state()
-        assert rng_state == ref.rng.bit_generator.state
-        if resumed is not None:
-            assert resumed.step() == queue
-            assert _vehicles(resumed) == _vehicles(sim)
-            assert resumed._rng_state() == rng_state
+        if sim._block_row == len(sim._block):
+            assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+        if forked is not None:
+            assert forked.step() == queue
+            assert _vehicles(forked) == _vehicles(sim)
+            assert forked.rng.bit_generator.state == sim.rng.bit_generator.state
     assert sim.injected_count == ref.injected_count
-    assert asdict(resumed.finalize_metrics()) == asdict(sim.finalize_metrics())
+    assert asdict(forked.finalize_metrics()) == asdict(sim.finalize_metrics())
 
 
 def _step_with_reference(sim, ref, steps, switches=None):
@@ -490,27 +486,17 @@ class TestSettledPrefix:
             assert min(sim._settled[lid] for lid in ("E_T", "W_T", "N_L", "S_L")) >= 20
         _step_with_reference(sim, ref, 400, {k * 50: k % 8 for k in range(1, 8)})
 
-    def test_load_state_dict_into_a_stepped_intersection(self, toy8):
-        """A state loaded into an intersection that jammed under another
-        history steps on as a fresh intersection given that state does."""
-
-        def new_sim(seed):
-            return Intersection(toy8, DemandProfile(base_rate=0.05), stream_rng(seed, STREAM_DEMAND, 0))
-
-        source = new_sim(3)
-        run_steps(source, 0, 200)
-        state = source.state_dict()
-
-        jammed = new_sim(4)
-        for _ in range(1500):  # phase 0 all along: every other lane piles up
+    def test_fork_of_a_jammed_intersection(self, toy8):
+        """A fork carries the large settled prefixes of an intersection held
+        on one phase until its other lanes jam, and steps on under phase
+        switches as the two-pass reference steps another fork."""
+        jammed = Intersection(toy8, DemandProfile(base_rate=0.05), stream_rng(4, STREAM_DEMAND, 0))
+        for _ in range(2 * ARRIVAL_BLOCK_STEPS):  # phase 0 all along: every other lane piles up
             jammed.step()
-        assert min(jammed._settled[lid] for lid in ("E_T", "W_T", "N_L", "S_L")) > max(
-            map(len, state["vehicles"].values())
-        )
-        jammed.load_state_dict(state)
-        ref = new_sim(5)
-        ref.load_state_dict(state)
-        _step_with_reference(jammed, ref, 200, {k * 30: (k + 3) % 8 for k in range(7)})
+        assert min(jammed._settled[lid] for lid in ("E_T", "W_T", "N_L", "S_L")) >= 50
+        # the drawn block is used up, so the reference's draws start from the live generator
+        assert jammed._block_row == len(jammed._block)
+        _step_with_reference(jammed.fork(), jammed.fork(), 200, {k * 30: (k + 3) % 8 for k in range(7)})
 
 
 class TestObserve:
@@ -704,8 +690,18 @@ class TestMetrics:
         assert set(d) == {"travel_time", "queue_length", "delay_seconds", "delay_ratio", "throughput"}
 
 
-class TestStateDict:
-    def test_roundtrip_continues_identically(self, toy8):
+def _state(sim):
+    """Everything a step reads or writes, apart from the topology and the demand."""
+    return (
+        sim.time, sim.active_phase, sim.pending_phase, sim.yellow_remaining, sim.injected_count, sim._spawn_cursor,
+        {lid: [asdict(v) for v in vs] for lid, vs in sim.vehicles.items()},
+        [asdict(v) for v in sim.completed],
+        dict(sim._last_departure), dict(sim._settled), list(sim._queue_samples), sim.rng.bit_generator.state,
+    )
+
+
+class TestFork:
+    def test_fork_continues_identically(self, toy8):
         demand_dict = {
             "kind": "poisson",
             "base_rate": 0.1,
@@ -716,10 +712,8 @@ class TestStateDict:
             if t % 30 == 0:
                 simA.set_phase((t // 30) % 8)
             simA.step()
-        state = simA.state_dict()
-
-        simB = Intersection(toy8, DemandProfile.from_dict(demand_dict), stream_rng(9, STREAM_DEMAND, 0))
-        simB.load_state_dict(state)
+        simB = simA.fork()
+        assert _state(simB) == _state(simA)
 
         for t in range(200, 320):
             if t % 30 == 0:
@@ -729,34 +723,35 @@ class TestStateDict:
             simB.step()
             assert simA.queue_length() == simB.queue_length()
             assert simA.injected_count == simB.injected_count
+        assert _state(simB) == _state(simA)
         assert asdict(simA.finalize_metrics()) == asdict(simB.finalize_metrics())
 
-    def test_resume_inside_a_block_of_the_open_last_segment(self, toy8):
-        """A snapshot taken a block cap and more into the last surge-free
-        segment, mid-block, resumes exactly as the run goes on uninterrupted."""
+    def test_fork_inside_a_block_of_the_open_last_segment(self, toy8):
+        """A fork taken a block cap and more into the last surge-free segment,
+        mid-block, steps on exactly as the run goes on uninterrupted."""
         demand = {"kind": "poisson", "base_rate": 0.1, "surges": [{"start": 0.0, "end": 40.5, "rate": 0.3, "lanes": ["E_L"]}]}
         cut, stop = 41 + ARRIVAL_BLOCK_STEPS + 37, 41 + 2 * ARRIVAL_BLOCK_STEPS + 50
-
-        def new_sim(seed):
-            return Intersection(toy8, DemandProfile.from_dict(demand), stream_rng(seed, STREAM_DEMAND, 0))
-
-        whole = new_sim(4)
+        whole = Intersection(toy8, DemandProfile.from_dict(demand), stream_rng(4, STREAM_DEMAND, 0))
         run_steps(whole, 0, cut)
-        state = whole.state_dict()
-        resumed = new_sim(5)
-        resumed.load_state_dict(state)
-        assert resumed.state_dict() == state
+        assert 0 < whole._block_row < len(whole._block)
+        forked = whole.fork()
         run_steps(whole, cut, stop)
-        run_steps(resumed, cut, stop)
-        assert _vehicles(resumed) == _vehicles(whole)
-        assert resumed.state_dict() == whole.state_dict()
-        assert asdict(resumed.finalize_metrics()) == asdict(whole.finalize_metrics())
+        run_steps(forked, cut, stop)
+        assert _state(forked) == _state(whole)
+        assert asdict(forked.finalize_metrics()) == asdict(whole.finalize_metrics())
 
-    def test_state_is_json_serializable(self, toy8):
-        import json
-
-        sim = schedule_sim(toy8, [(0.0, "N_T")])
-        for _ in range(10):
-            sim.step()
-        encoded = json.dumps(sim.state_dict())
-        assert isinstance(encoded, str)
+    def test_stepping_a_fork_leaves_the_original_unchanged(self, toy8):
+        """A fork stepped under other phases, across a block boundary, changes
+        nothing of the intersection it was taken from, and the other way round."""
+        sim = Intersection(toy8, DemandProfile(base_rate=0.2), stream_rng(6, STREAM_DEMAND, 0))
+        run_steps(sim, 0, ARRIVAL_BLOCK_STEPS - 20)
+        before = _state(sim)
+        forked = sim.fork()
+        for k in range(60):
+            if k % 10 == 0:
+                forked.set_phase((k // 10 + 5) % 8)
+            forked.step()
+        assert _state(sim) == before
+        after = _state(forked)
+        run_steps(sim, ARRIVAL_BLOCK_STEPS - 20, ARRIVAL_BLOCK_STEPS + 40)
+        assert _state(forked) == after

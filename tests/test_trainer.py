@@ -1,5 +1,7 @@
+import gc
 import json
 import tracemalloc
+import warnings
 import zipfile
 
 import numpy as np
@@ -578,3 +580,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"file has 1, expected {CHECKPOINT_VERSION}"):
             load_checkpoint(old)
         assert CHECKPOINT_VERSION == 2
+
+    def test_truncated_file_is_refused_and_closed(self, toy8, vocab8, tmp_path):
+        """A cut snapshot raises ValueError and leaves no file open behind it."""
+        _, path = self._saved(toy8, vocab8, tmp_path, 3)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.npz"
+        cut.write_bytes(data[: len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                load_checkpoint(cut)
+            except ValueError as exc:
+                assert "unreadable checkpoint" in str(exc)
+            else:
+                pytest.fail("a truncated checkpoint loaded")
+            gc.collect()  # a handle left open would be closed here, with the traceback that holds it
+        assert [str(w.message) for w in caught] == []
