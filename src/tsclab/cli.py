@@ -1,10 +1,11 @@
 """Command line entry point.
 
-Subcommands cover the whole workflow: ``train`` a signal policy,
-``eval`` a trained or fresh one, run a ``baseline`` controller,
-``compare`` several configs over shared seeds, and ``reward-hist`` to
-summarize a decision log. Every run is seeded and config-driven; any
-validation failure exits nonzero with a message naming the check.
+Four subcommands cover the whole workflow: ``train`` a signal policy,
+``eval`` any controller without learning (a trained or fresh policy, or
+a baseline), ``compare`` several configs over shared seeds, and
+``reward-hist`` to summarize a decision log. Every run is seeded and
+config-driven; any validation failure exits nonzero with a message
+naming the check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .experiment import (
-    BASELINES,
     CONTROLLERS,
     ExperimentConfig,
     ExperimentRunner,
@@ -68,14 +68,6 @@ def cmd_eval(args) -> int:
     check_float("validation failed: --temperature", args.temperature, 0.0, strict=True)
     runner = ExperimentRunner(cfg, checkpoint=args.checkpoint)
     return _report(runner, runner.evaluate(temperature=args.temperature))
-
-
-def cmd_baseline(args) -> int:
-    cfg = _load_config(args)
-    if cfg.controller == "policy":
-        raise ValueError(f"validation failed: baseline requires controller in {{{', '.join(BASELINES)}}}")
-    runner = ExperimentRunner(cfg)
-    return _report(runner, runner.evaluate())
 
 
 def cmd_compare(args) -> int:
@@ -142,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", type=str, default=None, help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="run episodes without learning")
+    p = sub.add_parser("eval", help="run episodes without learning, of a policy or a baseline")
     common(p)
     p.add_argument("--checkpoint", type=str, default=None, help="checkpoint to load")
     p.add_argument(
@@ -152,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling temperature (default 1.0; small values approach greedy)",
     )
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("baseline", help="run a non-learning controller")
-    common(p)
-    p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("compare", help="run several configs over shared seeds")
     p.add_argument("--config", action="append", default=[], help="repeatable config path")

@@ -73,6 +73,7 @@ METRICS = tuple(f.name for f in fields(Metrics))  # an episode's metrics, in col
 # wall-clock time stays out of the CSVs so same-seed runs are bit-identical
 METRIC_COLUMNS = ("episode", *METRICS, "decisions")
 RUN_LOGS = ("metrics.csv", "train_log.csv")  # the logs a run appends to; a snapshot records their lengths
+MAX_BINS = 100_000  # reward_histogram refuses more bins than this before it allocates them
 
 
 def check_file(what: str, path) -> Path:
@@ -81,6 +82,21 @@ def check_file(what: str, path) -> Path:
     if not path.is_file():
         raise ValueError(f"validation failed: {what} {'is not a file' if path.exists() else 'not found'}: {path}")
     return path
+
+
+def check_unused(out_dir) -> None:
+    """Raise ValueError, naming one entry, if ``out_dir`` exists and is not an
+    empty directory. A fresh run writes only into an unused directory, so no
+    file of an earlier run lies beside its own."""
+    out_dir = Path(out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"validation failed: output directory {out_dir} is not a directory")
+    entry = min((p.name for p in out_dir.iterdir()), default=None) if out_dir.exists() else None
+    if entry is not None:
+        raise ValueError(
+            f"validation failed: output directory {out_dir} is in use (it holds {entry}); "
+            "a fresh run needs a new or empty one"
+        )
 
 
 @dataclass
@@ -216,7 +232,8 @@ def reward_histogram(jsonl_path, hurdle: float, bin_width: float = 0.5) -> dict:
     strictly exceeds the hurdle (invariant to the bin width). Raises
     ``ValueError``, naming the log and the line, on a line that is not a
     JSON object with a finite number ``R_env`` (a bool is refused), and on
-    rewards whose span holds a non-finite number of bins.
+    rewards whose span holds a non-finite number of bins or more than
+    ``MAX_BINS``.
     """
     check_float("bin width", bin_width, 0.0, strict=True)
     rewards, line_numbers = [], []
@@ -237,12 +254,15 @@ def reward_histogram(jsonl_path, hurdle: float, bin_width: float = 0.5) -> dict:
     arr = np.asarray(rewards)
     low, high = int(arr.argmin()), int(arr.argmax())
     lo_bins, hi_bins = rewards[low] / bin_width, rewards[high] / bin_width
+    span = (
+        f"decision log {jsonl_path}: rewards from {rewards[low]!r} (line {line_numbers[low]}) "
+        f"to {rewards[high]!r} (line {line_numbers[high]}) span"
+    )
     if not math.isfinite(hi_bins - lo_bins):
-        raise ValueError(
-            f"decision log {jsonl_path}: rewards from {rewards[low]!r} (line {line_numbers[low]}) "
-            f"to {rewards[high]!r} (line {line_numbers[high]}) span a non-finite number of bins "
-            f"of width {bin_width!r}"
-        )
+        raise ValueError(f"{span} a non-finite number of bins of width {bin_width!r}")
+    n_bins = math.ceil(hi_bins) - math.floor(lo_bins)
+    if n_bins > MAX_BINS:
+        raise ValueError(f"{span} {n_bins} bins of width {bin_width!r}, more than the cap of {MAX_BINS}")
     lo = math.floor(lo_bins) * bin_width
     hi = math.ceil(hi_bins) * bin_width
     if hi <= lo:
@@ -291,7 +311,9 @@ class ExperimentRunner:
         it, :meth:`evaluate` runs whole new episodes from its parameters.
 
         The config and the checkpoint are checked before the output
-        directory is made, so a refused run leaves no output.
+        directory is made, so a refused run leaves no output. Without a
+        checkpoint the output directory must be new or empty
+        (:func:`check_unused`); from one it may hold the run it continues.
         """
         self.cfg = cfg
         # checked once, before any file is written; episodes share the demand, which they only read
@@ -324,10 +346,11 @@ class ExperimentRunner:
         self._log_sizes: dict = {}  # byte length of each run log at a loaded snapshot, until train cuts it
         # the run logs this runner appends to: those it has begun, or both once it trains on from a snapshot
         self._appending = set()
+        self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
         if checkpoint is not None:
             self._load_checkpoint(checkpoint)
-
-        self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
+        else:
+            check_unused(self.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._write_run_info()
 
@@ -372,7 +395,7 @@ class ExperimentRunner:
         keys = [_kernels.derive_key(cfg.seed, 0, decision, r) for r in range(n_samples)]
         tokens, lengths, logps = self.trainer.policy.sample(features, keys[:1], temperature=temperature)
         action_tokens = tokens[0, : lengths[0]]
-        action = extract_phase(action_tokens, self.topo, cfg.default_phase, self.vocab)
+        action = extract_phase(self.vocab.decode(action_tokens), self.topo, cfg.default_phase)
         if not learn:
             return _Pending(float(t), queue, action)
         return _Pending(
@@ -607,7 +630,7 @@ def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, 
     (overrides included) and a demand description; all this is checked
     before any run starts or any directory is made. Learned configs are
     trained and judged on their final episode; baselines are evaluated the
-    same way.
+    same way. No run directory may be in use (:func:`check_unused`).
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least 2 configs")
@@ -627,6 +650,9 @@ def compare(configs: Sequence[ExperimentConfig], seeds: Sequence[int], out_dir, 
     if any(setting != settings[0] for setting in settings[1:]):
         raise ValueError("compare requires configs sharing topology and demand")
     out_dir = Path(out_dir)
+    for label in labels:
+        for seed in seeds:
+            check_unused(out_dir / f"{label}_seed{seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []

@@ -119,23 +119,18 @@ def verbalize(observation: np.ndarray, current_phase: int, topo: Topology) -> np
     return np.concatenate([(topo.phase_lanes @ observation).ravel(), np.eye(topo.n_phases)[current_phase]])
 
 
-def extract_phase(text_or_tokens, topo: Topology, default_code: int, vocab: Optional[Vocabulary] = None) -> int:
-    """Extract the chosen phase index from generated output.
+def extract_phase(text: str, topo: Topology, default_code: int) -> int:
+    """Extract the chosen phase index from a generated response's text.
 
     Resolution order: (1) the last ``<signal>...</signal>`` span whose
     content is a valid mnemonic; (2) the mnemonic or phase description
     whose last case-insensitive occurrence anywhere in the text ends
     last, the longer on a tie; (3) ``default_code``. Total by
-    construction.
+    construction. Callers holding token ids decode them first
+    (:meth:`Vocabulary.decode`).
     """
     if not 0 <= default_code < topo.n_phases:
         raise ValueError(f"default_code {default_code} out of range")
-    if isinstance(text_or_tokens, str):
-        text = text_or_tokens
-    else:
-        if vocab is None:
-            raise ValueError("token-id input requires a vocabulary")
-        text = vocab.decode(text_or_tokens)
 
     by_mnemonic, needles = topo.phase_names
     for content in reversed(_TAG_RE.findall(text)):
@@ -156,11 +151,9 @@ def extract_phase(text_or_tokens, topo: Topology, default_code: int, vocab: Opti
     return best_phase
 
 
-def phase_histogram(
-    responses: Sequence, topo: Topology, default_code: int, vocab: Optional[Vocabulary] = None
-) -> np.ndarray:
-    """Count the extracted phase of each response; sums to ``len(responses)``."""
+def phase_histogram(responses: Sequence, topo: Topology, default_code: int, vocab: Vocabulary) -> np.ndarray:
+    """Count the extracted phase of each token response, decoded by ``vocab``; sums to ``len(responses)``."""
     counts = np.zeros(topo.n_phases, dtype=np.int64)
     for response in responses:
-        counts[extract_phase(response, topo, default_code, vocab)] += 1
+        counts[extract_phase(vocab.decode(response), topo, default_code)] += 1
     return counts

@@ -445,9 +445,13 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a snapshot; returns (meta, arrays). Errors name the problem."""
     try:
         # np.load given a path leaves the file open when the zip archive in it is broken
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
-            meta = json.loads(str(data["meta"]))
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy file loads as one array
+                raise ValueError("not an .npz archive")
+            with data:
+                arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
+                meta = json.loads(str(data["meta"]))
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
     version = meta.get("version")

@@ -451,14 +451,14 @@ def test_criterion_06_clipped_flat_branch_zero_gradient(toy8):
 # -- criterion 7: phase extraction corpus --------------------------------
 
 
-def test_criterion_07_extraction_corpus(toy8, vocab8):
+def test_criterion_07_extraction_corpus(toy8):
     cases = load_extraction_cases(Path(__file__).parent / "data" / "extraction_cases.tsv")
     assert len(cases) >= EXTRACTION_MIN_CASES
     codes = {p.mnemonic: i for i, p in enumerate(toy8.phases)}
     default_code = codes["NTST"]
     failures = []
     for text, expected in cases:
-        got = extract_phase(text, toy8, default_code, vocab8)
+        got = extract_phase(text, toy8, default_code)
         if got != codes[expected]:
             failures.append((text, expected, toy8.phases[got].mnemonic))
     has_tagged_case = any(t == "<signal>ETEL</signal>" for t, _ in cases)

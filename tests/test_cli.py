@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -123,8 +124,8 @@ REMOVED = [
 
 # a config or decision log that is not a readable file: (id, command, YAML text of the file, or None for a directory)
 BAD_FILES = [
-    ("unclosed_brace", "baseline", "demand: {kind: poisson\ncontroller: fixed\n"),
-    ("config_dir", "baseline", None),
+    ("unclosed_brace", "eval", "demand: {kind: poisson\ncontroller: fixed\n"),
+    ("config_dir", "eval", None),
     ("log_dir", "reward-hist", None),
 ]
 # a checkpoint the command must refuse: (id, command, flag, controller, what the path is, a word of the error)
@@ -133,6 +134,7 @@ BAD_CHECKPOINTS = [
     ("checkpoint_dir", "eval", "--checkpoint", "policy", "dir", "is not a file"),
     ("checkpoint_with_baseline", "eval", "--checkpoint", "fixed", "file", "requires controller 'policy'"),
     ("resume_unreadable", "train", "--resume", "policy", "file", "unreadable checkpoint"),
+    ("checkpoint_npy", "eval", "--checkpoint", "policy", "npy", "not an .npz archive"),
     ("resume_other_config", "train", "--resume", "policy", "other_config", "config hash does not match"),
     ("checkpoint_other_config", "eval", "--checkpoint", "policy", "other_config", "config hash does not match"),
 ]
@@ -163,14 +165,9 @@ class TestValidationFailures:
         assert main(["train", "--config", cfg]) == 2
         assert "policy" in capsys.readouterr().err
 
-    def test_baseline_with_policy_controller(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.yaml")
-        assert main(["baseline", "--config", cfg]) == 2
-        assert "controller" in capsys.readouterr().err
-
     def test_bad_episode_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", controller="fixed")
-        assert main(["baseline", "--config", cfg, "--episodes", "0"]) == 2
+        assert main(["eval", "--config", cfg, "--episodes", "0"]) == 2
         assert "episodes" in capsys.readouterr().err
 
     def test_negative_arrival_rate(self, tmp_path, capsys):
@@ -178,7 +175,7 @@ class TestValidationFailures:
             tmp_path / "c.yaml", controller="fixed", demand={"kind": "poisson", "base_rate": -0.5}
         )
         out = tmp_path / "out"
-        assert main(["baseline", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 2
         assert "base_rate" in capsys.readouterr().err
         assert not out.exists()
 
@@ -218,7 +215,7 @@ class TestValidationFailures:
         cfg = tmp_path / "c.yaml"
         cfg.write_text(yaml.safe_dump(["toy8"]))
         out = tmp_path / "out"
-        assert main(["baseline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: the config must be a mapping, got ['toy8']")
         assert not out.exists()
 
@@ -248,6 +245,9 @@ class TestValidationFailures:
             ckpt.mkdir()
         elif kind == "file":
             ckpt.write_bytes(b"")
+        elif kind == "npy":  # np.load reads it as one array, not as an archive
+            ckpt = tmp_path / "x.npy"
+            np.save(ckpt, np.arange(3))
         elif kind == "other_config":  # a checkpoint of a run whose config has another hurdle
             other = write_config(tmp_path / "other.yaml", reward={"h_r": 2.0})
             assert main(["train", "--config", other, "--out", str(tmp_path / "other")]) == 0
@@ -295,7 +295,7 @@ class TestValidationFailures:
     @pytest.mark.parametrize(
         "command, over, extra, key",
         [
-            ("baseline", {"controller": "fixed", "t_fixed": 0}, [], "t_fixed"),
+            ("eval", {"controller": "fixed", "t_fixed": 0}, [], "t_fixed"),
             ("train", {"policy": {"max_len": 8, "n_filler": 17}}, [], "policy.n_filler"),
             ("train", {"policy": {"max_len": 8, "n_filler": -3}}, [], "policy.n_filler"),
             ("train", {"trainer": {**TINY_TRAINER, "batch_size": 0}}, [], "batch_size"),
@@ -305,7 +305,7 @@ class TestValidationFailures:
             ("eval", {}, ["--temperature", "0"], "--temperature"),
             ("eval", {}, ["--temperature", "inf"], "--temperature"),
             ("eval", {}, ["--temperature", "nan"], "--temperature"),
-            ("baseline", {"controller": "fixed", "t_fixed": INF}, [], "t_fixed"),
+            ("eval", {"controller": "fixed", "t_fixed": INF}, [], "t_fixed"),
         ]
         + [("train", {"trainer": {**TINY_TRAINER, k: v}}, [], f"trainer.{k}") for k, v in BAD_TRAINER_FLOATS]
         + [("train", {"reward": {k: v}}, [], f"reward.{k}") for k, v in BAD_REWARD_FLOATS]
@@ -315,11 +315,11 @@ class TestValidationFailures:
         + [("train", {"policy": {"max_len": 2.5}}, [], "policy.max_len"),
            ("train", {"policy": {"max_len": 8, "d_hidden": True}}, [], "policy.d_hidden"),
            ("train", {}, ["--seed", "-2"], "--seed")]
-        + [("baseline", {"controller": "maxpressure", "topology_overrides": {k: v}}, [], k) for k, v in BAD_GEOMETRY]
-        + [("baseline", {"controller": "fixed", "demand": demand}, [], key) for _, demand, key in BAD_DEMANDS]
+        + [("eval", {"controller": "maxpressure", "topology_overrides": {k: v}}, [], k) for k, v in BAD_GEOMETRY]
+        + [("eval", {"controller": "fixed", "demand": demand}, [], key) for _, demand, key in BAD_DEMANDS]
         + [("reward-hist", {}, ["--hurdle", "nan"], "--hurdle")]
-        + [("baseline", {"controller": "fixed", "demand": demand}, [], key) for demand, key in BAD_DEMAND_SPECS]
-        + [("baseline", {"controller": "fixed", "topology": topo}, [], key) for topo, key in BAD_TOPOLOGIES],
+        + [("eval", {"controller": "fixed", "demand": demand}, [], key) for demand, key in BAD_DEMAND_SPECS]
+        + [("eval", {"controller": "fixed", "topology": topo}, [], key) for topo, key in BAD_TOPOLOGIES],
         ids=["t_fixed", "n_filler_17", "n_filler_-3", "batch_size", "batches_per_update",
              "buffer_window_0", "buffer_window_-5", "temperature", "temperature_inf", "temperature_nan",
              "t_fixed_inf"]
@@ -358,6 +358,33 @@ class TestValidationFailures:
         assert main(["compare", "--config", cfg, "--seed", "0"]) == 2
         assert "two" in capsys.readouterr().err
 
+    def test_reward_hist_bin_count_above_the_cap(self, tmp_path, capsys):
+        """Two rewards 2 apart at a width of 1e-12 would take 2e12 bins; the
+        count is refused before any bin is allocated."""
+        log = tmp_path / "decisions.jsonl"
+        log.write_text('{"R_env": -1.0}\n{"R_env": 1.0}\n')
+        assert main(["reward-hist", str(log), "--bin-width", "1e-12", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: decision log {log}: rewards from -1.0 (line 1) to 1.0 (line 2) span "
+            "2000000000000 bins of width 1e-12, more than the cap of 100000\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_into_a_used_run_directory_rejected_before_any_output(self, tmp_path, capsys):
+        a = write_config(tmp_path / "a.yaml", controller="fixed")
+        b = write_config(tmp_path / "b.yaml", controller="maxpressure")
+        out = tmp_path / "cmp"
+        (out / "b_seed1").mkdir(parents=True)
+        (out / "b_seed1" / "metrics.csv").write_text("kept\n")
+        args = ["compare", "--config", a, "--config", b, "--seed", "0", "--seed", "1", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: validation failed: output directory {out / 'b_seed1'} is in use (it holds metrics.csv); "
+            "a fresh run needs a new or empty one\n"
+        )
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["b_seed1", "b_seed1/metrics.csv"]
+        assert (out / "b_seed1" / "metrics.csv").read_text() == "kept\n"
+
     def test_reward_hist_missing_file(self, tmp_path, capsys):
         assert main(["reward-hist", str(tmp_path / "nope.jsonl")]) == 2
         assert "not found" in capsys.readouterr().err
@@ -378,7 +405,7 @@ class TestValidationFailures:
         cfg = write_config(
             tmp_path / "c.yaml", controller="random", trainer={**TINY_TRAINER, "decision_interval": 0}
         )
-        assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "error: trainer.decision_interval must be >= 1" in capsys.readouterr().err
 
     def test_train_zero_update_interval(self, tmp_path, capsys):
@@ -390,7 +417,7 @@ class TestValidationFailures:
         cfg = write_config(
             tmp_path / "c.yaml", controller="random", trainer={**TINY_TRAINER, "decision_interval": 3}
         )
-        assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: decision_interval 3 is shorter than the yellow interval 5")
         assert not (tmp_path / "out").exists()
@@ -420,7 +447,7 @@ class TestHappyPaths:
     def test_baseline_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", controller="maxpressure")
         out = tmp_path / "out"
-        assert main(["baseline", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "ep000_steps.csv").exists()
         assert (out / "metrics.csv").exists()
         assert "episode 0" in capsys.readouterr().out
@@ -429,7 +456,7 @@ class TestHappyPaths:
         cfg = write_config(tmp_path / "c.yaml", controller="fixed")
         out = tmp_path / "out"
         assert main(
-            ["baseline", "--config", cfg, "--controller", "random", "--out", str(out)]
+            ["eval", "--config", cfg, "--controller", "random", "--out", str(out)]
         ) == 0
         info = json.loads((out / "run_info.json").read_text())
         assert info["controller"] == "random"
@@ -465,22 +492,32 @@ class TestHappyPaths:
         assert runs["1"]["ep000_steps.csv"] == TINY_TRAINER["episode_length"] + 1
         assert runs["1"]["metrics.csv"] == 2
 
-    @pytest.mark.parametrize("command, controller", [("train", "policy"), ("baseline", "fixed")])
-    def test_second_run_into_a_used_directory_starts_its_logs_anew(self, tmp_path, command, controller):
-        cfg = write_config(tmp_path / "c.yaml", controller=controller)
+    @pytest.mark.parametrize("command, controller", [("train", "policy"), ("eval", "fixed")])
+    def test_second_run_into_a_used_directory_is_refused(self, tmp_path, capsys, command, controller):
+        """A fresh run takes an empty directory but refuses one that holds
+        files, so no file of the first run, say its ``ep001_*`` files after
+        a longer first run, lies beside the second's; the first run's files
+        keep their bytes."""
+        cfg = write_config(tmp_path / "c.yaml", controller=controller, episodes=2)
         out = tmp_path / "out"
-        files = []
-        for _ in range(2):
-            assert main([command, "--config", cfg, "--out", str(out)]) == 0
-            files.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert files[1] == files[0]
+        out.mkdir()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "ep001_steps.csv" in first
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out), "--episodes", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: validation failed: output directory {out} is in use (it holds {min(first)}); "
+            "a fresh run needs a new or empty one\n"
+        )
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", controller="fixed")
         outs = []
         for seed in ("3", "4"):
             out = tmp_path / f"s{seed}"
-            assert main(["baseline", "--config", cfg, "--seed", seed, "--out", str(out)]) == 0
+            assert main(["eval", "--config", cfg, "--seed", seed, "--out", str(out)]) == 0
             outs.append((out / "ep000_steps.csv").read_text())
         assert outs[0] != outs[1]
 

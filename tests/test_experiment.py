@@ -370,7 +370,8 @@ class TestDecisionSamples:
             assert [window_keys[r] for r in mine] == [derive_key(cfg.seed, 0, i, r) for r in range(1, g)]
             assert all(np.array_equal(window_features[r], features) for r in mine)
             responses = [action[0, : action_length[0]]] + [tokens[r, : lengths[r]] for r in mine]
-            found = [extract_phase(tokens_, runner.topo, cfg.default_phase, runner.vocab) for tokens_ in responses]
+            texts = [runner.vocab.decode(response) for response in responses]
+            found = [extract_phase(text, runner.topo, cfg.default_phase) for text in texts]
             assert row["chosen_phase"] == found[0]
             assert row["counts"] == np.bincount(found, minlength=runner.topo.n_phases).tolist()
             assert sum(row["counts"]) == g
@@ -410,7 +411,7 @@ class TestDecisionSamples:
             assert kwargs["temperature"] == 0.5
             assert tokens.shape[0] == 1
             assert row["chosen_phase"] == extract_phase(
-                tokens[0, : lengths[0]], runner.topo, cfg.default_phase, runner.vocab
+                runner.vocab.decode(tokens[0, : lengths[0]]), runner.topo, cfg.default_phase
             )
             assert row["counts"] is None
 

@@ -156,11 +156,7 @@ class TestExtraction:
 
     def test_token_id_input(self, toy8, vocab8):
         ids = [vocab8.index[SIGNAL_OPEN], vocab8.index["ETEL"], vocab8.index[SIGNAL_CLOSE]]
-        assert extract_phase(ids, toy8, 0, vocab8) == 6
-
-    def test_token_id_input_requires_vocab(self, toy8):
-        with pytest.raises(ValueError):
-            extract_phase([0, 1], toy8, 0)
+        assert extract_phase(vocab8.decode(ids), toy8, 0) == 6
 
     def test_default_code_validated(self, toy8):
         with pytest.raises(ValueError):
@@ -178,7 +174,7 @@ class TestExtraction:
         tag: the needle that ends last wins, and on a tie the longer one."""
         topo = TestVocabulary._pair(mnemonic="AXB")
         vocab = Vocabulary.for_topology(topo)
-        assert extract_phase([vocab.index["AXB"]], topo, 0, vocab) == 1
+        assert extract_phase(vocab.decode([vocab.index["AXB"]]), topo, 0) == 1
         assert extract_phase("<signal>AXB</signal>", topo, 0) == 1
         assert extract_phase("so AXB", topo, 0) == 1
         assert extract_phase("AXB then AX", topo, 1) == 0
@@ -186,10 +182,13 @@ class TestExtraction:
 
     def test_histogram_sums_to_g(self, toy8, vocab8):
         responses = [
-            "<signal>NTST</signal>",
-            "<signal>NTST</signal>",
-            "pick ETEL",
-            "nothing at all",
+            [vocab8.index[token] for token in text.split()]
+            for text in (
+                f"{SIGNAL_OPEN} NTST {SIGNAL_CLOSE}",
+                f"{SIGNAL_OPEN} NTST {SIGNAL_CLOSE}",
+                "keep ETEL",
+                "the traffic",
+            )
         ]
         counts = phase_histogram(responses, toy8, 0, vocab8)
         assert counts.sum() == 4

@@ -18,8 +18,8 @@ snapshot. Two runs train on from the snapshot that starts the toy8 run's
 episode 1: one into a fresh directory, and one in place in a copy of the
 toy8 run's directory, which must equal the toy8 run's file for file (the
 tool exits with an error otherwise).
-Three runs go through the command line (a baseline, and ``reward-hist``
-with the default hurdle and with a config's); what each prints goes to a
+Three runs go through the command line (a max-pressure baseline through
+``eval``, and ``reward-hist`` with the default hurdle and with a config's); what each prints goes to a
 ``*_stdout.txt`` file, so the printed reports are digested too. Diff the
 digests.txt of a parent checkout against a change's: a change that keeps
 same-config, same-seed runs byte-identical shows no difference.
@@ -138,7 +138,7 @@ def main(src: Path, out: Path) -> int:
 
     log = "toy8/ep000_decisions.jsonl"
     for name, argv in (
-        ("cli_baseline", ["baseline", "--config", str(CONFIGS / "toy8_maxpressure.yaml"), "--episodes", "1"]),
+        ("cli_baseline", ["eval", "--config", str(CONFIGS / "toy8_maxpressure.yaml"), "--episodes", "1"]),
         ("cli_hist_default", ["reward-hist", log]),
         ("cli_hist_config", ["reward-hist", log, "--config", str(CONFIGS / "toy8.yaml")]),
     ):
