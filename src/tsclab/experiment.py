@@ -84,15 +84,16 @@ def check_file(what: str, path) -> Path:
     return path
 
 
-def check_unused(out_dir) -> None:
-    """Raise ValueError, naming one entry, if ``out_dir`` exists and is not an
-    empty directory. A fresh run writes only into an unused directory, so no
-    file of an earlier run lies beside its own."""
+def check_unused(out_dir, reopen: bool = False) -> None:
+    """Raise ValueError if ``out_dir`` exists and is not a directory, or,
+    unless ``reopen``, if it holds anything (naming one entry). A fresh run
+    writes only into an unused directory, so no file of an earlier run lies
+    beside its own."""
     out_dir = Path(out_dir)
     if out_dir.exists() and not out_dir.is_dir():
         raise ValueError(f"validation failed: output directory {out_dir} is not a directory")
     entry = min((p.name for p in out_dir.iterdir()), default=None) if out_dir.exists() else None
-    if entry is not None:
+    if entry is not None and not reopen:
         raise ValueError(
             f"validation failed: output directory {out_dir} is in use (it holds {entry}); "
             "a fresh run needs a new or empty one"
@@ -310,10 +311,9 @@ class ExperimentRunner:
         ``checkpoint`` it starts from that snapshot: :meth:`train` continues
         it, :meth:`evaluate` runs whole new episodes from its parameters.
 
-        The config and the checkpoint are checked before the output
-        directory is made, so a refused run leaves no output. Without a
-        checkpoint the output directory must be new or empty
-        (:func:`check_unused`); from one it may hold the run it continues.
+        It checks the config and the checkpoint but writes nothing: the
+        first :meth:`train` or :meth:`evaluate` call opens the output
+        directory (:meth:`_open`).
         """
         self.cfg = cfg
         # checked once, before any file is written; episodes share the demand, which they only read
@@ -343,20 +343,32 @@ class ExperimentRunner:
             self.baseline = BASELINES[cfg.controller](cfg)
 
         self.episode_index = 0
-        self._log_sizes: dict = {}  # byte length of each run log at a loaded snapshot, until train cuts it
-        # the run logs this runner appends to: those it has begun, or both once it trains on from a snapshot
-        self._appending = set()
+        self._log_sizes: Optional[dict] = None  # byte length of each run log at a loaded snapshot
+        self._opened = False
         self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
         if checkpoint is not None:
             self._load_checkpoint(checkpoint)
-        else:
-            check_unused(self.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._write_run_info()
 
     # -- plumbing --------------------------------------------------------
 
-    def _write_run_info(self) -> None:
+    def _open(self, reopen: bool) -> None:
+        """Make the output directory on the first call and write the run's info.
+
+        The directory must be new or empty, unless ``reopen``, which only
+        ``train`` from a snapshot asks: then each run log longer than it was
+        at the snapshot is cut back to that length. The run logs only ever
+        append, so a resume in place rebuilds the directory of the run that
+        was not interrupted.
+        """
+        if self._opened:
+            return
+        check_unused(self.out_dir, reopen)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        for name, size in self._log_sizes.items() if reopen else ():
+            path = self.out_dir / name
+            if path.exists() and path.stat().st_size > size:
+                os.truncate(path, size)
+        self._opened = True
         info = {
             "config_hash": self.hash,
             "seed": self.cfg.seed,
@@ -365,16 +377,8 @@ class ExperimentRunner:
         }
         with open(self.out_dir / "run_info.json", "w", encoding="utf-8") as fh:
             json.dump(info, fh, indent=2, sort_keys=True)
-        resolved = self.out_dir / "config_resolved.yaml"
-        with open(resolved, "w", encoding="utf-8") as fh:
+        with open(self.out_dir / "config_resolved.yaml", "w", encoding="utf-8") as fh:
             yaml.safe_dump(self.cfg.to_dict(), fh, sort_keys=True)
-
-    def _log(self, name: str, columns) -> _CsvSink:
-        """A sink on the run log ``name``, begun anew with its header unless
-        this runner has begun it or trains on from a snapshot."""
-        append = name in self._appending
-        self._appending.add(name)
-        return _CsvSink(self.out_dir / name, columns, append=append)
 
     def _decide(
         self, sim: Intersection, t: int, queue: float, learn: bool,
@@ -511,13 +515,13 @@ class ExperimentRunner:
         steps_path = self.out_dir / f"ep{episode:03d}_steps.csv"
         jsonl_path = self.out_dir / f"ep{episode:03d}_decisions.jsonl"
         with _CsvSink(steps_path, STEP_COLUMNS) as steps, open(jsonl_path, "w", encoding="utf-8") as jsonl_fh, (
-            self._log("train_log.csv", TRAIN_LOG_COLUMNS) if learn else nullcontext()
+            _CsvSink(self.out_dir / "train_log.csv", TRAIN_LOG_COLUMNS, append=True) if learn else nullcontext()
         ) as train_log:
             self._loop(sim, learn, temperature, steps, jsonl_fh, train_log)
 
         self.episode_index += 1
         metrics = asdict(sim.finalize_metrics())
-        with self._log("metrics.csv", METRIC_COLUMNS) as sink:
+        with _CsvSink(self.out_dir / "metrics.csv", METRIC_COLUMNS, append=True) as sink:
             sink.row({"episode": episode, "decisions": self.decisions_per_episode, **metrics})
         return EpisodeReport(
             episode=episode,
@@ -572,20 +576,12 @@ class ExperimentRunner:
         """Train up to episode ``episodes`` (default ``cfg.episodes``), writing the
         snapshot that starts the next episode after each one, then ``ckpt_final.npz``.
 
-        From a snapshot, each run log longer than it was at the snapshot is
-        cut back to that length, a missing one is begun anew, and the new
-        rows are appended; so a resume in place rebuilds the directory of
-        the run that was not interrupted.
+        From a snapshot the output directory may hold the run it continues.
         """
         if self.trainer is None:
             raise ValueError("train requires controller: policy")
         n = episodes if episodes is not None else self.cfg.episodes
-        for name, size in self._log_sizes.items():
-            path = self.out_dir / name
-            if path.exists() and path.stat().st_size > size:
-                os.truncate(path, size)
-            self._appending.add(name)
-        self._log_sizes = {}
+        self._open(reopen=self._log_sizes is not None)
         reports = []
         while self.episode_index < n:
             reports.append(self.run_episode(learn=True))
@@ -595,8 +591,10 @@ class ExperimentRunner:
 
     def evaluate(self, episodes: Optional[int] = None, temperature: float = 1.0) -> List[EpisodeReport]:
         """Run ``episodes`` (default ``cfg.episodes``) whole episodes without learning; from a
-        snapshot they start at its episode index, with its parameters, and begin the logs anew."""
+        snapshot they start at its episode index, with its parameters. The output directory
+        must be new or empty."""
         n = episodes if episodes is not None else self.cfg.episodes
+        self._open(reopen=False)
         return [self.run_episode(learn=False, temperature=temperature) for _ in range(n)]
 
 

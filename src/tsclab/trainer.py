@@ -452,11 +452,13 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
             with data:
                 arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
                 meta = json.loads(str(data["meta"]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta holds a {type(meta).__name__}, not a JSON object")
+        missing = sorted({"version", "config_hash", "policy_meta", "trainer_meta", "runner_meta"} - meta.keys())
+        if missing:
+            raise ValueError(f"meta lacks {', '.join(missing)}")
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
-    version = meta.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version mismatch: file has {version}, expected {CHECKPOINT_VERSION}"
-        )
+    if meta["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version mismatch: file has {meta['version']}, expected {CHECKPOINT_VERSION}")
     return meta, arrays

@@ -135,6 +135,9 @@ BAD_CHECKPOINTS = [
     ("checkpoint_with_baseline", "eval", "--checkpoint", "fixed", "file", "requires controller 'policy'"),
     ("resume_unreadable", "train", "--resume", "policy", "file", "unreadable checkpoint"),
     ("checkpoint_npy", "eval", "--checkpoint", "policy", "npy", "not an .npz archive"),
+    ("checkpoint_meta_list", "eval", "--checkpoint", "policy", "meta [1]", "meta holds a list, not a JSON object"),
+    ("checkpoint_meta_version_only", "eval", "--checkpoint", "policy", 'meta {"version": 2}',
+     "meta lacks config_hash, policy_meta, runner_meta, trainer_meta"),
     ("resume_other_config", "train", "--resume", "policy", "other_config", "config hash does not match"),
     ("checkpoint_other_config", "eval", "--checkpoint", "policy", "other_config", "config hash does not match"),
 ]
@@ -248,6 +251,8 @@ class TestValidationFailures:
         elif kind == "npy":  # np.load reads it as one array, not as an archive
             ckpt = tmp_path / "x.npy"
             np.save(ckpt, np.arange(3))
+        elif kind.startswith("meta "):  # an archive whose meta is this JSON text
+            np.savez(ckpt, meta=np.array(kind[len("meta "):]))
         elif kind == "other_config":  # a checkpoint of a run whose config has another hurdle
             other = write_config(tmp_path / "other.yaml", reward={"h_r": 2.0})
             assert main(["train", "--config", other, "--out", str(tmp_path / "other")]) == 0
@@ -400,6 +405,36 @@ class TestValidationFailures:
         assert rc == 2
         assert "error: unreadable checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command, flag", [("train", "--resume"), ("eval", "--checkpoint")])
+    def test_out_naming_a_file_is_refused_from_a_snapshot(self, tmp_path, capsys, command, flag):
+        """From a snapshot, an ``--out`` that names a file exits 2 with the
+        message of any run and leaves the file as it was."""
+        cfg = write_config(tmp_path / "c.yaml")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        capsys.readouterr()
+        ckpt = tmp_path / "run" / "ckpt_ep001_t00000.npz"
+        assert main([command, "--config", cfg, flag, str(ckpt), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: validation failed: output directory {out} is not a directory\n"
+        assert out.read_text() == "kept\n"
+
+    def test_eval_from_a_snapshot_into_its_training_run_is_refused(self, tmp_path, capsys):
+        """Only train from a snapshot may reopen a used directory: an eval of
+        a run's final snapshot into that run's own directory, the config's
+        ``out``, exits 2 and every file there keeps its bytes."""
+        run = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.yaml", out=str(run), episodes=2)
+        assert main(["train", "--config", cfg]) == 0
+        files = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(run / "ckpt_final.npz")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: validation failed: output directory {run} is in use (it holds {min(files)}); "
+            "a fresh run needs a new or empty one\n"
+        )
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == files
 
     def test_baseline_zero_decision_interval(self, tmp_path, capsys):
         cfg = write_config(

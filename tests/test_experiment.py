@@ -235,6 +235,15 @@ class TestRunnerOutputs:
             "ckpt_ep001_t00000.npz", "ckpt_ep002_t00000.npz", "ckpt_final.npz",
         ]
 
+    def test_construction_writes_nothing(self, tmp_path):
+        """A runner makes its output directory only when it runs."""
+        runner = ExperimentRunner(tiny_config(), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        runner.evaluate(1)
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "config_resolved.yaml", "ep000_decisions.jsonl", "ep000_steps.csv", "metrics.csv", "run_info.json",
+        ]
+
     def test_eval_uses_single_response(self, tmp_path):
         runner = ExperimentRunner(tiny_config(), out_dir=tmp_path / "run")
         rep = runner.evaluate(episodes=1)[0]
@@ -260,19 +269,19 @@ class TestEpisodeSnapshot:
 
     def test_evaluate_runs_a_whole_new_episode(self, tmp_path, monkeypatch):
         """evaluate from the snapshot that starts episode 1 runs all of it
-        from time 1, keyed from decision 30, and begins metrics.csv anew in
-        the training run's directory."""
+        from time 1, keyed from decision 30, and writes its metrics.csv row
+        for episode 1."""
         cfg = tiny_config()
         ExperimentRunner(cfg, out_dir=tmp_path / "run").train()
         calls = TestDecisionSamples._record_samples(monkeypatch)
         snapshot = tmp_path / "run" / "ckpt_ep001_t00000.npz"
-        report = ExperimentRunner(cfg, out_dir=tmp_path / "run", checkpoint=snapshot).evaluate(1)[0]
+        report = ExperimentRunner(cfg, out_dir=tmp_path / "eval", checkpoint=snapshot).evaluate(1)[0]
         assert report.steps_csv.endswith("ep001_steps.csv")
         steps = Path(report.steps_csv).read_text().splitlines()[1:]
         assert len(steps) == cfg.trainer.episode_length
         assert [float(row.split(",")[0]) for row in (steps[0], steps[-1])] == [1.0, 300.0]
         assert [keys for keys, *_ in calls] == [[derive_key(cfg.seed, 0, 30 + i, 0)] for i in range(30)]
-        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        rows = (tmp_path / "eval" / "metrics.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("1,") and rows[1].endswith(",30")
 
     def test_training_in_place_from_each_snapshot_rebuilds_the_run(self, tmp_path):

@@ -20,7 +20,11 @@ toy8 run's directory, which must equal the toy8 run's file for file (the
 tool exits with an error otherwise).
 Three runs go through the command line (a max-pressure baseline through
 ``eval``, and ``reward-hist`` with the default hurdle and with a config's); what each prints goes to a
-``*_stdout.txt`` file, so the printed reports are digested too. Diff the
+``*_stdout.txt`` file, so the printed reports are digested too. A fourth
+command, an ``eval`` of the toy8 run's final snapshot into the toy8 run's
+own directory, must be refused: its exit code and error go to
+``cli_eval_into_used_stdout.txt``, and the tool exits with an error unless
+it exits 2 and leaves ``toy8`` as it was, file for file. Diff the
 digests.txt of a parent checkout against a change's: a change that keeps
 same-config, same-seed runs byte-identical shows no difference.
 
@@ -129,7 +133,10 @@ def main(src: Path, out: Path) -> int:
     shutil.copytree("toy8", "toy8_resumed_in_place")
     ExperimentRunner(config("toy8", "toy8"), out_dir="toy8_resumed_in_place",
                      checkpoint="toy8_resumed_in_place/ckpt_ep001_t00000.npz").train()
-    toy8, in_place = ({p.name: p.read_bytes() for p in Path(d).iterdir()} for d in ("toy8", "toy8_resumed_in_place"))
+    def files(run_dir):
+        return {p.name: p.read_bytes() for p in Path(run_dir).iterdir()}
+
+    toy8, in_place = files("toy8"), files("toy8_resumed_in_place")
     differ = sorted(name for name in toy8.keys() | in_place.keys() if toy8.get(name) != in_place.get(name))
     if differ:
         raise SystemExit(f"toy8_resumed_in_place differs from toy8 in {differ}")
@@ -146,6 +153,14 @@ def main(src: Path, out: Path) -> int:
             code = cli.main([*argv, "--out", name])
         if code != 0:
             raise SystemExit(f"{name}: tsclab exited with {code}")
+    # only train from a snapshot may reopen a used directory
+    with open("cli_eval_into_used_stdout.txt", "w", encoding="utf-8") as fh, \
+            contextlib.redirect_stdout(fh), contextlib.redirect_stderr(fh):
+        code = cli.main(["eval", "--config", "toy8/config_resolved.yaml", "--checkpoint", "toy8/ckpt_final.npz",
+                         "--out", "toy8"])
+        print(f"exit code {code}")
+    if code != 2 or files("toy8") != toy8:
+        raise SystemExit(f"cli_eval_into_used: tsclab exited with {code}, and toy8 must be left as it was")
 
     def sha(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
