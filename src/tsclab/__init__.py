@@ -12,12 +12,12 @@ import os
 
 from ._kernels import BACKEND, COMPILED
 from .baselines import FixedTimeController, MaxPressureController, RandomController
-from .experiment import ExperimentConfig, ExperimentRunner, compare, reward_histogram, run_config
+from .config import ExperimentConfig, RewardConfig, TrainerConfig
+from .experiment import ExperimentRunner, compare, reward_histogram, run_config
 from .phases import Vocabulary, extract_phase, verbalize
 from .policy import TokenPolicy, ValueHead
-from .rewards import RewardConfig
 from .sim import DemandProfile, Intersection, Topology, build_topology
-from .trainer import PPOTrainer, TrainerConfig, gae, load_checkpoint, save_checkpoint
+from .trainer import PPOTrainer, gae, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"
 

@@ -15,15 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .experiment import (
-    CONTROLLERS,
-    ExperimentConfig,
-    ExperimentRunner,
-    check_file,
-    compare,
-    reward_histogram,
-)
-from .rewards import RewardConfig, check_float, check_int
+from .config import CONTROLLERS, ExperimentConfig, RewardConfig, check_file, check_float, check_int
+from .experiment import ExperimentRunner, compare, reward_histogram
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -24,7 +24,7 @@ import math
 import os
 import time as _time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,17 +33,10 @@ import yaml
 
 from . import _kernels
 from .baselines import FixedTimeController, MaxPressureController, RandomController
-from .phases import FILLER_WORDS, Vocabulary, extract_phase, feature_length, phase_histogram, verbalize
+from .config import ExperimentConfig, check_file, check_float, check_int, check_unused
+from .phases import Vocabulary, extract_phase, feature_length, phase_histogram, verbalize
 from .policy import TokenPolicy, ValueHead
-from .rewards import (
-    RewardConfig,
-    assemble_token_rewards,
-    check_float,
-    check_int,
-    check_keys,
-    decision_reward,
-    env_reward,
-)
+from .rewards import assemble_token_rewards, decision_reward, env_reward
 from .sim import (
     STREAM_CONTROLLER,
     STREAM_DEMAND,
@@ -56,16 +49,15 @@ from .sim import (
     build_topology,
     stream_rng,
 )
-from .trainer import DIAGNOSTICS, PPOTrainer, TrainerConfig, load_checkpoint, save_checkpoint
+from .trainer import DIAGNOSTICS, PPOTrainer, load_checkpoint, save_checkpoint
 
 
-# non-learning controllers by config name; each is built once per runner
+# non-learning controllers by their name in config.CONTROLLERS; each is built once per runner
 BASELINES = {
     "fixed": lambda cfg: FixedTimeController(cfg.t_fixed),
     "maxpressure": lambda cfg: MaxPressureController(),
     "random": lambda cfg: RandomController(stream_rng(cfg.seed, STREAM_CONTROLLER)),
 }
-CONTROLLERS = ("policy", *BASELINES)
 
 STEP_COLUMNS = ("time", "phase", "queue", "injected", "completed")
 TRAIN_LOG_COLUMNS = ("step", *DIAGNOSTICS)
@@ -74,107 +66,6 @@ METRICS = tuple(f.name for f in fields(Metrics))  # an episode's metrics, in col
 METRIC_COLUMNS = ("episode", *METRICS, "decisions")
 RUN_LOGS = ("metrics.csv", "train_log.csv")  # the logs a run appends to; a snapshot records their lengths
 MAX_BINS = 100_000  # reward_histogram refuses more bins than this before it allocates them
-
-
-def check_file(what: str, path) -> Path:
-    """Raise ValueError, naming ``what`` and ``path``, unless ``path`` is a file; return it as a Path."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"validation failed: {what} {'is not a file' if path.exists() else 'not found'}: {path}")
-    return path
-
-
-def check_unused(out_dir, reopen: bool = False) -> None:
-    """Raise ValueError if ``out_dir`` exists and is not a directory, or,
-    unless ``reopen``, if it holds anything (naming one entry). A fresh run
-    writes only into an unused directory, so no file of an earlier run lies
-    beside its own."""
-    out_dir = Path(out_dir)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ValueError(f"validation failed: output directory {out_dir} is not a directory")
-    entry = min((p.name for p in out_dir.iterdir()), default=None) if out_dir.exists() else None
-    if entry is not None and not reopen:
-        raise ValueError(
-            f"validation failed: output directory {out_dir} is in use (it holds {entry}); "
-            "a fresh run needs a new or empty one"
-        )
-
-
-@dataclass
-class PolicyShape:
-    d_embed: int = 16
-    d_hidden: int = 64
-    k_history: int = 4
-    max_len: int = 32
-    n_filler: int = 16
-
-    def __post_init__(self):
-        for name, low in (("max_len", 1), ("k_history", 0), ("d_embed", 1), ("d_hidden", 1), ("n_filler", 0)):
-            check_int(f"policy.{name}", getattr(self, name), low)
-        if not self.n_filler <= len(FILLER_WORDS):
-            raise ValueError(f"policy.n_filler must lie in [0, {len(FILLER_WORDS)}]")
-
-
-@dataclass
-class ExperimentConfig:
-    topology: object = "toy8"  # preset name or explicit dict
-    topology_overrides: dict = field(default_factory=dict)
-    demand: dict = field(default_factory=lambda: {"kind": "poisson", "base_rate": 0.05})
-    controller: str = "policy"
-    episodes: int = 1
-    seed: int = 0
-    out: Optional[str] = None
-    t_fixed: float = 10.0
-    default_phase: int = 0
-    reward: RewardConfig = field(default_factory=RewardConfig)
-    trainer: TrainerConfig = field(default_factory=TrainerConfig)
-    policy: PolicyShape = field(default_factory=PolicyShape)
-
-    def __post_init__(self):
-        if self.controller not in CONTROLLERS:
-            raise ValueError(f"controller must be one of {CONTROLLERS}")
-        check_keys("topology_overrides", self.topology_overrides)  # build_topology checks its keys
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a string or null, got {self.out!r}")
-        check_int("episodes", self.episodes, 1)
-        check_int("seed", self.seed, 0)  # unseeded runs are not supported
-        check_int("default_phase", self.default_phase, 0)  # validate_config checks the top
-        check_float("t_fixed", self.t_fixed, 0.0, strict=True)
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        check_keys("", raw, [f.name for f in fields(ExperimentConfig)])
-        raw = dict(raw)
-        for f in fields(ExperimentConfig):  # sections that are dataclasses of their own
-            if is_dataclass(f.default_factory) and f.name in raw:
-                check_keys(f.name, raw[f.name], [g.name for g in fields(f.default_factory)])
-                raw[f.name] = f.default_factory(**raw[f.name])
-        return ExperimentConfig(**raw)
-
-    @staticmethod
-    def from_yaml(path) -> "ExperimentConfig":
-        with open(check_file("config", path), "r", encoding="utf-8") as fh:
-            try:
-                raw = yaml.safe_load(fh) or {}
-            except yaml.YAMLError as exc:
-                raise ValueError(f"validation failed: config {path} is not valid YAML: {exc}") from exc
-        return ExperimentConfig.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def config_hash(self) -> str:
-        """Hash identifying the experiment definition.
-
-        Covers everything that shapes trajectories (topology, demand,
-        rewards, trainer, policy); excludes the seed, the output path,
-        and run-length knobs so reruns and resumed runs with a longer
-        budget keep the same identity.
-        """
-        payload = self.to_dict()
-        for key in ("seed", "out", "episodes"):
-            payload.pop(key)
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 class _CsvSink:

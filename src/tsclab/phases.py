@@ -15,21 +15,18 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import FILLER_WORDS
 from .sim import Topology
 
 SIGNAL_OPEN = "<signal>"
 SIGNAL_CLOSE = "</signal>"
 EOS = "<eos>"
 
-# Filler tokens stand in for free-form reasoning text. A filler, structural or
-# numeral token that holds a phase's mnemonic or description in any case, or
-# tokens that spell one across their boundary, would name that phase to the
-# extractor's case-insensitive scan, so Vocabulary.for_topology refuses such
-# a topology.
-FILLER_WORDS = (
-    "the", "traffic", "flow", "wait", "heavy", "light", "queue", "move",
-    "stop", "clear", "now", "next", "keep", "shift", "plan", "so",
-)
+# Filler tokens (FILLER_WORDS) stand in for free-form reasoning text. A
+# filler, structural or numeral token that holds a phase's mnemonic or
+# description in any case, or tokens that spell one across their boundary,
+# would name that phase to the extractor's case-insensitive scan, so
+# Vocabulary.for_topology refuses such a topology.
 
 _TAG_RE = re.compile(re.escape(SIGNAL_OPEN) + r"(.*?)" + re.escape(SIGNAL_CLOSE), re.DOTALL)
 

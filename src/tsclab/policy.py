@@ -56,7 +56,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .rewards import check_float
+from .config import check_float
 
 POLICY_FIELDS = (
     "emb",

@@ -8,81 +8,11 @@ frozen reference policy; the final token carries the task reward.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-
-def check_float(name: str, value, low: float = -math.inf, strict: bool = False, high: float = math.inf) -> None:
-    """Raise ValueError unless ``value`` is a finite number >= ``low`` (> ``low`` if ``strict``) and <= ``high``.
-
-    Each test is written so that NaN fails it; a bool is refused, not taken as 0 or 1.
-    """
-    if not (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and (value > low if strict else value >= low)
-        and value <= high
-    ):
-        bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
-        bound += "" if high == math.inf else f" and <= {high:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-
-
-def check_int(name: str, value, low: Optional[int] = None) -> None:
-    """Raise ValueError unless ``value`` is an integer, not a bool, and >= ``low`` if given."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
-
-
-def check_bool(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is true or false itself, not merely truthy."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-
-
-def check_keys(where: str, spec, allowed: Optional[Sequence[str]] = None, required: Sequence[str] = ()) -> None:
-    """Raise ValueError unless ``spec`` is a mapping with no key outside ``allowed`` and every ``required`` one.
-
-    ``where`` is the dotted config path of ``spec`` ("" for the whole config); the errors name each key by its path.
-    With ``allowed`` None any key is allowed, as in a mapping keyed by lane id.
-    """
-    if not isinstance(spec, dict):
-        name = f"config section {where!r}" if where else "the config"
-        raise ValueError(f"{name} must be a mapping, got {spec!r}")
-    prefix = f"{where}." if where else ""
-    unknown = [] if allowed is None else sorted(f"{prefix}{k}" for k in set(spec) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
-    missing = [f"{prefix}{k}" for k in required if k not in spec]
-    if missing:
-        raise ValueError(f"missing config keys: {missing}")
-
-
-def check_list(where: str, value) -> None:
-    """Raise ValueError unless ``value``, the config entry at ``where``, is a list (or a tuple); a string is none."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"config entry {where!r} must be a list, got {value!r}")
-
-
-@dataclass
-class RewardConfig:
-    h_r: float = 3.0  # hurdle, vehicles
-    w_e: float = 1.0  # uncertainty-bonus weight
-    tau: float = 1.0  # softmax temperature over phase counts
-    beta: float = 0.05  # per-token KL weight
-
-    def __post_init__(self):
-        check_float("reward.h_r", self.h_r)
-        check_float("reward.w_e", self.w_e, 0.0)
-        check_float("reward.tau", self.tau, 0.0, strict=True)
-        check_float("reward.beta", self.beta, 0.0)
+from .config import RewardConfig, check_float
 
 
 def env_reward(queue_prev: float, queue_curr: float) -> float:

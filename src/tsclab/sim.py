@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rewards import check_float, check_int, check_keys, check_list
+from .config import check_float, check_int, check_keys, check_list
 
 SPEED_STOPPED = 0.1  # m/s; below this a vehicle counts as queued
 JAM_SPACING = 7.0  # m between stopped vehicles, gives queues physical extent

@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from .config import TrainerConfig
 from .policy import (
     POLICY_FIELDS,
     VALUE_FIELDS,
@@ -29,7 +28,6 @@ from .policy import (
     ValueHead,
     clip_by_global_norm,
 )
-from .rewards import check_bool, check_float, check_int
 
 CHECKPOINT_VERSION = 2
 
@@ -38,54 +36,6 @@ DIAGNOSTICS = (
     "mean_ratio", "clip_fraction", "policy_loss", "value_loss",
     "mean_advantage", "grad_norm_policy", "grad_norm_value",
 )
-
-
-@dataclass
-class TrainerConfig:
-    actor_lr: float = 2.5e-5
-    actor_weight_decay: float = 1e-6
-    value_lr: float = 1e-5
-    value_weight_decay: float = 5e-7
-    eps_low: float = 0.2
-    eps_high: float = 0.5
-    eps_value: float = 0.2
-    gamma: float = 0.999
-    lam: float = 0.95
-    alpha: float = 1.0
-    batch_size: int = 20
-    batches_per_update: int = 2
-    grad_clip_policy: float = 0.5
-    grad_clip_value: float = 5.0
-    update_interval: int = 360
-    buffer_window: int = 400
-    decision_interval: int = 10
-    episode_length: int = 3600
-    g_responses: int = 8
-    use_critic: bool = True
-
-    def __post_init__(self):
-        for name in ("episode_length", "decision_interval", "update_interval", "batch_size",
-                     "batches_per_update", "g_responses"):
-            check_int(f"trainer.{name}", getattr(self, name), 1)
-        check_int("trainer.buffer_window", self.buffer_window)
-        check_bool("trainer.use_critic", self.use_critic)
-        # the newest record at an update was decided one decision interval before it
-        if not self.buffer_window > self.decision_interval:
-            raise ValueError("buffer_window must exceed decision_interval, or no record is left to train on")
-        for name in ("eps_low", "eps_high", "eps_value", "grad_clip_policy", "grad_clip_value"):
-            check_float(f"trainer.{name}", getattr(self, name), 0.0, strict=True)
-        for name in ("alpha", "actor_lr", "value_lr", "actor_weight_decay", "value_weight_decay"):
-            check_float(f"trainer.{name}", getattr(self, name), 0.0)
-        for name in ("gamma", "lam"):
-            check_float(f"trainer.{name}", getattr(self, name), 0.0, high=1.0)
-
-    def warn_if_few_responses(self, n_phases: int) -> None:
-        if self.g_responses < n_phases:
-            warnings.warn(
-                f"g_responses={self.g_responses} is below the number of phases "
-                f"({n_phases}); agreement counts cannot resolve all phases",
-                stacklevel=2,
-            )
 
 
 def gae(rewards: Sequence[float], values: Sequence[float], gamma: float, lam: float) -> np.ndarray:

@@ -24,7 +24,8 @@ from test_trainer import gae_double_sum
 
 from tsclab import cli
 from tsclab.baselines import FixedTimeController
-from tsclab.experiment import ExperimentConfig, ExperimentRunner, compare, run_config
+from tsclab.config import ExperimentConfig, TrainerConfig
+from tsclab.experiment import ExperimentRunner, compare, run_config
 from tsclab.phases import feature_length, Vocabulary, extract_phase
 from tsclab.policy import (
     POLICY_FIELDS,
@@ -39,7 +40,7 @@ from tsclab.rewards import (
     total_reward,
 )
 from tsclab.sim import DemandProfile, Intersection
-from tsclab.trainer import PPOTrainer, TrainerConfig, gae
+from tsclab.trainer import PPOTrainer, gae
 
 # -- pinned tolerances and budgets --------------------------------------
 
@@ -70,11 +71,9 @@ BASELINE_SEEDS = (0, 1, 2, 3, 4)
 BASELINE_RATIO = 0.7
 BASELINE_BUDGET_S = 60.0
 
+# the trend recipe's arms are configs/trend/*.yaml; its untrained arm evaluates hurdle.yaml
+TREND_CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "trend"
 TREND_SEEDS = (0, 1, 2, 3, 4)
-TREND_EPISODES = 8          # <= 20 allowed
-TREND_HURDLE = 0.5
-TREND_BETA = 0.1
-TREND_LR = 3e-4
 TREND_REDUCTION = 0.25
 TREND_DSE_FACTOR = 1.05
 TREND_BUDGET_S = 1800.0
@@ -86,21 +85,6 @@ SURGED_DEMAND = {
         {"lanes": ["N_T", "S_T"], "start": 600, "end": 1200, "rate": 0.125},
         {"lanes": ["E_T", "W_T"], "start": 2000, "end": 2600, "rate": 0.125},
     ],
-}
-
-# sustained asymmetric load: the through movement east/west dominates,
-# so the learnable structure is simple while cross traffic still matters
-TREND_DEMAND = {
-    "kind": "poisson",
-    "base_rate": 0.02,
-    "rates": {"E_T": 0.15, "W_T": 0.15},
-}
-
-TREND_TRAINER = {
-    "actor_lr": TREND_LR,
-    "use_critic": False,
-    "gamma": 1.0,
-    "lam": 1.0,
 }
 
 
@@ -558,30 +542,15 @@ def test_criterion_09_baseline_ordering(tmp_path):
 # -- criteria 10 and 11: training trend and reward distribution ----------
 
 
-def _trend_config(variant: str, seed: int) -> ExperimentConfig:
-    reward = {
-        "untrained": {"h_r": TREND_HURDLE, "w_e": 0.0},
-        "env-only": {"h_r": 0.0, "w_e": 0.0},
-        "hurdle": {"h_r": TREND_HURDLE, "w_e": 0.0},
-        "hurdle-dse": {"h_r": TREND_HURDLE, "w_e": 1.0, "tau": 1.0},
-    }[variant]
-    reward["beta"] = TREND_BETA
-    return ExperimentConfig.from_dict(
-        {
-            "topology": "toy8",
-            "demand": TREND_DEMAND,
-            "controller": "policy",
-            "episodes": TREND_EPISODES,
-            "seed": seed,
-            "reward": reward,
-            "trainer": dict(TREND_TRAINER),
-        }
-    )
+def _trend_config(name: str, seed: int = 0) -> ExperimentConfig:
+    """``configs/trend/<name>.yaml`` with its seed set to ``seed``."""
+    cfg = ExperimentConfig.from_yaml(TREND_CONFIGS / f"{name}.yaml")
+    return ExperimentConfig.from_dict({**cfg.to_dict(), "seed": seed})
 
 
 def _trend_run(variant: str, seed: int, run_dir: Path) -> dict:
     """One run of the reward ablation grid: its final-episode queue and decision logs."""
-    runner = ExperimentRunner(_trend_config(variant, seed), out_dir=run_dir)
+    runner = ExperimentRunner(_trend_config("hurdle" if variant == "untrained" else variant, seed), out_dir=run_dir)
     reports = runner.evaluate(1) if variant == "untrained" else runner.train()
     return {
         "queue": reports[-1].metrics["queue_length"],
@@ -632,6 +601,7 @@ def test_criterion_10_training_trend(trend_runs):
         for v in ("env-only", "hurdle", "hurdle-dse")
     }
     elapsed = trend_runs["elapsed"]
+    last = _trend_config("hurdle").episodes - 1
     ordering = med["untrained"] >= med["env-only"] >= med["hurdle"]
     dse_close = med["hurdle-dse"] <= TREND_DSE_FACTOR * med["hurdle"]
     reduced = med["hurdle"] <= (1.0 - TREND_REDUCTION) * med["untrained"]
@@ -645,7 +615,7 @@ def test_criterion_10_training_trend(trend_runs):
         f"hurdle+DSE {med['hurdle-dse']:.2f} <= {TREND_DSE_FACTOR:g}x hurdle ({dse_close}); "
         f"reduction {(1 - med['hurdle'] / med['untrained']) * 100:.0f}% >= "
         f"{TREND_REDUCTION * 100:.0f}% ({reduced}); {elapsed:.0f}s of "
-        f"{TREND_BUDGET_S:.0f}s budget; median agreement ep000 -> ep{TREND_EPISODES - 1:03d}: "
+        f"{TREND_BUDGET_S:.0f}s budget; median agreement ep000 -> ep{last:03d}: "
         + "; ".join(f"{v} {first:.3f} -> {final:.3f}" for v, (first, final) in agreement.items()),
     )
 
@@ -653,9 +623,11 @@ def test_criterion_10_training_trend(trend_runs):
 def test_criterion_11_hurdle_distribution_shift(trend_runs):
     """The histogram subcommand itself reports the before/after fractions."""
 
+    hurdle = _trend_config("hurdle").reward.h_r
+
     def fraction_via_cli(jsonl: str, out_dir: Path) -> float:
         rc = cli.main(
-            ["reward-hist", jsonl, "--hurdle", str(TREND_HURDLE), "--out", str(out_dir)]
+            ["reward-hist", jsonl, "--hurdle", str(hurdle), "--out", str(out_dir)]
         )
         assert rc == 0
         with open(out_dir / "reward_hist.json", "r", encoding="utf-8") as fh:
@@ -687,18 +659,20 @@ def test_criterion_11_hurdle_distribution_shift(trend_runs):
 
 
 def _roundtrip_config(seed: int) -> ExperimentConfig:
+    """The trend recipe's demand, hurdle and learning rate, with the default critic, over two short episodes."""
+    trend = _trend_config("hurdle")
     return ExperimentConfig.from_dict(
         {
             "topology": "toy8",
-            "demand": TREND_DEMAND,
+            "demand": trend.demand,
             "controller": "policy",
             "episodes": 2,
             "seed": seed,
-            "reward": {"h_r": TREND_HURDLE},
+            "reward": {"h_r": trend.reward.h_r},
             "trainer": {
                 "episode_length": 720,
                 "update_interval": 360,
-                "actor_lr": TREND_LR,
+                "actor_lr": trend.trainer.actor_lr,
             },
         }
     )

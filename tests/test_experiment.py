@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from tsclab import experiment, phases
 from tsclab._kernels import derive_key
+from tsclab.config import CONTROLLERS, ExperimentConfig
 from tsclab.experiment import (
     METRIC_COLUMNS,
     TRAIN_LOG_COLUMNS,
-    ExperimentConfig,
     ExperimentRunner,
     compare,
     reward_histogram,
@@ -85,6 +85,23 @@ class TestConfig:
         cfg = tiny_config(default_phase=11)
         with pytest.raises(ValueError):
             ExperimentRunner(cfg, out_dir=tmp_path / "r")
+
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIGS.glob("**/*.yaml")), ids=lambda p: p.relative_to(CONFIGS).as_posix()
+    )
+    def test_committed_config_is_valid(self, path):
+        experiment.validate_config(ExperimentConfig.from_yaml(path))
+
+    def test_trend_arms_differ_only_under_reward(self):
+        """So compare takes the three arms together, and each arm is its own reward."""
+        arms = [ExperimentConfig.from_yaml(CONFIGS / "trend" / f"{arm}.yaml").to_dict()
+                for arm in ("env-only", "hurdle", "hurdle-dse")]
+        rewards = [arm.pop("reward") for arm in arms]
+        assert arms[0] == arms[1] == arms[2]
+        assert rewards[0] != rewards[1] != rewards[2] != rewards[0]
+
+    def test_every_controller_but_policy_is_a_baseline(self):
+        assert tuple(experiment.BASELINES) == CONTROLLERS[1:]
 
 
 class TestRunnerOutputs:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsclab.config import RewardConfig
 from tsclab.rewards import (
-    RewardConfig,
     assemble_token_rewards,
     decision_reward,
     env_reward,

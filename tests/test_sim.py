@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsclab
-from tsclab.experiment import ExperimentConfig
+from tsclab.config import ExperimentConfig
 from tsclab.sim import (
     ARRIVAL_BLOCK_STEPS,
     JAM_SPACING,

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsclab.config import RewardConfig, TrainerConfig
 from tsclab.phases import feature_length
 from tsclab.policy import POLICY_FIELDS, VALUE_FIELDS, TokenPolicy, ValueHead
-from tsclab.rewards import RewardConfig, decision_reward
+from tsclab.rewards import decision_reward
 from tsclab.trainer import (
     BUFFER_FIELDS,
     CHECKPOINT_VERSION,
@@ -19,7 +20,6 @@ from tsclab.trainer import (
     AdamW,
     PPOTrainer,
     ReplayBuffer,
-    TrainerConfig,
     gae,
     load_checkpoint,
     policy_surrogate,
