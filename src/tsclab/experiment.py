@@ -64,7 +64,8 @@ TRAIN_LOG_COLUMNS = ("step", *DIAGNOSTICS)
 METRICS = tuple(f.name for f in fields(Metrics))  # an episode's metrics, in column order
 # wall-clock time stays out of the CSVs so same-seed runs are bit-identical
 METRIC_COLUMNS = ("episode", *METRICS, "decisions")
-RUN_LOGS = ("metrics.csv", "train_log.csv")  # the logs a run appends to; a snapshot records their lengths
+RUN_LOGS = ("metrics.csv", "train_log.csv")  # the logs a run appends to; a snapshot records their lengths and digests
+RUNNER_META = ("episode_index", "log_sizes", "seed", "log_sha256")  # a snapshot's runner_meta, in file order
 MAX_BINS = 100_000  # reward_histogram refuses more bins than this before it allocates them
 
 
@@ -234,7 +235,7 @@ class ExperimentRunner:
             self.baseline = BASELINES[cfg.controller](cfg)
 
         self.episode_index = 0
-        self._log_sizes: Optional[dict] = None  # byte length of each run log at a loaded snapshot
+        self._snapshot: Optional[dict] = None  # the runner_meta of a loaded snapshot
         self._opened = False
         self.out_dir = Path(out_dir if out_dir is not None else (cfg.out or "runs/exp"))
         if checkpoint is not None:
@@ -246,16 +247,27 @@ class ExperimentRunner:
         """Make the output directory on the first call and write the run's info.
 
         The directory must be new or empty, unless ``reopen``, which only
-        ``train`` from a snapshot asks: then each run log longer than it was
-        at the snapshot is cut back to that length. The run logs only ever
-        append, so a resume in place rebuilds the directory of the run that
-        was not interrupted.
+        ``train`` from a snapshot asks: then a used directory must hold the
+        snapshot's own run, each run log beginning with the bytes it held at
+        the snapshot, and each is cut back to that length. The run logs only
+        ever append, so a resume in place rebuilds the directory of the run
+        that was not interrupted.
         """
         if self._opened:
             return
         check_unused(self.out_dir, reopen)
+        used = self.out_dir.exists() and any(self.out_dir.iterdir())
+        sizes = {name: int(size) for name, size in self._snapshot["log_sizes"].items()} if reopen and used else {}
+        for name, size in sizes.items():
+            path = self.out_dir / name
+            head = path.read_bytes()[:size] if path.is_file() else b""
+            if len(head) != size or hashlib.sha256(head).hexdigest() != self._snapshot["log_sha256"][name]:
+                raise ValueError(
+                    f"validation failed: output directory {self.out_dir} holds another run: "
+                    f"{path} does not begin with the {size} bytes it held at the snapshot"
+                )
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        for name, size in self._log_sizes.items() if reopen else ():
+        for name, size in sizes.items():
             path = self.out_dir / name
             if path.exists() and path.stat().st_size > size:
                 os.truncate(path, size)
@@ -427,14 +439,20 @@ class ExperimentRunner:
 
     def _save_checkpoint(self, path=None) -> None:
         """Snapshot between episodes, by default as ``ckpt_epNNN_t00000.npz``
-        for the episode a resume starts: the trainer, that episode's index
-        and the byte length of each run log (0 for a missing one)."""
+        for the episode a resume starts: the trainer, that episode's index,
+        the byte length and sha256 of each run log (a missing one is empty)
+        and the run's seed."""
         if path is None:
             path = self.out_dir / f"ckpt_ep{self.episode_index:03d}_t00000.npz"
-        logs = [self.out_dir / name for name in RUN_LOGS]
-        sizes = {log.name: log.stat().st_size if log.exists() else 0 for log in logs}
-        runner_meta = {"episode_index": self.episode_index, "log_sizes": sizes}
-        save_checkpoint(path, self.trainer, self.hash, runner_meta)
+        paths = [self.out_dir / name for name in RUN_LOGS]
+        logs = {p.name: p.read_bytes() if p.exists() else b"" for p in paths}
+        state = (
+            self.episode_index,
+            {name: len(data) for name, data in logs.items()},
+            self.cfg.seed,
+            {name: hashlib.sha256(data).hexdigest() for name, data in logs.items()},
+        )
+        save_checkpoint(path, self.trainer, self.hash, dict(zip(RUNNER_META, state, strict=True)))
 
     def _load_checkpoint(self, path) -> None:
         """Start from the snapshot at ``path``, written by :meth:`_save_checkpoint`.
@@ -444,7 +462,7 @@ class ExperimentRunner:
         """
         if self.trainer is None:
             raise ValueError("validation failed: --checkpoint requires controller 'policy'")
-        meta, arrays = load_checkpoint(check_file("checkpoint", path))
+        meta, arrays = load_checkpoint(check_file("checkpoint", path), RUNNER_META)
         pm = meta["policy_meta"]
         if int(pm["vocab_size"]) != self.vocab.size:
             raise ValueError(
@@ -457,9 +475,8 @@ class ExperimentRunner:
                 f"{meta['config_hash'][:12]} in the checkpoint, {self.hash[:12]} from the config"
             )
         self.trainer.load_state(arrays, meta["trainer_meta"])
-        rm = meta["runner_meta"]
-        self.episode_index = int(rm["episode_index"])
-        self._log_sizes = {name: int(size) for name, size in rm["log_sizes"].items()}
+        self._snapshot = meta["runner_meta"]
+        self.episode_index = int(self._snapshot["episode_index"])
 
     # -- drivers ---------------------------------------------------------
 
@@ -467,12 +484,18 @@ class ExperimentRunner:
         """Train up to episode ``episodes`` (default ``cfg.episodes``), writing the
         snapshot that starts the next episode after each one, then ``ckpt_final.npz``.
 
-        From a snapshot the output directory may hold the run it continues.
+        From a snapshot the seed must be the snapshot's, and the output
+        directory may hold the run it continues.
         """
         if self.trainer is None:
             raise ValueError("train requires controller: policy")
+        if self._snapshot is not None and self._snapshot["seed"] != self.cfg.seed:
+            raise ValueError(
+                f"validation failed: the snapshot continues a run of seed {self._snapshot['seed']}, "
+                f"not of seed {self.cfg.seed}"
+            )
         n = episodes if episodes is not None else self.cfg.episodes
-        self._open(reopen=self._log_sizes is not None)
+        self._open(reopen=self._snapshot is not None)
         reports = []
         while self.episode_index < n:
             reports.append(self.run_episode(learn=True))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import TrainerConfig
 from .policy import (
+    META_FIELDS,
     POLICY_FIELDS,
     VALUE_FIELDS,
     TokenPolicy,
@@ -30,6 +31,8 @@ from .policy import (
 )
 
 CHECKPOINT_VERSION = 2
+# the keys of a checkpoint's trainer_meta, in the order state_meta writes them
+TRAINER_META = ("opt_policy_t", "opt_value_t", "updates_done", "shuffle_rng")
 
 # the statistics of one update, averaged over its batches; train_log.csv adds a step column
 DIAGNOSTICS = (
@@ -348,12 +351,8 @@ class PPOTrainer:
         return {entry: holder[key] for entry, holder, key in self._entries()}
 
     def state_meta(self) -> dict:
-        return {
-            "opt_policy_t": self.opt_policy.t,
-            "opt_value_t": self.opt_value.t,
-            "updates_done": self.updates_done,
-            "shuffle_rng": self.shuffle_rng.bit_generator.state,
-        }
+        state = (self.opt_policy.t, self.opt_value.t, self.updates_done, self.shuffle_rng.bit_generator.state)
+        return dict(zip(TRAINER_META, state, strict=True))
 
     def load_state(self, arrays: Dict[str, np.ndarray], meta: dict) -> None:
         for entry, holder, key in self._entries():
@@ -368,8 +367,8 @@ def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: di
     """Write a fully resumable training snapshot to ``path``, as named.
 
     ``runner_meta`` carries the caller's state between episodes (the next
-    episode's index, the lengths of the run logs); it round-trips
-    unchanged. The archive is written to a temporary file next to ``path``
+    episode's index, the run's seed, the lengths and digests of the run
+    logs); it round-trips unchanged. The archive is written to a temporary file next to ``path``
     and then renamed over it, so a write that fails partway leaves any
     previous snapshot at ``path`` whole.
     """
@@ -391,8 +390,22 @@ def save_checkpoint(path, trainer: PPOTrainer, config_hash: str, runner_meta: di
         raise
 
 
-def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Read a snapshot; returns (meta, arrays). Errors name the problem."""
+def _check_object(name: str, value, keys: Sequence[str]) -> None:
+    """Raise ValueError unless ``value``, the ``name`` part of a checkpoint's meta, is an object holding ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} holds a {type(value).__name__}, not a JSON object")
+    missing = sorted(set(keys) - value.keys())
+    if missing:
+        raise ValueError(f"{name} lacks {', '.join(missing)}")
+
+
+def load_checkpoint(path, runner_keys: Sequence[str] = ()) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Read a snapshot; returns (meta, arrays). Errors name the problem.
+
+    The meta and each of its sections must be an object holding its keys:
+    ``policy.META_FIELDS``, :data:`TRAINER_META`, and ``runner_keys`` in the
+    ``runner_meta`` that its caller wrote; anything else is unreadable.
+    """
     try:
         # np.load given a path leaves the file open when the zip archive in it is broken
         with open(path, "rb") as fh:
@@ -402,11 +415,10 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
             with data:
                 arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
                 meta = json.loads(str(data["meta"]))
-        if not isinstance(meta, dict):
-            raise ValueError(f"meta holds a {type(meta).__name__}, not a JSON object")
-        missing = sorted({"version", "config_hash", "policy_meta", "trainer_meta", "runner_meta"} - meta.keys())
-        if missing:
-            raise ValueError(f"meta lacks {', '.join(missing)}")
+        sections = {"policy_meta": META_FIELDS, "trainer_meta": TRAINER_META, "runner_meta": runner_keys}
+        _check_object("meta", meta, ("version", "config_hash", *sections))
+        for name, keys in sections.items():
+            _check_object(name, meta[name], keys)
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
     if meta["version"] != CHECKPOINT_VERSION:

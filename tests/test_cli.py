@@ -6,6 +6,9 @@ import pytest
 import yaml
 
 from tsclab.cli import main
+from tsclab.experiment import RUNNER_META
+from tsclab.policy import META_FIELDS
+from tsclab.trainer import CHECKPOINT_VERSION, TRAINER_META
 
 TINY_TRAINER = {
     "episode_length": 200,
@@ -128,6 +131,20 @@ BAD_FILES = [
     ("config_dir", "eval", None),
     ("log_dir", "reward-hist", None),
 ]
+
+
+def meta(**sections):
+    """The path kind ``meta <JSON>`` of a meta holding every key, with ``sections`` in place of its own."""
+    whole = {
+        "version": CHECKPOINT_VERSION,
+        "config_hash": "0" * 64,
+        "policy_meta": dict.fromkeys(META_FIELDS, 1),
+        "trainer_meta": dict.fromkeys(TRAINER_META, 0),
+        "runner_meta": dict.fromkeys(RUNNER_META, 0),
+    }
+    return "meta " + json.dumps({**whole, **sections})
+
+
 # a checkpoint the command must refuse: (id, command, flag, controller, what the path is, a word of the error)
 BAD_CHECKPOINTS = [
     ("resume_missing", "train", "--resume", "policy", "missing", "not found"),
@@ -138,6 +155,12 @@ BAD_CHECKPOINTS = [
     ("checkpoint_meta_list", "eval", "--checkpoint", "policy", "meta [1]", "meta holds a list, not a JSON object"),
     ("checkpoint_meta_version_only", "eval", "--checkpoint", "policy", 'meta {"version": 2}',
      "meta lacks config_hash, policy_meta, runner_meta, trainer_meta"),
+    ("checkpoint_policy_meta_list", "eval", "--checkpoint", "policy", meta(policy_meta=[]),
+     "ckpt.npz: policy_meta holds a list, not a JSON object"),
+    ("checkpoint_policy_meta_without_vocab_size", "eval", "--checkpoint", "policy",
+     meta(policy_meta={key: 1 for key in META_FIELDS if key != "vocab_size"}), "policy_meta lacks vocab_size"),
+    ("resume_runner_meta_without_log_sizes", "train", "--resume", "policy",
+     meta(runner_meta={key: 0 for key in RUNNER_META if key != "log_sizes"}), "runner_meta lacks log_sizes"),
     ("resume_other_config", "train", "--resume", "policy", "other_config", "config hash does not match"),
     ("checkpoint_other_config", "eval", "--checkpoint", "policy", "other_config", "config hash does not match"),
 ]
@@ -435,6 +458,44 @@ class TestValidationFailures:
             "a fresh run needs a new or empty one\n"
         )
         assert {p.name: p.read_bytes() for p in run.iterdir()} == files
+
+    @pytest.mark.parametrize("seed", [None, "0"], ids=["under_the_runs_seed", "under_the_snapshots_seed"])
+    def test_resume_into_another_runs_directory_is_refused(self, tmp_path, capsys, seed):
+        """Runs A (seed 0) and B (seed 1) train 2 episodes of 720 steps each.
+        Training on from A's first snapshot into B's directory exits 2 and
+        leaves B's files as they were: under B's seed the seed is not the
+        snapshot's, and under A's B's run logs do not begin as A's did."""
+        trainer = {**TINY_TRAINER, "episode_length": 720, "update_interval": 360}
+        a = write_config(tmp_path / "a.yaml", episodes=2, seed=0, trainer=trainer, out=str(tmp_path / "A"))
+        b = write_config(tmp_path / "b.yaml", episodes=2, seed=1, trainer=trainer, out=str(tmp_path / "B"))
+        assert main(["train", "--config", a]) == 0 and main(["train", "--config", b]) == 0
+        run_b = tmp_path / "B"
+        files = {p.name: p.read_bytes() for p in run_b.iterdir()}
+        capsys.readouterr()
+        argv = ["train", "--config", b, "--resume", str(tmp_path / "A" / "ckpt_ep001_t00000.npz")]
+        assert main(argv + (["--seed", seed] if seed else [])) == 2
+        # A's metrics.csv at the snapshot: its header and episode 0's row
+        size = len(b"".join((tmp_path / "A" / "metrics.csv").read_bytes().splitlines(keepends=True)[:2]))
+        assert capsys.readouterr().err == (
+            "error: validation failed: the snapshot continues a run of seed 0, not of seed 1\n" if seed is None else
+            f"error: validation failed: output directory {run_b} holds another run: {run_b / 'metrics.csv'} "
+            f"does not begin with the {size} bytes it held at the snapshot\n"
+        )
+        assert {p.name: p.read_bytes() for p in run_b.iterdir()} == files
+
+    def test_resume_under_another_seed_is_refused_and_eval_is_not(self, tmp_path, capsys):
+        """train from a snapshot continues its run, so it needs the run's
+        seed even in a fresh directory; eval judges the policy on any seed's
+        demand."""
+        cfg = write_config(tmp_path / "c.yaml", episodes=2)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        ckpt = str(tmp_path / "run" / "ckpt_ep001_t00000.npz")
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert main(["train", "--config", cfg, "--seed", "1", "--resume", ckpt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: validation failed: the snapshot continues a run of seed 0, not of seed 1\n"
+        assert not out.exists()
+        assert main(["eval", "--config", cfg, "--seed", "1", "--checkpoint", ckpt, "--out", str(tmp_path / "eval")]) == 0
 
     def test_baseline_zero_decision_interval(self, tmp_path, capsys):
         cfg = write_config(

@@ -24,7 +24,11 @@ Three runs go through the command line (a max-pressure baseline through
 command, an ``eval`` of the toy8 run's final snapshot into the toy8 run's
 own directory, must be refused: its exit code and error go to
 ``cli_eval_into_used_stdout.txt``, and the tool exits with an error unless
-it exits 2 and leaves ``toy8`` as it was, file for file. Diff the
+it exits 2 and leaves ``toy8`` as it was, file for file. A fifth, a ``train``
+from the snapshot that starts the toy8 run's episode 1 under seed 1 into a
+fresh directory, must be refused too: its exit code and error go to
+``cli_resume_other_seed_stdout.txt``, and the tool exits with an error unless
+it exits 2 and writes no directory. Diff the
 digests.txt of a parent checkout against a change's: a change that keeps
 same-config, same-seed runs byte-identical shows no difference.
 
@@ -161,6 +165,14 @@ def main(src: Path, out: Path) -> int:
         print(f"exit code {code}")
     if code != 2 or files("toy8") != toy8:
         raise SystemExit(f"cli_eval_into_used: tsclab exited with {code}, and toy8 must be left as it was")
+    # train from a snapshot continues the snapshot's run, so it refuses another seed, even into a fresh directory
+    with open("cli_resume_other_seed_stdout.txt", "w", encoding="utf-8") as fh, \
+            contextlib.redirect_stdout(fh), contextlib.redirect_stderr(fh):
+        code = cli.main(["train", "--config", "toy8/config_resolved.yaml", "--seed", "1",
+                         "--resume", "toy8/ckpt_ep001_t00000.npz", "--out", "cli_resume_other_seed"])
+        print(f"exit code {code}")
+    if code != 2 or Path("cli_resume_other_seed").exists():
+        raise SystemExit(f"cli_resume_other_seed: tsclab exited with {code}, and it must write nothing")
 
     def sha(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
